@@ -203,61 +203,44 @@ class EntryTable:
         return self.weights @ totals
 
 
-def static_table(game, weighted, resolved,
-                 profile: Mapping[int, Sequence[int]]) -> EntryTable:
-    """EntryTable over full routes for weighted (scenario, probability) pairs.
+def worlds_table(game, views, worlds,
+                 waits: Mapping[int, Sequence[int]]) -> EntryTable:
+    """EntryTable over weighted worlds, one track per view.
 
-    ``resolved`` pairs each scenario with {edge id: DelayProfile};
-    ``profile`` supplies the committed waits the table starts from.
+    ``worlds`` are (probability, avail map, travel model) triples; the
+    travel model supplies ``row_token``, ``max_extra`` and ``dense_row``.
+    ``waits`` gives the wait vector each track starts from.
     """
-    fleet = game.fleet
-    vids = game.vehicle_ids
-    edge_ids = sorted({eid for v in fleet.values() for eid in v.edge_sequence})
-    wints, scale = scaled_weights([p for _s, p in weighted])
-    max_delta = {eid: 0 for eid in edge_ids}
-    for res in resolved:
-        for eid in edge_ids:
-            prof = res.get(eid)
-            if prof is None:
-                continue
-            for (e, _t), d in prof.delay_at.items():
-                if e == eid and d > max_delta[eid]:
-                    max_delta[eid] = d
-    starts = {vid: [game.start_of(vid, s) for s, _p in weighted]
-              for vid in vids}
-    t0 = min(min(s) for s in starts.values())
+    edge_ids = sorted({eid for v in views for eid in v.window_edges})
+    if not edge_ids:
+        raise TableLimitError("no window edges")
+    weights, scale = scaled_weights([p for p, _a, _t in worlds])
+    avail = {v.vid: [a[v.vid] for _p, a, _t in worlds] for v in views}
+    max_delta = {eid: max(t.max_extra(eid) for _p, _a, t in worlds)
+                 for eid in edge_ids}
+    t0 = min(min(a) for a in avail.values())
     horizon = 1
-    max_budget = 0
-    max_len = 1
-    for vid in vids:
-        v = fleet[vid]
-        span = max(starts[vid]) + v.waiting_budget_steps
-        for eid in v.edge_sequence:
+    for v in views:
+        span = max(avail[v.vid]) + v.budget_left
+        for eid in v.window_edges:
             span += game.net.edges[eid].base_travel_steps + max_delta[eid]
         horizon = max(horizon, span - t0 + 1)
-        max_budget = max(max_budget, v.waiting_budget_steps)
-        max_len = max(max_len, len(v.edge_sequence))
-    table = EntryTable(len(weighted), edge_ids, horizon, t0, wints, scale,
+    table = EntryTable(len(worlds), edge_ids, horizon, t0, weights, scale,
                        game.cost_model.step_cost_centi)
-    rows: dict[tuple, np.ndarray] = {}
-    for w, res in enumerate(resolved):
+    rows: dict = {}
+    for w, (_p, _a, travel) in enumerate(worlds):
         for eid in edge_ids:
-            prof = res.get(eid)
-            key = (eid, None if prof is None else prof.id)
-            row = rows.get(key)
+            token = travel.row_token(eid)
+            row = rows.get(token)
             if row is None:
-                base = game.net.edges[eid].base_travel_steps
-                if prof is None:
-                    row = np.full(horizon, base, dtype=np.int32)
-                else:
-                    row = base + dense_delay_row(prof, eid, t0, t0 + horizon)
-                rows[key] = row
+                row = travel.dense_row(eid, t0, t0 + horizon)
+                rows[token] = row
             table.set_travel(w, eid, row)
     table.finish_travel(game.reward_model, game.net.edges,
-                        max_platoon=len(vids), max_budget=max_budget,
-                        max_track_len=max_len)
-    for vid in vids:
-        v = fleet[vid]
-        table.add_track(vid, v.edge_sequence, starts[vid], profile[vid],
-                        v.waiting_budget_steps)
+                        max_platoon=len(views),
+                        max_budget=max(v.budget_left for v in views),
+                        max_track_len=max(len(v.window_edges) for v in views))
+    for v in views:
+        table.add_track(v.vid, v.window_edges, avail[v.vid], waits[v.vid],
+                        v.budget_left)
     return table

@@ -28,14 +28,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dense import (EntryTable, TableLimitError, dense_delay_row,
-                    rounded_mean_rows, scaled_weights)
+from .dense import dense_delay_row, rounded_mean_rows
 from .errors import InputError, ModelInconsistencyError
 from .game import CoordinationGame, Scenario, round_half_away, zero_profile
 from .network import travel_time
 from .seeding import derive_seed
-from .solver import (DEFAULT_ROUND_CAP, DeterministicOracle, enumerate_actions,
-                     nash_seek, solve_deterministic, spaces_for_fleet)
+from .solver import (DEFAULT_ROUND_CAP, DeterministicOracle, HorizonView,
+                     WorldsOracle, _ScenarioTravel, enumerate_actions,
+                     nash_seek, spaces_for_fleet)
 from .stochastic import (ScenarioDistribution, enumerate_support,
                          sample_scenarios, stochastic_oracle)
 
@@ -200,21 +200,6 @@ def conditional_distribution(dist: ScenarioDistribution, world: WorldState,
 # --- horizon game ------------------------------------------------------
 
 
-@dataclass
-class HorizonView:
-    """One vehicle's slice of the world at a decision instance."""
-
-    vid: int
-    kind: str                     # at_node | on_edge | pending
-    span_nodes: tuple[int, ...]   # path node indices whose waits are decided
-    window_edges: tuple[int, ...] # edge ids out of the span nodes
-    committed: tuple[int, ...]    # current plan over the span
-    budget_left: int
-    player: bool
-    current_edge: int | None = None
-    entered_at: int | None = None
-
-
 def build_views(game: CoordinationGame, world: WorldState,
                 eligible: Sequence[int], horizon: int) -> list[HorizonView]:
     views = []
@@ -249,179 +234,6 @@ def build_views(game: CoordinationGame, world: WorldState,
             player=(vid in eligible) and state.status != "pending",
             current_edge=current_edge, entered_at=entered_at))
     return views
-
-
-def horizon_departure_times(view: HorizonView, waits: Sequence[int], avail: int,
-                            travel) -> tuple[int, ...]:
-    """Predicted entry step for each window edge.
-
-    ``avail`` is when the vehicle can first leave the span's first node;
-    ``travel(edge_id, step)`` supplies the travel model in force.
-    """
-    if len(waits) != len(view.span_nodes):
-        raise InputError(f"vehicle {view.vid} span needs {len(view.span_nodes)} waits")
-    entries = []
-    t = avail
-    for w, eid in zip(waits, view.window_edges):
-        t += w
-        entries.append(t)
-        t += travel(eid, t)
-    return tuple(entries)
-
-
-def _horizon_table(game: CoordinationGame, views: Sequence[HorizonView],
-                   worlds) -> EntryTable:
-    """Dense batch evaluator for one decision instance.
-
-    Raises TableLimitError when the instance does not fit the integer
-    table model (caller falls back to the reference loops).
-    """
-    edge_ids = sorted({eid for v in views for eid in v.window_edges})
-    if not edge_ids:
-        raise TableLimitError("no window edges")
-    weights, scale = scaled_weights([p for p, _a, _t in worlds])
-    avail = {v.vid: [a[v.vid] for _p, a, _t in worlds] for v in views}
-    max_delta = {eid: max(t.max_extra(eid) for _p, _a, t in worlds)
-                 for eid in edge_ids}
-    t0 = min(min(a) for a in avail.values())
-    horizon = 1
-    max_budget = 1
-    max_len = 1
-    for v in views:
-        span = max(avail[v.vid]) + v.budget_left
-        for eid in v.window_edges:
-            span += game.net.edges[eid].base_travel_steps + max_delta[eid]
-        horizon = max(horizon, span - t0 + 1)
-        max_budget = max(max_budget, v.budget_left)
-        max_len = max(max_len, len(v.window_edges))
-    table = EntryTable(len(worlds), edge_ids, horizon, t0, weights, scale,
-                       game.cost_model.step_cost_centi)
-    rows: dict = {}
-    for w, (_p, _a, travel) in enumerate(worlds):
-        for eid in edge_ids:
-            token = travel.row_token(eid)
-            row = rows.get(token)
-            if row is None:
-                row = travel.dense_row(eid, t0, t0 + horizon)
-                rows[token] = row
-            table.set_travel(w, eid, row)
-    table.finish_travel(game.reward_model, game.net.edges,
-                        max_platoon=len(views), max_budget=max_budget,
-                        max_track_len=max_len)
-    for v in views:
-        table.add_track(v.vid, v.window_edges, avail[v.vid], v.committed,
-                        v.budget_left)
-    return table
-
-
-class _HorizonOracle:
-    """Expected horizon utility over a list of weighted scenario worlds.
-
-    Each world is (probability, avail map, travel function). Rewards count
-    only a vehicle's own window edges; waiting cost covers its span.
-    """
-
-    def __init__(self, game: CoordinationGame, views: Sequence[HorizonView],
-                 worlds: Sequence[tuple[Fraction, Mapping[int, int], object]]):
-        self.game = game
-        self.views = {v.vid: v for v in views}
-        self.players = tuple(sorted(v.vid for v in views if v.player))
-        self.worlds = list(worlds)
-        try:
-            self._table = _horizon_table(game, views, self.worlds)
-        except TableLimitError:
-            self._table = None
-        self._env = None
-
-    def _env_counts(self):
-        if self._env is None:
-            self._env = []
-            env = [v for v in self.views.values() if not v.player]
-            for _p, avail, travel in self.worlds:
-                counts: dict[tuple[int, int], int] = {}
-                for view in env:
-                    entries = horizon_departure_times(view, view.committed,
-                                                      avail[view.vid], travel)
-                    for eid, t in zip(view.window_edges, entries):
-                        key = (eid, t)
-                        counts[key] = counts.get(key, 0) + 1
-                self._env.append(counts)
-        return self._env
-
-    def _counts_without(self, vid, profile):
-        per_world = []
-        env_counts = self._env_counts()
-        for w, (_p, avail, travel) in enumerate(self.worlds):
-            counts = dict(env_counts[w])
-            for other in self.players:
-                if other == vid:
-                    continue
-                view = self.views[other]
-                entries = horizon_departure_times(view, profile[other],
-                                                  avail[other], travel)
-                for eid, t in zip(view.window_edges, entries):
-                    key = (eid, t)
-                    counts[key] = counts.get(key, 0) + 1
-            per_world.append(counts)
-        return per_world
-
-    def action_values(self, vid, actions, profile):
-        table = self._table
-        if table is not None:
-            try:
-                table.sync({v: profile[v] for v in self.players})
-                scaled = table.scaled_values(vid, actions)
-            except TableLimitError:
-                self._table = None
-            else:
-                return [Fraction(int(v), table.scale) for v in scaled]
-        return self._values_by_loop(vid, actions, profile)
-
-    def _values_by_loop(self, vid, actions, profile):
-        view = self.views[vid]
-        per_world = self._counts_without(vid, profile)
-        reward = self.game.reward_model.reward
-        edges = self.game.net.edges
-        step_cost = self.game.cost_model.step_cost_centi
-        values = []
-        for waits in actions:
-            total = Fraction(0)
-            cost = step_cost * sum(waits)
-            for (prob, avail, travel), counts in zip(self.worlds, per_world):
-                entries = horizon_departure_times(view, waits, avail[vid], travel)
-                u = -cost
-                for eid, t in zip(view.window_edges, entries):
-                    u += reward(counts.get((eid, t), 0) + 1, edges[eid])
-                total += prob * u
-            values.append(total)
-        return values
-
-    def utility(self, vid, profile):
-        actions = [tuple(profile[vid])]
-        return self.action_values(vid, actions, profile)[0]
-
-    def potential(self, profile):
-        """Expected truncated-path potential; used for instrumentation."""
-        reward_cum = self.game.reward_model.cumulative
-        edges = self.game.net.edges
-        step_cost = self.game.cost_model.step_cost_centi
-        total = Fraction(0)
-        for w, (prob, avail, travel) in enumerate(self.worlds):
-            groups: dict[tuple[int, int], int] = {}
-            for vid, view in self.views.items():
-                waits = profile[vid] if view.player else view.committed
-                entries = horizon_departure_times(view, waits, avail[vid], travel)
-                for eid, t in zip(view.window_edges, entries):
-                    key = (eid, t)
-                    groups[key] = groups.get(key, 0) + 1
-            val = 0
-            for (eid, _t), n in groups.items():
-                val += reward_cum(n, edges[eid])
-            for vid, view in self.views.items():
-                waits = profile[vid] if view.player else view.committed
-                val -= step_cost * sum(waits)
-            total += prob * val
-        return total
 
 
 class _MeanTravel:
@@ -471,38 +283,6 @@ class _MeanTravel:
         return base + rounded_mean_rows(rows, [p for _pid, p in pairs])
 
 
-class _ScenarioTravel:
-    """Travel times under one fixed profile assignment."""
-
-    def __init__(self, game: CoordinationGame, scenario: Scenario):
-        self._edges = game.net.edges
-        self._profiles = game.net.delay_profiles
-        self._assign = scenario.profile_assignment
-
-    def __call__(self, eid: int, t: int) -> int:
-        pid = self._assign.get(eid)
-        if pid is None:
-            return self._edges[eid].base_travel_steps
-        return self._edges[eid].base_travel_steps + self._profiles[pid].delay(eid, t)
-
-    def row_token(self, eid: int):
-        return ("pid", self._assign.get(eid), eid)
-
-    def max_extra(self, eid: int) -> int:
-        pid = self._assign.get(eid)
-        if pid is None:
-            return 0
-        return max((d for (e, _t), d in self._profiles[pid].delay_at.items()
-                    if e == eid), default=0)
-
-    def dense_row(self, eid: int, t0: int, t1: int):
-        base = self._edges[eid].base_travel_steps
-        pid = self._assign.get(eid)
-        if pid is None:
-            return np.full(t1 - t0, base, dtype=np.int32)
-        return base + dense_delay_row(self._profiles[pid], eid, t0, t1)
-
-
 def _avail_map(game: CoordinationGame, world: WorldState,
                views: Sequence[HorizonView], travel, starts: Mapping[int, int]):
     """When each vehicle can first leave its span's first node."""
@@ -532,24 +312,28 @@ def _mean_starts(posterior: ScenarioDistribution) -> dict[int, int]:
 
 
 def _solve_horizon(game: CoordinationGame, views: Sequence[HorizonView],
-                   worlds, policy: PolicySpec) -> dict[int, tuple[int, ...]]:
-    oracle = _HorizonOracle(game, views, worlds)
-    players = oracle.players
-    if not players:
-        return {}
+                   worlds, policy: PolicySpec) -> dict[int, dict[int, int]]:
+    """Each player's equilibrium waits, keyed by path node index."""
+    oracle = WorldsOracle(game, views, worlds)
     spaces = {vid: enumerate_actions(len(oracle.views[vid].span_nodes),
                                      oracle.views[vid].budget_left)
-              for vid in players}
-    initial = {vid: oracle.views[vid].committed for vid in players}
+              for vid in oracle.players}
+    if not spaces:
+        return {}
+    initial = {vid: oracle.views[vid].committed for vid in oracle.players}
     report = nash_seek(oracle, spaces, initial=initial,
                        round_cap=policy.round_cap)
-    return report.profile
+    return {vid: dict(zip(oracle.views[vid].span_nodes, waits))
+            for vid, waits in report.profile.items()}
 
 
 def drhs_decide(game: CoordinationGame, world: WorldState,
                 dist: ScenarioDistribution, eligible: Sequence[int],
-                policy: PolicySpec) -> dict[int, tuple[int, ...]]:
-    """Deterministic receding-horizon step: certainty-equivalent solve."""
+                policy: PolicySpec) -> dict[int, dict[int, int]]:
+    """Deterministic receding-horizon step: certainty-equivalent solve.
+
+    Returns each player's new waits keyed by path node index.
+    """
     posterior = conditional_distribution(dist, world, game)
     views = build_views(game, world, eligible, policy.horizon)
     travel = _MeanTravel(game, posterior)
@@ -561,12 +345,13 @@ def drhs_decide(game: CoordinationGame, world: WorldState,
 
 def srhs_decide(game: CoordinationGame, world: WorldState,
                 dist: ScenarioDistribution, eligible: Sequence[int],
-                policy: PolicySpec, seed: int = 0) -> dict[int, tuple[int, ...]]:
+                policy: PolicySpec, seed: int = 0) -> dict[int, dict[int, int]]:
     """Stochastic receding-horizon step: expectation over the posterior.
 
     Only the marginals the horizon game can see (window edges, current
     edges of moving participants, pending starts) enter the joint support;
     exact enumeration under the policy cap, seeded sampling above it.
+    Returns each player's new waits keyed by path node index.
     """
     posterior = conditional_distribution(dist, world, game)
     views = build_views(game, world, eligible, policy.horizon)
@@ -761,15 +546,12 @@ def run_closed_loop(game: CoordinationGame, dist: ScenarioDistribution,
                 solved = srhs_decide(game, world, dist, eligible, policy,
                                      seed=derive_seed(seed, "srhs", world.now))
             if solved:
-                views = {v.vid: v for v in build_views(game, world, eligible,
-                                                       policy.horizon)}
                 for vid, waits in solved.items():
-                    state = world.vehicles[vid]
-                    for k, w in zip(views[vid].span_nodes, waits):
-                        state.planned_waits[k] = w
+                    for k, w in waits.items():
+                        world.vehicles[vid].planned_waits[k] = w
                 events.append(TraceEvent(world.now, "decide",
                                          {"eligible": list(eligible),
-                                          "waits": {str(v): list(w)
+                                          "waits": {str(v): list(w.values())
                                                     for v, w in sorted(solved.items())}}))
         step_world(game, world, truth_profiles, events)
         steps += 1

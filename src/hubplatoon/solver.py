@@ -11,11 +11,14 @@ the iteration terminates.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .dense import TableLimitError, static_table
+import numpy as np
+
+from .dense import TableLimitError, dense_delay_row, worlds_table
 from .errors import InputError, NonConvergenceError
 from .game import CoordinationGame, Scenario
 
@@ -47,81 +50,218 @@ def spaces_for_fleet(fleet) -> dict[int, list[tuple[int, ...]]]:
             for v in fleet}
 
 
-class DeterministicOracle:
-    """Utilities of a CoordinationGame under one fixed scenario.
+@dataclass
+class HorizonView:
+    """One vehicle's track in a game: the route nodes whose waits it decides.
 
-    ``action_values`` holds every other vehicle fixed, so the platoon
-    contributions of the rest are tallied once and each candidate only
-    recomputes the moving vehicle's own entries.
+    Players choose waits over ``span_nodes``; the others are environment
+    tracks that keep their ``committed`` waits. A static game gives every
+    vehicle its full route as a player view.
+    """
+
+    vid: int
+    kind: str                     # at_node | on_edge | pending
+    span_nodes: tuple[int, ...]   # path node indices whose waits are decided
+    window_edges: tuple[int, ...] # edge ids out of the span nodes
+    committed: tuple[int, ...]    # current plan over the span
+    budget_left: int
+    player: bool
+    current_edge: int | None = None
+    entered_at: int | None = None
+
+
+def horizon_departure_times(view: HorizonView, waits: Sequence[int], avail: int,
+                            travel) -> tuple[int, ...]:
+    """Predicted entry step for each window edge.
+
+    ``avail`` is when the vehicle can first leave the span's first node;
+    ``travel(edge_id, step)`` supplies the travel model in force.
+    """
+    if len(waits) != len(view.span_nodes):
+        raise InputError(f"vehicle {view.vid} span needs {len(view.span_nodes)} waits")
+    entries = []
+    t = avail
+    for w, eid in zip(waits, view.window_edges):
+        t += w
+        entries.append(t)
+        t += travel(eid, t)
+    return tuple(entries)
+
+
+class _ScenarioTravel:
+    """Travel times under one fixed profile assignment.
+
+    The assignment is checked once here: every profile must exist and be
+    admissible on its edge.
+    """
+
+    def __init__(self, game: CoordinationGame, scenario: Scenario):
+        self._edges = game.net.edges
+        self._profiles = game.resolve_profiles(scenario)
+        for eid, prof in self._profiles.items():
+            allowed = self._edges[eid].delay_profile_ids
+            if allowed and prof.id not in allowed:
+                raise InputError(f"profile {prof.id} is not admissible on edge {eid}")
+
+    def __call__(self, eid: int, t: int) -> int:
+        prof = self._profiles.get(eid)
+        base = self._edges[eid].base_travel_steps
+        return base if prof is None else base + prof.delay(eid, t)
+
+    def row_token(self, eid: int):
+        prof = self._profiles.get(eid)
+        return ("pid", None if prof is None else prof.id, eid)
+
+    def max_extra(self, eid: int) -> int:
+        prof = self._profiles.get(eid)
+        if prof is None:
+            return 0
+        return max((d for (e, _t), d in prof.delay_at.items() if e == eid), default=0)
+
+    def dense_row(self, eid: int, t0: int, t1: int):
+        base = self._edges[eid].base_travel_steps
+        prof = self._profiles.get(eid)
+        if prof is None:
+            return np.full(t1 - t0, base, dtype=np.int32)
+        return base + dense_delay_row(prof, eid, t0, t1)
+
+
+def scenario_game(game: CoordinationGame,
+                  weighted: Sequence[tuple[Scenario, Fraction]]):
+    """Views and worlds of the static game over weighted scenarios.
+
+    Every vehicle is a player over its full route, and each scenario is a
+    world that starts each vehicle at its scenario start step.
+    """
+    views = [HorizonView(vid=v.id, kind="pending",
+                         span_nodes=tuple(range(len(v.edge_sequence))),
+                         window_edges=v.edge_sequence,
+                         committed=(0,) * len(v.edge_sequence),
+                         budget_left=v.waiting_budget_steps, player=True)
+             for v in (game.fleet[vid] for vid in game.vehicle_ids)]
+    worlds = [(prob, {vid: game.start_of(vid, scenario) for vid in game.vehicle_ids},
+               _ScenarioTravel(game, scenario))
+              for scenario, prob in weighted]
+    return views, worlds
+
+
+class WorldsOracle:
+    """Expected utilities of a game over a list of weighted worlds.
+
+    A world is (probability, avail map, travel model): when each vehicle
+    can first leave its span's first node, and the travel steps in force.
+    Rewards count only a vehicle's own window edges; waiting cost covers
+    its span. Values come from the dense table when it fits, otherwise
+    from ``_values_by_loop``, the reference the table is checked against.
     """
 
     approximate = False
+    integral = False    # True: values in whole centi-SEK, else Fractions
 
-    def __init__(self, game: CoordinationGame, scenario: Scenario):
+    def __init__(self, game: CoordinationGame, views: Sequence[HorizonView],
+                 worlds: Sequence[tuple[Fraction, Mapping[int, int], object]]):
         self.game = game
-        self.scenario = scenario
-        self._profiles = game.resolve_profiles(scenario)
+        self.views = {v.vid: v for v in views}
+        self.players = tuple(sorted(v.vid for v in views if v.player))
+        self.worlds = list(worlds)
+        self._scale = math.lcm(*(p.denominator for p, _a, _t in self.worlds))
+        self._weights = [int(p * self._scale) for p, _a, _t in self.worlds]
         self._table = None
         self._no_table = False
 
-    def utility(self, vid: int, profile: Mapping[int, Sequence[int]]):
-        return self.game.utility(vid, profile, self.scenario)
+    def _typed(self, totals, scale: int) -> list:
+        """Values from totals that are ``scale`` times them; the one place
+        their type is chosen."""
+        if self.integral:     # one world of weight 1, so the scale is 1
+            return [int(v) for v in totals]
+        return [Fraction(int(v), scale) for v in totals]
 
-    def potential(self, profile: Mapping[int, Sequence[int]]):
-        return self.game.potential(profile, self.scenario)
+    def _waits(self, vid: int, profile: Mapping[int, Sequence[int]]):
+        view = self.views[vid]
+        return profile[vid] if view.player else view.committed
 
     def _dense(self, profile):
         if self._table is None and not self._no_table:
             try:
-                self._table = static_table(self.game,
-                                           [(self.scenario, Fraction(1))],
-                                           [self._profiles], profile)
+                self._table = worlds_table(
+                    self.game, list(self.views.values()), self.worlds,
+                    {vid: self._waits(vid, profile) for vid in self.views})
             except TableLimitError:
                 self._no_table = True
         return self._table
-
-    def _other_counts(self, vid: int,
-                      profile: Mapping[int, Sequence[int]]) -> dict[tuple[int, int], int]:
-        game = self.game
-        counts: dict[tuple[int, int], int] = {}
-        for other in game.vehicle_ids:
-            if other == vid:
-                continue
-            entries = game.departure_times(other, profile[other], self.scenario,
-                                           self._profiles)
-            for eid, t in zip(game.fleet[other].edge_sequence, entries):
-                key = (eid, t)
-                counts[key] = counts.get(key, 0) + 1
-        return counts
 
     def action_values(self, vid: int, actions: Sequence[Sequence[int]],
                       profile: Mapping[int, Sequence[int]]) -> list:
         table = self._dense(profile)
         if table is not None:
             try:
-                table.sync(profile)
+                table.sync({v: profile[v] for v in self.players})
                 scaled = table.scaled_values(vid, actions)
             except TableLimitError:
                 self._table, self._no_table = None, True
             else:
-                return [int(v) for v in scaled]    # scale is 1
-        return self._action_values_by_loop(vid, actions, profile)
+                return self._typed(scaled, table.scale)
+        return self._values_by_loop(vid, actions, profile)
 
-    def _action_values_by_loop(self, vid: int, actions: Sequence[Sequence[int]],
-                               profile: Mapping[int, Sequence[int]]) -> list:
-        game = self.game
-        counts = self._other_counts(vid, profile)
-        edge_seq = game.fleet[vid].edge_sequence
-        reward = game.reward_model.reward
-        edges = game.net.edges
-        values = []
+    def _counts(self, world, profile, skip: int | None = None
+                ) -> dict[tuple[int, int], int]:
+        """Vehicles per (edge id, entry step) in one world, ``skip`` left out."""
+        _p, avail, travel = world
+        counts: dict[tuple[int, int], int] = {}
+        for vid, view in self.views.items():
+            if vid == skip:
+                continue
+            entries = horizon_departure_times(view, self._waits(vid, profile),
+                                              avail[vid], travel)
+            for key in zip(view.window_edges, entries):
+                counts[key] = counts.get(key, 0) + 1
+        return counts
+
+    def _values_by_loop(self, vid: int, actions: Sequence[Sequence[int]],
+                        profile: Mapping[int, Sequence[int]]) -> list:
+        view = self.views[vid]
+        reward = self.game.reward_model.reward
+        edges = self.game.net.edges
+        step_cost = self.game.cost_model.step_cost_centi
+        per_world = [self._counts(world, profile, skip=vid) for world in self.worlds]
+        totals = []
         for waits in actions:
-            entries = game.departure_times(vid, waits, self.scenario, self._profiles)
-            total = -game.cost_model.cost(waits)
-            for eid, t in zip(edge_seq, entries):
-                total += reward(counts.get((eid, t), 0) + 1, edges[eid])
-            values.append(total)
-        return values
+            total = 0
+            for weight, (_p, avail, travel), counts in zip(
+                    self._weights, self.worlds, per_world):
+                entries = horizon_departure_times(view, waits, avail[vid], travel)
+                u = -step_cost * sum(waits)
+                for eid, t in zip(view.window_edges, entries):
+                    u += reward(counts.get((eid, t), 0) + 1, edges[eid])
+                total += weight * u
+            totals.append(total)
+        return self._typed(totals, self._scale)
+
+    def utility(self, vid: int, profile: Mapping[int, Sequence[int]]):
+        return self.action_values(vid, [tuple(profile[vid])], profile)[0]
+
+    def potential(self, profile: Mapping[int, Sequence[int]]):
+        """Expected potential: cumulative platoon values minus all waiting."""
+        reward_cum = self.game.reward_model.cumulative
+        edges = self.game.net.edges
+        cost = self.game.cost_model.step_cost_centi * sum(
+            sum(self._waits(vid, profile)) for vid in self.views)
+        total = 0
+        for weight, world in zip(self._weights, self.worlds):
+            groups = self._counts(world, profile)
+            total += weight * (sum(reward_cum(n, edges[eid])
+                                   for (eid, _t), n in groups.items()) - cost)
+        return self._typed([total], self._scale)[0]
+
+
+class DeterministicOracle(WorldsOracle):
+    """Utilities of a CoordinationGame under one fixed scenario."""
+
+    integral = True
+
+    def __init__(self, game: CoordinationGame, scenario: Scenario):
+        self.scenario = scenario
+        super().__init__(game, *scenario_game(game, [(scenario, Fraction(1))]))
 
 
 def best_response(oracle, vid: int, actions: Sequence[tuple[int, ...]],

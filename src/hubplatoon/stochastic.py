@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .dense import TableLimitError, static_table
 from .errors import FormatError, InputError, SupportTooLargeError
 from .game import CoordinationGame, Scenario
+from .solver import WorldsOracle, scenario_game
 
 DEFAULT_SUPPORT_CAP = 4096
 
@@ -206,97 +206,16 @@ def expected_potential(game: CoordinationGame,
     return total
 
 
-class _ScenarioTable:
-    """Shared per-scenario machinery for the expectation oracles."""
-
-    def __init__(self, game: CoordinationGame,
-                 weighted: Sequence[tuple[Scenario, Fraction]]):
-        self.game = game
-        self.weighted = list(weighted)
-        self._profiles = [game.resolve_profiles(s) for s, _p in self.weighted]
-        self._table = None
-        self._no_table = False
-
-    def _dense(self, profile):
-        if self._table is None and not self._no_table:
-            try:
-                self._table = static_table(self.game, self.weighted,
-                                           self._profiles, profile)
-            except TableLimitError:
-                self._no_table = True
-        return self._table
-
-    def _other_counts(self, vid, profile):
-        game = self.game
-        per_scenario = []
-        for (scenario, _p), profiles in zip(self.weighted, self._profiles):
-            counts: dict[tuple[int, int], int] = {}
-            for other in game.vehicle_ids:
-                if other == vid:
-                    continue
-                entries = game.departure_times(other, profile[other], scenario, profiles)
-                for eid, t in zip(game.fleet[other].edge_sequence, entries):
-                    key = (eid, t)
-                    counts[key] = counts.get(key, 0) + 1
-            per_scenario.append(counts)
-        return per_scenario
-
-    def action_values(self, vid, actions, profile):
-        table = self._dense(profile)
-        if table is not None:
-            try:
-                table.sync(profile)
-                scaled = table.scaled_values(vid, actions)
-            except TableLimitError:
-                self._table, self._no_table = None, True
-            else:
-                return [Fraction(int(v), table.scale) for v in scaled]
-        return self._action_values_by_loop(vid, actions, profile)
-
-    def _action_values_by_loop(self, vid, actions, profile):
-        game = self.game
-        per_scenario = self._other_counts(vid, profile)
-        edge_seq = game.fleet[vid].edge_sequence
-        reward = game.reward_model.reward
-        edges = game.net.edges
-        values = []
-        for waits in actions:
-            total = Fraction(0)
-            cost = game.cost_model.cost(waits)
-            for ((scenario, prob), profiles, counts) in zip(
-                    self.weighted, self._profiles, per_scenario):
-                entries = game.departure_times(vid, waits, scenario, profiles)
-                u = -cost
-                for eid, t in zip(edge_seq, entries):
-                    u += reward(counts.get((eid, t), 0) + 1, edges[eid])
-                total += prob * u
-            values.append(total)
-        return values
-
-    def utility(self, vid, profile):
-        total = Fraction(0)
-        for scenario, prob in self.weighted:
-            total += prob * self.game.utility(vid, profile, scenario)
-        return total
-
-    def potential(self, profile):
-        total = Fraction(0)
-        for scenario, prob in self.weighted:
-            total += prob * self.game.potential(profile, scenario)
-        return total
-
-
-class ExpectedUtilityOracle(_ScenarioTable):
+class ExpectedUtilityOracle(WorldsOracle):
     """Exact expectation over an enumerated support."""
-
-    approximate = False
 
     def __init__(self, game: CoordinationGame, dist: ScenarioDistribution,
                  cap: int = DEFAULT_SUPPORT_CAP):
-        super().__init__(game, enumerate_support(dist, cap))
+        self.weighted = enumerate_support(dist, cap)
+        super().__init__(game, *scenario_game(game, self.weighted))
 
 
-class SampledUtilityOracle(_ScenarioTable):
+class SampledUtilityOracle(WorldsOracle):
     """Empirical mean over scenarios drawn once (common random numbers).
 
     Deterministic for a given seed; self-reports as approximate.
@@ -308,12 +227,12 @@ class SampledUtilityOracle(_ScenarioTable):
                  draws: int, seed: int):
         if draws < 1:
             raise InputError(f"draws must be >= 1, got {draws}")
-        rng = random.Random(seed)
         weight = Fraction(1, draws)
-        weighted = [(s, weight) for s in sample_scenarios(dist, draws, rng)]
-        super().__init__(game, weighted)
+        self.weighted = [(s, weight) for s in
+                         sample_scenarios(dist, draws, random.Random(seed))]
         self.draws = draws
         self.seed = seed
+        super().__init__(game, *scenario_game(game, self.weighted))
 
 
 def stochastic_oracle(game: CoordinationGame, dist: ScenarioDistribution,

@@ -102,8 +102,7 @@ class TestDeterministicEquivalence:
                 profile = random_profile(rng, spaces)
                 for vid in game.vehicle_ids:
                     fast = oracle.action_values(vid, spaces[vid], profile)
-                    slow = oracle._action_values_by_loop(vid, spaces[vid],
-                                                         profile)
+                    slow = oracle._values_by_loop(vid, spaces[vid], profile)
                     assert fast == slow
                     checked += len(fast)
         assert checked > 1000
@@ -117,7 +116,7 @@ class TestDeterministicEquivalence:
         profile = {0: (0,), 1: (1,)}
         space = enumerate_actions(1, 2)
         assert oracle.action_values(0, space, profile) == \
-            oracle._action_values_by_loop(0, space, profile)
+            oracle._values_by_loop(0, space, profile)
 
 
 class TestStochasticEquivalence:
@@ -131,7 +130,7 @@ class TestStochasticEquivalence:
             profile = random_profile(rng, spaces)
             for vid in game.vehicle_ids:
                 fast = oracle.action_values(vid, spaces[vid], profile)
-                slow = oracle._action_values_by_loop(vid, spaces[vid], profile)
+                slow = oracle._values_by_loop(vid, spaces[vid], profile)
                 assert fast == slow
 
     def test_sampled_oracle_matches_loops(self):
@@ -144,7 +143,7 @@ class TestStochasticEquivalence:
             profile = random_profile(rng, spaces)
             for vid in game.vehicle_ids:
                 fast = oracle.action_values(vid, spaces[vid], profile)
-                slow = oracle._action_values_by_loop(vid, spaces[vid], profile)
+                slow = oracle._values_by_loop(vid, spaces[vid], profile)
                 assert fast == slow
 
     def test_tiny_probability_falls_back(self):
@@ -159,7 +158,7 @@ class TestStochasticEquivalence:
         space = enumerate_actions(1, 1)
         profile = {0: (0,), 1: (0,)}
         vals = oracle.action_values(0, space, profile)
-        assert vals == oracle._action_values_by_loop(0, space, profile)
+        assert vals == oracle._values_by_loop(0, space, profile)
         assert oracle._no_table is True
 
 
@@ -173,13 +172,17 @@ class TestHorizonEquivalence:
                          start_steps={})
         policy = PolicySpec(kind=kind, horizon=2)
         fast = run_closed_loop(game, dist, truth, policy, seed=seed)
-        import hubplatoon.feedback as fb
+        import hubplatoon.solver as solver
+
+        refused = []
 
         def refuse(*args, **kwargs):
+            refused.append(1)
             raise TableLimitError("disabled for test")
 
-        monkeypatch.setattr(fb, "_horizon_table", refuse)
+        monkeypatch.setattr(solver, "worlds_table", refuse)
         slow = run_closed_loop(game, dist, truth, policy, seed=seed)
+        assert refused, "the loop path never ran"
         return fast, slow
 
     @pytest.mark.parametrize("kind", ["drhs", "srhs"])

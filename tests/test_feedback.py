@@ -9,9 +9,9 @@ from hubplatoon.feedback import (PolicySpec, SimulationTrace, TraceEvent,
                                  VehicleState, WorldState, build_views,
                                  conditional_distribution,
                                  detect_decision_instance, gating_steps,
-                                 horizon_departure_times, run_closed_loop,
-                                 step_world)
+                                 run_closed_loop, step_world)
 from hubplatoon.game import Scenario, deterministic_scenario
+from hubplatoon.solver import horizon_departure_times
 from hubplatoon.stochastic import (ScenarioDistribution,
                                    uniform_profile_distribution)
 
