@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 domain or config error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -21,10 +20,10 @@ from .experiments import (ExperimentConfig, ExperimentResult, POLICY_ORDER,
                           run_experiment, sweep, write_followers_csv,
                           write_metrics_json, write_platoon_hist_csv,
                           write_raw_csv)
-from .feedback import run_closed_loop
+from .feedback import run_policies
 from .game import (CoordinationGame, RewardModel, WaitingCostModel,
                    deterministic_scenario, load_fleet, scenario_from_dict)
-from .network import load_network, validate_network
+from .network import load_json, load_network, validate_network
 from .seeding import derive_seed
 from .solver import nash_seek, solve_deterministic, spaces_for_fleet
 from .stochastic import (load_distribution, sample_scenario,
@@ -167,7 +166,7 @@ def cmd_solve_static(args) -> int:
         mode = "expected (sampled)" if oracle.approximate else "expected (exact)"
     else:
         if args.scenario is not None:
-            scenario = _load_scenario(args.scenario)
+            scenario = load_json(args.scenario, scenario_from_dict)
         else:
             scenario = deterministic_scenario(net, fleet)
         report = solve_deterministic(game, scenario, round_cap=args.round_cap,
@@ -185,17 +184,6 @@ def cmd_solve_static(args) -> int:
           + (", verified equilibrium" if report.verified else ""),
           file=sys.stderr)
     return 0
-
-
-def _load_scenario(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            from .errors import FormatError
-
-            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    return scenario_from_dict(doc)
 
 
 def _fail_on_issues(net) -> None:
@@ -245,11 +233,7 @@ def cmd_simulate(args) -> int:
             for sample, trace in zip(result.sample_ids, traces):
                 trace.write_jsonl(os.path.join(trace_dir,
                                                f"sample{sample:04d}_{kind}.jsonl"))
-    for kind in config.policies:
-        report = result.reports[kind]
-        print(f"{kind}: platooning rate {report.platooning_rate:.4f}, "
-              f"mean wait {report.wait_mean_minutes:.2f} min, "
-              f"mean utility {report.utility_mean_centi / 100:.0f} SEK")
+    _print_summary(result.reports, config.policies, "mean utility")
     if result.failures:
         print(f"{len(result.failures)} sample(s) failed and were excluded",
               file=sys.stderr)
@@ -265,30 +249,32 @@ def _simulate_instance(net, config: ExperimentConfig, args) -> int:
                             WaitingCostModel(step_cost_centi=config.step_cost_centi))
     dist = uniform_profile_distribution(prepared, fleet)
     if args.truth is not None:
-        truth = _load_scenario(args.truth)
+        truth = load_json(args.truth, scenario_from_dict)
     else:
         truth = sample_scenario(dist, random.Random(
             derive_seed(config.master_seed, "truth", 0)))
     os.makedirs(args.out, exist_ok=True)
-    traces = {}
-    for kind in config.policies:
-        trace = run_closed_loop(game, dist, truth, config.policy_spec(kind),
-                                seed=derive_seed(config.master_seed, "policy",
-                                                 0, kind),
-                                max_steps=config.max_steps)
-        traces[kind] = trace
-        if args.traces:
+    traces = run_policies(game, dist, truth,
+                          [config.policy_spec(k) for k in config.policies],
+                          seed=derive_seed(config.master_seed, "policy", 0),
+                          max_steps=config.max_steps)
+    if args.traces:
+        for kind, trace in traces.items():
             trace.write_jsonl(os.path.join(args.out, f"{kind}.jsonl"))
     reports = {kind: compute_metrics([trace], fleet, prepared, policy=kind)
                for kind, trace in traces.items()}
-    result = ExperimentResult(config=config, reports=reports)
-    write_metrics_json(result, os.path.join(args.out, "metrics.json"))
-    for kind in config.policies:
+    write_metrics_json(ExperimentResult(config=config, reports=reports),
+                       os.path.join(args.out, "metrics.json"))
+    _print_summary(reports, config.policies, "total utility")
+    return 0
+
+
+def _print_summary(reports, policies, utility_label: str) -> None:
+    for kind in policies:
         report = reports[kind]
         print(f"{kind}: platooning rate {report.platooning_rate:.4f}, "
               f"mean wait {report.wait_mean_minutes:.2f} min, "
-              f"total utility {report.utility_mean_centi / 100:.0f} SEK")
-    return 0
+              f"{utility_label} {report.utility_mean_centi / 100:.0f} SEK")
 
 
 def cmd_sweep(args) -> int:

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 from .errors import FormatError, InputError
-from .feedback import (PolicySpec, SimulationTrace, open_loop_anchor,
-                       run_closed_loop)
+from .feedback import PolicySpec, SimulationTrace, run_policies
 from .game import (CoordinationGame, RewardModel, VehicleSpec,
                    WaitingCostModel)
-from .network import DelayProfile, RoadNetwork, replace_profiles, shortest_path
+from .network import (DelayProfile, RoadNetwork, check_fields, load_json,
+                      replace_profiles, shortest_path)
 from .seeding import derive_seed
 from .stochastic import sample_scenario, uniform_profile_distribution
 
@@ -326,19 +326,10 @@ def run_sample(net: RoadNetwork, config: ExperimentConfig, sample: int,
     dist = uniform_profile_distribution(net, fleet)
     truth_rng = random.Random(derive_seed(config.master_seed, "truth", sample))
     truth = sample_scenario(dist, truth_rng)
-    # one seed for every policy: the open-loop anchor and any sampled
-    # oracle draws are then common random numbers across policies
-    policy_seed = derive_seed(config.master_seed, "policy", sample)
-    anchor = None
-    planning = [k for k in config.policies if k != "sp"]
-    if planning:
-        anchor = open_loop_anchor(game, dist, config.policy_spec(planning[0]),
-                                  seed=policy_seed)
-    traces = {}
-    for kind in config.policies:
-        traces[kind] = run_closed_loop(
-            game, dist, truth, config.policy_spec(kind),
-            seed=policy_seed, max_steps=config.max_steps, anchor=anchor)
+    traces = run_policies(game, dist, truth,
+                          [config.policy_spec(k) for k in config.policies],
+                          seed=derive_seed(config.master_seed, "policy", sample),
+                          max_steps=config.max_steps)
     return fleet, traces
 
 
@@ -412,11 +403,7 @@ _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise FormatError("config document must be an object")
-    unknown = sorted(set(doc) - _CONFIG_FIELDS)
-    if unknown:
-        raise FormatError(f"config has unknown fields: {', '.join(unknown)}")
+    check_fields(doc, _CONFIG_FIELDS, set(), "config")
     kwargs = dict(doc)
     if "policies" in kwargs:
         kwargs["policies"] = tuple(kwargs["policies"])
@@ -437,12 +424,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    return config_from_dict(doc)
+    return load_json(path, config_from_dict)
 
 
 def write_metrics_json(result: ExperimentResult, path) -> None:

@@ -570,3 +570,19 @@ def run_closed_loop(game: CoordinationGame, dist: ScenarioDistribution,
     return SimulationTrace(policy=policy.kind, events=events,
                            utility_centi=utility, waited_steps=waited,
                            finish_steps=finished)
+
+
+def run_policies(game: CoordinationGame, dist: ScenarioDistribution,
+                 truth: Scenario, policies: Sequence[PolicySpec], seed: int = 0,
+                 max_steps: int = 20_000) -> dict[str, SimulationTrace]:
+    """Every policy on one realized day, each under the same seed.
+
+    The open-loop anchor is solved once, with the first planning policy's
+    settings, and shared: the anchor and any sampled oracle draws are then
+    common random numbers across policies.
+    """
+    planning = [p for p in policies if p.kind != "sp"]
+    anchor = open_loop_anchor(game, dist, planning[0], seed) if planning else None
+    return {p.kind: run_closed_loop(game, dist, truth, p, seed=seed,
+                                    max_steps=max_steps, anchor=anchor)
+            for p in policies}

@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import FormatError, InputError
-from .network import DelayProfile, RoadNetwork, travel_time
+from .network import (DelayProfile, RoadNetwork, check_fields, load_json,
+                      travel_time)
 
 DEFAULT_KM_REWARD_CENTI = 170     # 1.70 SEK saved per platooned km
 DEFAULT_STEP_COST_CENTI = 2200    # 22 SEK per waited 5-minute step
@@ -262,14 +263,7 @@ def fleet_from_list(doc) -> list[VehicleSpec]:
         raise FormatError("fleet document must be a JSON array")
     out = []
     for raw in doc:
-        if not isinstance(raw, dict):
-            raise FormatError("fleet entries must be objects")
-        unknown = sorted(set(raw) - _VEHICLE_FIELDS)
-        if unknown:
-            raise FormatError(f"vehicle has unknown fields: {', '.join(unknown)}")
-        missing = sorted(_VEHICLE_FIELDS - set(raw))
-        if missing:
-            raise FormatError(f"vehicle is missing fields: {', '.join(missing)}")
+        check_fields(raw, _VEHICLE_FIELDS, _VEHICLE_FIELDS, "vehicle")
         out.append(VehicleSpec(id=int(raw["id"]),
                                edge_sequence=tuple(int(e) for e in raw["edge_sequence"]),
                                start_step=int(raw["start_step"]),
@@ -285,12 +279,7 @@ def fleet_to_list(fleet: Sequence[VehicleSpec]) -> list[dict]:
 
 
 def load_fleet(path) -> list[VehicleSpec]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    return fleet_from_list(doc)
+    return load_json(path, fleet_from_list)
 
 
 def save_fleet(fleet: Sequence[VehicleSpec], path) -> None:
@@ -310,14 +299,7 @@ def profile_from_dict(doc: dict) -> dict[int, tuple[int, ...]]:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    if not isinstance(doc, dict):
-        raise FormatError("scenario document must be an object")
-    unknown = sorted(set(doc) - _SCENARIO_FIELDS)
-    if unknown:
-        raise FormatError(f"scenario has unknown fields: {', '.join(unknown)}")
-    missing = sorted(_SCENARIO_FIELDS - set(doc))
-    if missing:
-        raise FormatError(f"scenario is missing fields: {', '.join(missing)}")
+    check_fields(doc, _SCENARIO_FIELDS, _SCENARIO_FIELDS, "scenario")
     return Scenario(
         profile_assignment={int(k): int(v) for k, v in doc["profile_assignment"].items()},
         start_steps={int(k): int(v) for k, v in doc["start_steps"].items()})

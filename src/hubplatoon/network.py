@@ -179,7 +179,8 @@ _ENTRY_FIELDS = {"edge", "t", "delta"}
 _TOP_FIELDS = {"time_step_minutes", "hubs", "edges", "delay_profiles"}
 
 
-def _check_fields(obj: dict, allowed: set, required: set, what: str) -> None:
+def check_fields(obj: dict, allowed: set, required: set, what: str) -> None:
+    """A JSON object with no unknown fields and every required one."""
     if not isinstance(obj, dict):
         raise FormatError(f"{what} must be an object, got {type(obj).__name__}")
     unknown = sorted(set(obj) - allowed)
@@ -190,11 +191,30 @@ def _check_fields(obj: dict, allowed: set, required: set, what: str) -> None:
         raise FormatError(f"{what} is missing fields: {', '.join(missing)}")
 
 
+def load_json(path, convert):
+    """Read the JSON document at ``path`` and return ``convert(doc)``.
+
+    Text that is not UTF-8 JSON, or a field whose JSON type or value does
+    not convert, is a FormatError naming the file.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        return convert(doc)
+    except InputError:
+        raise
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"{path}: malformed document: {exc}") from exc
+
+
 def network_from_dict(doc: dict) -> RoadNetwork:
-    _check_fields(doc, _TOP_FIELDS, _TOP_FIELDS, "network document")
+    check_fields(doc, _TOP_FIELDS, _TOP_FIELDS, "network document")
     hubs: dict[int, Hub] = {}
     for raw in doc["hubs"]:
-        _check_fields(raw, _HUB_FIELDS, _HUB_REQUIRED, "hub")
+        check_fields(raw, _HUB_FIELDS, _HUB_REQUIRED, "hub")
         hub = Hub(id=int(raw["id"]), name=str(raw["name"]),
                   population_weight=float(raw["population_weight"]),
                   lat=raw.get("lat"), lon=raw.get("lon"))
@@ -203,7 +223,7 @@ def network_from_dict(doc: dict) -> RoadNetwork:
         hubs[hub.id] = hub
     edges: dict[int, Edge] = {}
     for raw in doc["edges"]:
-        _check_fields(raw, _EDGE_FIELDS, _EDGE_FIELDS, "edge")
+        check_fields(raw, _EDGE_FIELDS, _EDGE_FIELDS, "edge")
         edge = Edge(id=int(raw["id"]), tail=int(raw["tail"]), head=int(raw["head"]),
                     length_km=float(raw["length_km"]),
                     base_travel_steps=int(raw["base_travel_steps"]),
@@ -213,10 +233,10 @@ def network_from_dict(doc: dict) -> RoadNetwork:
         edges[edge.id] = edge
     profiles: dict[int, DelayProfile] = {}
     for raw in doc["delay_profiles"]:
-        _check_fields(raw, _PROFILE_FIELDS, _PROFILE_FIELDS, "delay profile")
+        check_fields(raw, _PROFILE_FIELDS, _PROFILE_FIELDS, "delay profile")
         delay_at: dict[tuple[int, int], int] = {}
         for entry in raw["entries"]:
-            _check_fields(entry, _ENTRY_FIELDS, _ENTRY_FIELDS, "delay entry")
+            check_fields(entry, _ENTRY_FIELDS, _ENTRY_FIELDS, "delay entry")
             delay_at[(int(entry["edge"]), int(entry["t"]))] = int(entry["delta"])
         prof = DelayProfile(id=int(raw["id"]), delay_at=delay_at)
         if prof.id in profiles:
@@ -249,12 +269,7 @@ def network_to_dict(net: RoadNetwork) -> dict:
 
 
 def load_network(path) -> RoadNetwork:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    return network_from_dict(doc)
+    return load_json(path, network_from_dict)
 
 
 def save_network(net: RoadNetwork, path) -> None:

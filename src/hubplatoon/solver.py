@@ -1,9 +1,10 @@
 """Best-response dynamics and Nash equilibrium search.
 
 Round-robin best response over the fleet. Utilities come from an oracle
-object so the same loop solves the deterministic game, the expected-value
-game over a scenario distribution, and the horizon games of the feedback
-policies. Because all of these admit an exact potential, every
+object. ``WorldsOracle`` is the one oracle: the deterministic game, the
+expected-value game over a scenario distribution and the horizon games of
+the feedback policies are all expectations over weighted worlds, so the
+same loop solves each. Because all of these admit an exact potential, every
 action-changing best response strictly increases a bounded function and
 the iteration terminates.
 """
@@ -138,7 +139,7 @@ def scenario_game(game: CoordinationGame,
                          window_edges=v.edge_sequence,
                          committed=(0,) * len(v.edge_sequence),
                          budget_left=v.waiting_budget_steps, player=True)
-             for v in (game.fleet[vid] for vid in game.vehicle_ids)]
+             for v in game.fleet.values()]
     worlds = [(prob, {vid: game.start_of(vid, scenario) for vid in game.vehicle_ids},
                _ScenarioTravel(game, scenario))
               for scenario, prob in weighted]
@@ -169,12 +170,12 @@ class WorldsOracle:
         self._table = None
         self._no_table = False
 
-    def _typed(self, totals, scale: int) -> list:
-        """Values from totals that are ``scale`` times them; the one place
-        their type is chosen."""
+    def _typed(self, totals) -> list:
+        """Values from totals weighted by ``_weights``; the one place their
+        type is chosen."""
         if self.integral:     # one world of weight 1, so the scale is 1
             return [int(v) for v in totals]
-        return [Fraction(int(v), scale) for v in totals]
+        return [Fraction(int(v), self._scale) for v in totals]
 
     def _waits(self, vid: int, profile: Mapping[int, Sequence[int]]):
         view = self.views[vid]
@@ -200,7 +201,7 @@ class WorldsOracle:
             except TableLimitError:
                 self._table, self._no_table = None, True
             else:
-                return self._typed(scaled, table.scale)
+                return self._typed(scaled)
         return self._values_by_loop(vid, actions, profile)
 
     def _counts(self, world, profile, skip: int | None = None
@@ -235,7 +236,7 @@ class WorldsOracle:
                     u += reward(counts.get((eid, t), 0) + 1, edges[eid])
                 total += weight * u
             totals.append(total)
-        return self._typed(totals, self._scale)
+        return self._typed(totals)
 
     def utility(self, vid: int, profile: Mapping[int, Sequence[int]]):
         return self.action_values(vid, [tuple(profile[vid])], profile)[0]
@@ -251,7 +252,7 @@ class WorldsOracle:
             groups = self._counts(world, profile)
             total += weight * (sum(reward_cum(n, edges[eid])
                                    for (eid, _t), n in groups.items()) - cost)
-        return self._typed([total], self._scale)[0]
+        return self._typed([total])[0]
 
 
 class DeterministicOracle(WorldsOracle):

@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 
 from .errors import FormatError, InputError, SupportTooLargeError
 from .game import CoordinationGame, Scenario
+from .network import check_fields, load_json
 from .solver import WorldsOracle, scenario_game
 
 DEFAULT_SUPPORT_CAP = 4096
@@ -254,29 +255,23 @@ _STEP_FIELDS = {"t", "p_num", "p_den"}
 
 
 def distribution_from_dict(doc: dict) -> ScenarioDistribution:
-    if not isinstance(doc, dict):
-        raise FormatError("distribution document must be an object")
-    unknown = sorted(set(doc) - _DIST_FIELDS)
-    if unknown:
-        raise FormatError(f"distribution has unknown fields: {', '.join(unknown)}")
-    missing = sorted(_DIST_FIELDS - set(doc))
-    if missing:
-        raise FormatError(f"distribution is missing fields: {', '.join(missing)}")
+    check_fields(doc, _DIST_FIELDS, _DIST_FIELDS, "distribution")
     edge_profiles = {}
     for row in doc["edges"]:
-        _check(row, _EDGE_ROW_FIELDS, "distribution edge row")
+        check_fields(row, _EDGE_ROW_FIELDS, _EDGE_ROW_FIELDS, "distribution edge row")
         pairs = []
         for cell in row["profiles"]:
-            _check(cell, _PROB_FIELDS, "profile probability")
+            check_fields(cell, _PROB_FIELDS, _PROB_FIELDS, "profile probability")
             pairs.append((int(cell["id"]),
                           Fraction(int(cell["p_num"]), int(cell["p_den"]))))
         edge_profiles[int(row["edge"])] = tuple(pairs)
     start_steps = {}
     for row in doc["starts"]:
-        _check(row, _START_ROW_FIELDS, "distribution start row")
+        check_fields(row, _START_ROW_FIELDS, _START_ROW_FIELDS,
+                     "distribution start row")
         pairs = []
         for cell in row["steps"]:
-            _check(cell, _STEP_FIELDS, "start probability")
+            check_fields(cell, _STEP_FIELDS, _STEP_FIELDS, "start probability")
             pairs.append((int(cell["t"]),
                           Fraction(int(cell["p_num"]), int(cell["p_den"]))))
         start_steps[int(row["vehicle"])] = tuple(pairs)
@@ -284,17 +279,6 @@ def distribution_from_dict(doc: dict) -> ScenarioDistribution:
         return ScenarioDistribution(edge_profiles=edge_profiles, start_steps=start_steps)
     except InputError as exc:
         raise FormatError(str(exc)) from exc
-
-
-def _check(obj, fields, what):
-    if not isinstance(obj, dict):
-        raise FormatError(f"{what} must be an object")
-    unknown = sorted(set(obj) - fields)
-    if unknown:
-        raise FormatError(f"{what} has unknown fields: {', '.join(unknown)}")
-    missing = sorted(fields - set(obj))
-    if missing:
-        raise FormatError(f"{what} is missing fields: {', '.join(missing)}")
 
 
 def distribution_to_dict(dist: ScenarioDistribution) -> dict:
@@ -309,12 +293,7 @@ def distribution_to_dict(dist: ScenarioDistribution) -> dict:
 
 
 def load_distribution(path) -> ScenarioDistribution:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    return distribution_from_dict(doc)
+    return load_json(path, distribution_from_dict)
 
 
 def save_distribution(dist: ScenarioDistribution, path) -> None:

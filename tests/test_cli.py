@@ -104,6 +104,12 @@ class TestValidate:
         assert run(["validate", "--network", bad]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_non_utf8_file_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert run(["validate", "--network", bad]) == 1
+        assert "error: " in capsys.readouterr().err
+
 
 class TestSolveStatic:
     def test_free_flow_solve_to_stdout(self, workdir, capsys):
@@ -149,6 +155,36 @@ class TestSolveStatic:
                     "--scenario", workdir["scenario"],
                     "--distribution", workdir["dist"]]) == 1
         assert "mutually exclusive" in capsys.readouterr().err
+
+    def test_wrong_typed_fleet_field(self, workdir, capsys):
+        doc = json.loads(workdir["fleet"].read_text())
+        doc[0]["edge_sequence"] = 5
+        workdir["fleet"].write_text(json.dumps(doc))
+        assert run(["solve-static", "--network", workdir["net"],
+                    "--fleet", workdir["fleet"]]) == 1
+        assert "error: " in capsys.readouterr().err
+
+    def test_wrong_typed_scenario_field(self, workdir, capsys):
+        doc = json.loads(workdir["scenario"].read_text())
+        doc["profile_assignment"] = []
+        workdir["scenario"].write_text(json.dumps(doc))
+        assert run(["solve-static", "--network", workdir["net"],
+                    "--fleet", workdir["fleet"],
+                    "--scenario", workdir["scenario"]]) == 1
+        assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--track-potential"]])
+    def test_inadmissible_scenario_profile(self, workdir, capsys, extra):
+        # edge 1 admits only profile 1; both vehicles drive over it
+        doc = json.loads(workdir["net"].read_text())
+        doc["edges"][1]["delay_profile_ids"] = [1]
+        workdir["net"].write_text(json.dumps(doc))
+        workdir["scenario"].write_text(json.dumps(scenario_to_dict(
+            Scenario(profile_assignment={1: 0}, start_steps={}))))
+        assert run(["solve-static", "--network", workdir["net"],
+                    "--fleet", workdir["fleet"],
+                    "--scenario", workdir["scenario"], *extra]) == 1
+        assert "profile 0 is not admissible on edge 1" in capsys.readouterr().err
 
     def test_invalid_network_rejected(self, workdir, capsys):
         doc = json.loads(workdir["net"].read_text())
@@ -202,6 +238,23 @@ class TestSimulate:
         # both vehicles share the whole route; solved policies platoon it
         assert doc["policies"]["ktt"]["platooning_rate"] == 0.5
         assert doc["policies"]["sp"]["platooning_rate"] == 0.0
+
+    def test_instance_mode_solves_one_anchor(self, workdir, monkeypatch):
+        import hubplatoon.feedback as fb
+
+        calls = []
+        solve = fb.open_loop_anchor
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(fb, "open_loop_anchor", counted)
+        assert run(["simulate", "--network", workdir["net"],
+                    "--config", workdir["config"], "--out", workdir["out"],
+                    "--fleet", workdir["fleet"],
+                    "--policies", "sp,ip,ktt,drhs,srhs"]) == 0
+        assert len(calls) == 1
 
     def test_truth_without_fleet_rejected(self, workdir, capsys):
         assert run(["simulate", "--network", workdir["net"],

@@ -10,12 +10,15 @@ from hubplatoon.dense import (TableLimitError, dense_delay_row,
 from hubplatoon.feedback import PolicySpec, run_closed_loop
 from hubplatoon.game import Scenario
 from hubplatoon.network import DelayProfile
-from hubplatoon.solver import (DeterministicOracle, enumerate_actions,
+from hubplatoon.solver import (DeterministicOracle, HorizonView, WorldsOracle,
+                               _ScenarioTravel, enumerate_actions,
                                spaces_for_fleet)
 from hubplatoon.stochastic import (ExpectedUtilityOracle,
                                    SampledUtilityOracle,
-                                   ScenarioDistribution, sample_scenarios,
+                                   ScenarioDistribution, enumerate_support,
+                                   sample_scenarios,
                                    uniform_profile_distribution)
+from oracles import ref_potential, ref_utility
 
 
 def random_instance(rng, n_profiles=2):
@@ -191,6 +194,121 @@ class TestHorizonEquivalence:
             fast, slow = self.closed_loop_pair(kind, seed, monkeypatch)
             monkeypatch.undo()
             assert fast == slow
+
+
+def ref_travel(game, scenario):
+    """Realized travel steps read straight off the profile tables."""
+    def travel(eid, t):
+        base = game.net.edges[eid].base_travel_steps
+        pid = scenario.profile_assignment.get(eid)
+        if pid is None:
+            return base
+        return base + game.net.delay_profiles[pid].delay_at.get((eid, t), 0)
+    return travel
+
+
+def horizon_game(rng):
+    """A horizon game on a 3-edge line: vehicle 0 plays from its origin,
+    vehicle 1 is on edge 0 and plays the two nodes after it, vehicle 2 is
+    an environment track with fixed waits; 8 weighted worlds."""
+    profiles = {pid: {(k, t): rng.randint(0, 3) for k in range(3)
+                      for t in range(20) if rng.random() < 0.4}
+                for pid in range(2)}
+    net = make_net([(k, k, k + 1, rng.choice((50, 100, 150)),
+                     rng.randint(1, 3), (0, 1)) for k in range(3)],
+                   profiles=profiles)
+    game = make_game(net, [(vid, (0, 1, 2), 0, rng.randint(1, 3))
+                           for vid in range(3)])
+    budget = {vid: game.fleet[vid].waiting_budget_steps for vid in range(3)}
+    env_waits = rng.choice(enumerate_actions(3, budget[2]))
+    views = [HorizonView(vid=0, kind="at_node", span_nodes=(0, 1),
+                         window_edges=(0, 1), committed=(0, 0),
+                         budget_left=budget[0], player=True),
+             HorizonView(vid=1, kind="on_edge", span_nodes=(1, 2),
+                         window_edges=(1, 2), committed=(0, 0),
+                         budget_left=budget[1], player=True,
+                         current_edge=0, entered_at=0),
+             HorizonView(vid=2, kind="at_node", span_nodes=(0, 1, 2),
+                         window_edges=(0, 1, 2), committed=env_waits,
+                         budget_left=budget[2], player=False)]
+    dist = uniform_profile_distribution(net, game.fleet.values())
+    worlds = []
+    for scenario, prob in enumerate_support(dist):
+        travel = _ScenarioTravel(game, scenario)
+        avail = {0: rng.randint(0, 3), 1: travel(0, 0), 2: rng.randint(0, 3)}
+        worlds.append((prob, avail, travel))
+    return game, WorldsOracle(game, views, worlds)
+
+
+def full_route_oracle(kind, rng, case):
+    """A static game of the given construction plus its weighted scenarios."""
+    game, n_edges = random_instance(rng)
+    dist = uniform_profile_distribution(game.net, game.fleet.values())
+    if kind == "deterministic":
+        s = Scenario(profile_assignment={k: rng.randrange(2)
+                                         for k in range(n_edges)},
+                     start_steps={})
+        return game, DeterministicOracle(game, s), [(s, Fraction(1))]
+    if kind == "exact":
+        return game, ExpectedUtilityOracle(game, dist), enumerate_support(dist)
+    oracle = SampledUtilityOracle(game, dist, draws=4, seed=case)
+    return game, oracle, oracle.weighted
+
+
+class TestOraclePotential:
+    """The one oracle's potential, checked for each way it is built."""
+
+    @pytest.mark.parametrize("kind", ["deterministic", "exact", "sampled",
+                                      "horizon"])
+    def test_deviation_moves_potential_by_utility(self, kind):
+        rng = random.Random(f"potential:{kind}")
+        triples = 0
+        for case in range(20):
+            if kind == "horizon":
+                game, oracle = horizon_game(rng)
+            else:
+                game, oracle, _weighted = full_route_oracle(kind, rng, case)
+            spaces = {vid: enumerate_actions(len(oracle.views[vid].span_nodes),
+                                             oracle.views[vid].budget_left)
+                      for vid in oracle.players}
+            for _trial in range(5):
+                profile = random_profile(rng, spaces)
+                vid = rng.choice(sorted(spaces))
+                moved = dict(profile)
+                moved[vid] = rng.choice(spaces[vid])
+                d_phi = oracle.potential(moved) - oracle.potential(profile)
+                d_u = oracle.utility(vid, moved) - oracle.utility(vid, profile)
+                assert d_phi == d_u, f"case {case}: {d_phi} != {d_u}"
+                triples += 1
+        assert triples == 100
+
+    @pytest.mark.parametrize("kind", ["deterministic", "exact", "sampled"])
+    def test_full_routes_match_reference(self, kind):
+        rng = random.Random(f"reference:{kind}")
+        number = int if kind == "deterministic" else Fraction
+        for case in range(20):
+            game, oracle, weighted = full_route_oracle(kind, rng, case)
+            lengths = {eid: e.length_km for eid, e in game.net.edges.items()}
+            spaces = spaces_for_fleet(game.fleet.values())
+            for _trial in range(3):
+                profile = random_profile(rng, spaces)
+                want_phi = 0
+                want_u = {vid: 0 for vid in game.vehicle_ids}
+                for scenario, prob in weighted:
+                    vehicles = {vid: (game.start_of(vid, scenario),
+                                      game.fleet[vid].edge_sequence)
+                                for vid in game.vehicle_ids}
+                    travel = ref_travel(game, scenario)
+                    want_phi += prob * ref_potential(vehicles, profile, travel,
+                                                     lengths)
+                    for vid in game.vehicle_ids:
+                        want_u[vid] += prob * ref_utility(vid, vehicles, profile,
+                                                          travel, lengths)
+                phi = oracle.potential(profile)
+                assert type(phi) is number and phi == want_phi
+                for vid in game.vehicle_ids:
+                    u = oracle.utility(vid, profile)
+                    assert type(u) is number and u == want_u[vid]
 
 
 class TestStratifiedSampling:
