@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 
 from . import __version__
@@ -17,17 +16,14 @@ from .errors import InputError, ModelInconsistencyError, NonConvergenceError
 from .experiments import (ExperimentConfig, ExperimentResult, POLICY_ORDER,
                           SWEEP_AXES, compute_metrics, config_from_dict,
                           config_to_dict, load_config, prepare_network,
-                          run_experiment, sweep, write_followers_csv,
-                          write_metrics_json, write_platoon_hist_csv,
-                          write_raw_csv)
-from .feedback import run_policies
+                          run_experiment, run_instance, sweep,
+                          write_followers_csv, write_metrics_json,
+                          write_platoon_hist_csv, write_raw_csv)
 from .game import (CoordinationGame, RewardModel, WaitingCostModel,
                    deterministic_scenario, load_fleet, scenario_from_dict)
 from .network import load_json, load_network, validate_network
-from .seeding import derive_seed
 from .solver import nash_seek, solve_deterministic, spaces_for_fleet
-from .stochastic import (load_distribution, sample_scenario,
-                         stochastic_oracle, uniform_profile_distribution)
+from .stochastic import load_distribution, stochastic_oracle
 
 
 class _Parser(argparse.ArgumentParser):
@@ -222,8 +218,7 @@ def cmd_simulate(args) -> int:
         raise InputError("--truth only makes sense together with --fleet")
     if args.fleet is not None:
         return _simulate_instance(net, config, args)
-    prepared = net if net.delay_profiles else prepare_network(net, config)
-    result = run_experiment(prepared, config, jobs=args.jobs,
+    result = run_experiment(net, config, jobs=args.jobs,
                             keep_traces=args.traces)
     _write_result(result, args.out)
     if args.traces and result.traces is not None:
@@ -244,20 +239,11 @@ def _simulate_instance(net, config: ExperimentConfig, args) -> int:
     """One explicit fleet against one realized scenario, every policy."""
     prepared = net if net.delay_profiles else prepare_network(net, config)
     fleet = load_fleet(args.fleet)
-    game = CoordinationGame(prepared, fleet,
-                            RewardModel(km_rate_centi=config.km_rate_centi),
-                            WaitingCostModel(step_cost_centi=config.step_cost_centi))
-    dist = uniform_profile_distribution(prepared, fleet)
+    truth = None
     if args.truth is not None:
         truth = load_json(args.truth, scenario_from_dict)
-    else:
-        truth = sample_scenario(dist, random.Random(
-            derive_seed(config.master_seed, "truth", 0)))
     os.makedirs(args.out, exist_ok=True)
-    traces = run_policies(game, dist, truth,
-                          [config.policy_spec(k) for k in config.policies],
-                          seed=derive_seed(config.master_seed, "policy", 0),
-                          max_steps=config.max_steps)
+    traces = run_instance(prepared, config, fleet, truth=truth)
     if args.traces:
         for kind, trace in traces.items():
             trace.write_jsonl(os.path.join(args.out, f"{kind}.jsonl"))
@@ -296,8 +282,7 @@ def cmd_sweep(args) -> int:
             values = [int(v) for v in raw_values.split(",") if v]
     except ValueError as exc:
         raise InputError(f"bad sweep values {raw_values!r}: {exc}") from exc
-    prepared = net if net.delay_profiles else prepare_network(net, config)
-    results = sweep(prepared, config, axis, values, jobs=args.jobs)
+    results = sweep(net, config, axis, values, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8",
               newline="") as fh:

@@ -51,22 +51,6 @@ def dense_delay_row(profile, eid: int, t0: int, t1: int) -> np.ndarray:
     return row
 
 
-def rounded_mean_rows(rows: Sequence[np.ndarray],
-                      probs: Sequence[Fraction]) -> np.ndarray:
-    """Pointwise round-half-away-from-zero of sum(p_i * rows_i), exactly."""
-    denom = 1
-    for p in probs:
-        denom = denom * p.denominator // math.gcd(denom, p.denominator)
-    if denom > 2 ** 31:
-        raise TableLimitError(f"posterior denominator {denom} too large")
-    total = np.zeros(rows[0].shape, dtype=np.int64)
-    for row, p in zip(rows, probs):
-        total += int(p.numerator * (denom // p.denominator)) * row.astype(np.int64)
-    mags = np.abs(total)
-    rounded = (2 * mags + denom) // (2 * denom)
-    return np.where(total >= 0, rounded, -rounded).astype(np.int32)
-
-
 class EntryTable:
     """Entry times and platoon counts over W weighted worlds.
 

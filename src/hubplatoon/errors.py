@@ -14,7 +14,8 @@ class SupportTooLargeError(InputError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Best-response iteration hit the round cap without settling."""
+    """An iteration hit its cap without settling: best-response rounds,
+    or the steps of a simulated day."""
 
 
 class ModelInconsistencyError(RuntimeError):

@@ -17,9 +17,10 @@ import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
-from .errors import FormatError, InputError
+from .errors import (FormatError, InputError, ModelInconsistencyError,
+                     NonConvergenceError)
 from .feedback import PolicySpec, SimulationTrace, run_policies
-from .game import (CoordinationGame, RewardModel, VehicleSpec,
+from .game import (CoordinationGame, RewardModel, Scenario, VehicleSpec,
                    WaitingCostModel)
 from .network import (DelayProfile, RoadNetwork, check_fields, load_json,
                       replace_profiles, shortest_path)
@@ -229,7 +230,8 @@ def trace_metrics(trace: SimulationTrace, fleet: Sequence[VehicleSpec],
                                                               dict[int, int],
                                                               dict[int, int]]:
     """Single-trace numbers: rate parts, waits, utility, followers, histogram."""
-    by_id = {v.id: v for v in fleet}
+    if {v.id for v in fleet} != set(trace.utility_centi):
+        raise InputError("the fleet's vehicle ids differ from the trace's")
     traveled = 0.0
     for v in fleet:
         traveled += sum(net.edges[e].length_km for e in v.edge_sequence)
@@ -252,7 +254,6 @@ def trace_metrics(trace: SimulationTrace, fleet: Sequence[VehicleSpec],
         avg_wait_minutes=sum(waits) / len(waits) if waits else 0.0,
         total_utility_centi=trace.total_utility_centi(),
         followed_km=followed, traveled_km=traveled)
-    assert set(by_id) == set(trace.utility_centi)
     return metrics, followers, hist
 
 
@@ -314,23 +315,34 @@ class ExperimentResult:
     traces: dict[str, list[SimulationTrace]] | None = None
 
 
+def run_instance(net: RoadNetwork, config: ExperimentConfig,
+                 fleet: Sequence[VehicleSpec], sample: int = 0,
+                 truth: Scenario | None = None) -> dict[str, SimulationTrace]:
+    """Every configured policy on one fleet and one realized day.
+
+    The day is ``truth`` when given, otherwise a draw from the uniform
+    profile distribution under the sample's truth seed.
+    """
+    game = CoordinationGame(net, fleet,
+                            RewardModel(km_rate_centi=config.km_rate_centi),
+                            WaitingCostModel(step_cost_centi=config.step_cost_centi))
+    dist = uniform_profile_distribution(net, fleet)
+    if truth is None:
+        truth = sample_scenario(dist, random.Random(
+            derive_seed(config.master_seed, "truth", sample)))
+    return run_policies(game, dist, truth,
+                        [config.policy_spec(k) for k in config.policies],
+                        seed=derive_seed(config.master_seed, "policy", sample),
+                        max_steps=config.max_steps)
+
+
 def run_sample(net: RoadNetwork, config: ExperimentConfig, sample: int,
                feasible=None) -> tuple[list[VehicleSpec],
                                        dict[str, SimulationTrace]]:
     """One Monte Carlo draw: fleet + realized scenario, all policies on it."""
     fleet_rng = random.Random(derive_seed(config.master_seed, "fleet", sample))
     fleet = sample_fleet(net, config, fleet_rng, feasible)
-    game = CoordinationGame(net, fleet,
-                            RewardModel(km_rate_centi=config.km_rate_centi),
-                            WaitingCostModel(step_cost_centi=config.step_cost_centi))
-    dist = uniform_profile_distribution(net, fleet)
-    truth_rng = random.Random(derive_seed(config.master_seed, "truth", sample))
-    truth = sample_scenario(dist, truth_rng)
-    traces = run_policies(game, dist, truth,
-                          [config.policy_spec(k) for k in config.policies],
-                          seed=derive_seed(config.master_seed, "policy", sample),
-                          max_steps=config.max_steps)
-    return fleet, traces
+    return fleet, run_instance(net, config, fleet, sample)
 
 
 def _sample_payload(args):
@@ -338,7 +350,8 @@ def _sample_payload(args):
     try:
         fleet, traces = run_sample(net, config, sample, feasible)
         return sample, traces, fleet, None
-    except Exception as exc:  # recorded, excluded from aggregation
+    except (InputError, NonConvergenceError, ModelInconsistencyError) as exc:
+        # recorded, excluded from aggregation; anything else is a bug
         return sample, None, None, f"{type(exc).__name__}: {exc}"
 
 

@@ -21,21 +21,20 @@ game and the solve terminating.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .dense import dense_delay_row, rounded_mean_rows
-from .errors import InputError, ModelInconsistencyError
-from .game import CoordinationGame, Scenario, round_half_away, zero_profile
-from .network import travel_time
+from .errors import InputError, ModelInconsistencyError, NonConvergenceError
+from .game import (CoordinationGame, Scenario, round_half_away, round_ratio,
+                   zero_profile)
+from .network import DelayProfile, travel_time
 from .seeding import derive_seed
 from .solver import (DEFAULT_ROUND_CAP, DeterministicOracle, HorizonView,
-                     WorldsOracle, _ScenarioTravel, enumerate_actions,
-                     nash_seek, spaces_for_fleet)
+                     ProfileTravel, WorldsOracle, enumerate_actions, nash_seek,
+                     scenario_profiles, spaces_for_fleet)
 from .stochastic import (ScenarioDistribution, enumerate_support,
                          sample_scenarios, stochastic_oracle)
 
@@ -236,53 +235,6 @@ def build_views(game: CoordinationGame, world: WorldState,
     return views
 
 
-class _MeanTravel:
-    """Rounded posterior-mean travel time, cached per (edge, step)."""
-
-    def __init__(self, game: CoordinationGame, posterior: ScenarioDistribution):
-        self._edges = game.net.edges
-        self._profiles = game.net.delay_profiles
-        self._posterior = posterior
-        self._cache: dict[tuple[int, int], int] = {}
-
-    def __call__(self, eid: int, t: int) -> int:
-        key = (eid, t)
-        got = self._cache.get(key)
-        if got is None:
-            base = self._edges[eid].base_travel_steps
-            pairs = self._posterior.edge_profiles.get(eid)
-            if not pairs:
-                got = base
-            else:
-                mean = Fraction(0)
-                for pid, p in pairs:
-                    mean += p * self._profiles[pid].delay(eid, t)
-                got = base + round_half_away(mean)
-            self._cache[key] = got
-        return got
-
-    def row_token(self, eid: int):
-        return ("mean", id(self), eid)
-
-    def max_extra(self, eid: int) -> int:
-        pairs = self._posterior.edge_profiles.get(eid)
-        worst = 0
-        for pid, _p in pairs or ():
-            for (e, _t), d in self._profiles[pid].delay_at.items():
-                if e == eid and d > worst:
-                    worst = d
-        return worst
-
-    def dense_row(self, eid: int, t0: int, t1: int):
-        base = self._edges[eid].base_travel_steps
-        pairs = self._posterior.edge_profiles.get(eid)
-        if not pairs:
-            return np.full(t1 - t0, base, dtype=np.int32)
-        rows = [dense_delay_row(self._profiles[pid], eid, t0, t1)
-                for pid, _p in pairs]
-        return base + rounded_mean_rows(rows, [p for _pid, p in pairs])
-
-
 def _avail_map(game: CoordinationGame, world: WorldState,
                views: Sequence[HorizonView], travel, starts: Mapping[int, int]):
     """When each vehicle can first leave its span's first node."""
@@ -327,20 +279,78 @@ def _solve_horizon(game: CoordinationGame, views: Sequence[HorizonView],
             for vid, waits in report.profile.items()}
 
 
+def _visible(posterior: ScenarioDistribution,
+             views: Sequence[HorizonView]) -> ScenarioDistribution:
+    """The marginals a horizon game reads: window edges, current edges of
+    moving vehicles and start steps of pending ones."""
+    edges: set[int] = set()
+    vids: set[int] = set()
+    for view in views:
+        edges.update(view.window_edges)
+        if view.current_edge is not None:
+            edges.add(view.current_edge)
+        if view.kind == "pending":
+            vids.add(view.vid)
+    return ScenarioDistribution(
+        edge_profiles={eid: pairs for eid, pairs in posterior.edge_profiles.items()
+                       if eid in edges},
+        start_steps={vid: pairs for vid, pairs in posterior.start_steps.items()
+                     if vid in vids})
+
+
+def _mean_profiles(game: CoordinationGame,
+                   posterior: ScenarioDistribution) -> dict[int, DelayProfile]:
+    """Per edge, the rounded posterior-mean delay as one profile.
+
+    Probabilities become integer weights over the lcm of their
+    denominators, so each step's mean is an exact ratio of integers.
+    Entries on other edges are ignored.
+    """
+    profiles = game.net.delay_profiles
+    out = {}
+    for eid, pairs in posterior.edge_profiles.items():
+        scale = math.lcm(*(p.denominator for _pid, p in pairs))
+        totals: dict[int, int] = {}
+        for pid, p in pairs:
+            weight = p.numerator * (scale // p.denominator)
+            for (e, t), d in profiles[pid].delay_at.items():
+                if e == eid:
+                    totals[t] = totals.get(t, 0) + weight * d
+        out[eid] = DelayProfile(id=-1, delay_at={  # not a network profile
+            (eid, t): round_ratio(total, scale) for t, total in totals.items()})
+    return out
+
+
+def _decide(game: CoordinationGame, world: WorldState,
+            dist: ScenarioDistribution, eligible: Sequence[int],
+            policy: PolicySpec, draws) -> dict[int, dict[int, int]]:
+    """The receding-horizon step both feedback rules share.
+
+    The posterior is conditioned on the whole distribution, so every
+    observation is checked, then cut to the marginals the horizon game
+    sees. ``draws(visible)`` turns those into weighted worlds, each a
+    (probability, delay profile per edge, start steps) triple.
+    """
+    posterior = conditional_distribution(dist, world, game)
+    views = build_views(game, world, eligible, policy.horizon)
+    worlds = []
+    for prob, profiles, starts in draws(_visible(posterior, views)):
+        travel = ProfileTravel(game.net.edges, profiles)
+        worlds.append((prob, _avail_map(game, world, views, travel, starts), travel))
+    return _solve_horizon(game, views, worlds, policy)
+
+
 def drhs_decide(game: CoordinationGame, world: WorldState,
                 dist: ScenarioDistribution, eligible: Sequence[int],
                 policy: PolicySpec) -> dict[int, dict[int, int]]:
     """Deterministic receding-horizon step: certainty-equivalent solve.
 
-    Returns each player's new waits keyed by path node index.
+    The horizon game has one world, whose delays and start steps are the
+    rounded posterior means. Returns each player's new waits keyed by
+    path node index.
     """
-    posterior = conditional_distribution(dist, world, game)
-    views = build_views(game, world, eligible, policy.horizon)
-    travel = _MeanTravel(game, posterior)
-    starts = _mean_starts(posterior)
-    avail = _avail_map(game, world, views, travel, starts)
-    worlds = [(Fraction(1), avail, travel)]
-    return _solve_horizon(game, views, worlds, policy)
+    return _decide(game, world, dist, eligible, policy, lambda visible: [
+        (Fraction(1), _mean_profiles(game, visible), _mean_starts(visible))])
 
 
 def srhs_decide(game: CoordinationGame, world: WorldState,
@@ -348,40 +358,22 @@ def srhs_decide(game: CoordinationGame, world: WorldState,
                 policy: PolicySpec, seed: int = 0) -> dict[int, dict[int, int]]:
     """Stochastic receding-horizon step: expectation over the posterior.
 
-    Only the marginals the horizon game can see (window edges, current
-    edges of moving participants, pending starts) enter the joint support;
-    exact enumeration under the policy cap, seeded sampling above it.
+    The visible marginals' joint support is enumerated exactly under the
+    policy cap and sampled with a seeded stratified draw above it.
     Returns each player's new waits keyed by path node index.
     """
-    posterior = conditional_distribution(dist, world, game)
-    views = build_views(game, world, eligible, policy.horizon)
-    relevant_edges: set[int] = set()
-    relevant_vids: set[int] = set()
-    for view in views:
-        relevant_edges.update(view.window_edges)
-        if view.current_edge is not None:
-            relevant_edges.add(view.current_edge)
-        if view.kind == "pending":
-            relevant_vids.add(view.vid)
-    reduced = ScenarioDistribution(
-        edge_profiles={eid: pairs for eid, pairs in posterior.edge_profiles.items()
-                       if eid in relevant_edges},
-        start_steps={vid: pairs for vid, pairs in posterior.start_steps.items()
-                     if vid in relevant_vids})
-    if reduced.support_size() <= policy.support_cap:
-        weighted = enumerate_support(reduced, policy.support_cap)
-    else:
-        rng = random.Random(seed)
-        weight = Fraction(1, policy.oracle_draws)
-        weighted = [(s, weight)
-                    for s in sample_scenarios(reduced, policy.oracle_draws, rng)]
-    worlds = []
-    for scenario, prob in weighted:
-        travel = _ScenarioTravel(game, scenario)
-        starts = dict(scenario.start_steps)
-        avail = _avail_map(game, world, views, travel, starts)
-        worlds.append((prob, avail, travel))
-    return _solve_horizon(game, views, worlds, policy)
+    def draws(visible):
+        if visible.support_size() <= policy.support_cap:
+            weighted = enumerate_support(visible, policy.support_cap)
+        else:
+            rng = random.Random(seed)
+            weight = Fraction(1, policy.oracle_draws)
+            weighted = [(s, weight)
+                        for s in sample_scenarios(visible, policy.oracle_draws, rng)]
+        return [(prob, scenario_profiles(game, scenario), scenario.start_steps)
+                for scenario, prob in weighted]
+
+    return _decide(game, world, dist, eligible, policy, draws)
 
 
 # --- world dynamics ----------------------------------------------------
@@ -556,7 +548,7 @@ def run_closed_loop(game: CoordinationGame, dist: ScenarioDistribution,
         step_world(game, world, truth_profiles, events)
         steps += 1
         if steps > max_steps:
-            raise RuntimeError(f"simulation exceeded {max_steps} steps")
+            raise NonConvergenceError(f"simulation exceeded {max_steps} steps")
 
     utility = {}
     waited = {}

@@ -29,9 +29,13 @@ DEFAULT_WAIT_BUDGET_STEPS = 4
 def round_half_away(x) -> int:
     """Round to the nearest integer, halves away from zero."""
     f = Fraction(x)
-    if f >= 0:
-        return int((2 * f.numerator + f.denominator) // (2 * f.denominator))
-    return -int((-2 * f.numerator + f.denominator) // (2 * f.denominator))
+    return round_ratio(f.numerator, f.denominator)
+
+
+def round_ratio(num: int, den: int) -> int:
+    """``round_half_away(num / den)`` for a positive ``den``, in integers."""
+    mag = (2 * abs(num) + den) // (2 * den)
+    return mag if num >= 0 else -mag
 
 
 @dataclass(frozen=True)

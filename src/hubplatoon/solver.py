@@ -22,6 +22,7 @@ import numpy as np
 from .dense import TableLimitError, dense_delay_row, worlds_table
 from .errors import InputError, NonConvergenceError
 from .game import CoordinationGame, Scenario
+from .network import DelayProfile, Edge
 
 DEFAULT_ROUND_CAP = 10_000
 
@@ -89,20 +90,29 @@ def horizon_departure_times(view: HorizonView, waits: Sequence[int], avail: int,
     return tuple(entries)
 
 
-class _ScenarioTravel:
-    """Travel times under one fixed profile assignment.
+def scenario_profiles(game: CoordinationGame,
+                      scenario: Scenario) -> dict[int, DelayProfile]:
+    """A scenario's delay profile per edge.
 
     The assignment is checked once here: every profile must exist and be
     admissible on its edge.
     """
+    profiles = game.resolve_profiles(scenario)
+    for eid, prof in profiles.items():
+        allowed = game.net.edges[eid].delay_profile_ids
+        if allowed and prof.id not in allowed:
+            raise InputError(f"profile {prof.id} is not admissible on edge {eid}")
+    return profiles
 
-    def __init__(self, game: CoordinationGame, scenario: Scenario):
-        self._edges = game.net.edges
-        self._profiles = game.resolve_profiles(scenario)
-        for eid, prof in self._profiles.items():
-            allowed = self._edges[eid].delay_profile_ids
-            if allowed and prof.id not in allowed:
-                raise InputError(f"profile {prof.id} is not admissible on edge {eid}")
+
+class ProfileTravel:
+    """Travel times under one delay profile per edge; an edge without one
+    travels at free flow. Every world of every game is read through it."""
+
+    def __init__(self, edges: Mapping[int, Edge],
+                 profiles: Mapping[int, DelayProfile]):
+        self._edges = edges
+        self._profiles = profiles
 
     def __call__(self, eid: int, t: int) -> int:
         prof = self._profiles.get(eid)
@@ -111,7 +121,7 @@ class _ScenarioTravel:
 
     def row_token(self, eid: int):
         prof = self._profiles.get(eid)
-        return ("pid", None if prof is None else prof.id, eid)
+        return eid, None if prof is None else id(prof)
 
     def max_extra(self, eid: int) -> int:
         prof = self._profiles.get(eid)
@@ -141,7 +151,7 @@ def scenario_game(game: CoordinationGame,
                          budget_left=v.waiting_budget_steps, player=True)
              for v in game.fleet.values()]
     worlds = [(prob, {vid: game.start_of(vid, scenario) for vid in game.vehicle_ids},
-               _ScenarioTravel(game, scenario))
+               ProfileTravel(game.net.edges, scenario_profiles(game, scenario)))
               for scenario, prob in weighted]
     return views, worlds
 

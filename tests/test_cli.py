@@ -256,6 +256,15 @@ class TestSimulate:
                     "--policies", "sp,ip,ktt,drhs,srhs"]) == 0
         assert len(calls) == 1
 
+    def test_runaway_day_is_a_domain_error(self, workdir, capsys):
+        doc = json.loads(workdir["config"].read_text())
+        doc["max_steps"] = 3
+        workdir["config"].write_text(json.dumps(doc))
+        assert run(["simulate", "--network", workdir["net"],
+                    "--config", workdir["config"], "--out", workdir["out"],
+                    "--fleet", workdir["fleet"], "--policies", "sp"]) == 1
+        assert "error: simulation exceeded 3 steps" in capsys.readouterr().err
+
     def test_truth_without_fleet_rejected(self, workdir, capsys):
         assert run(["simulate", "--network", workdir["net"],
                     "--out", workdir["out"],

@@ -1,18 +1,16 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from conftest import make_game, make_net
-from hubplatoon.dense import (TableLimitError, dense_delay_row,
-                              rounded_mean_rows, scaled_weights)
+from hubplatoon.dense import TableLimitError, dense_delay_row, scaled_weights
 from hubplatoon.feedback import PolicySpec, run_closed_loop
 from hubplatoon.game import Scenario
 from hubplatoon.network import DelayProfile
-from hubplatoon.solver import (DeterministicOracle, HorizonView, WorldsOracle,
-                               _ScenarioTravel, enumerate_actions,
-                               spaces_for_fleet)
+from hubplatoon.solver import (DeterministicOracle, HorizonView,
+                               ProfileTravel, WorldsOracle, enumerate_actions,
+                               scenario_profiles, spaces_for_fleet)
 from hubplatoon.stochastic import (ExpectedUtilityOracle,
                                    SampledUtilityOracle,
                                    ScenarioDistribution, enumerate_support,
@@ -74,20 +72,6 @@ class TestDenseRows:
         prof = DelayProfile(id=0, delay_at={(1, 0): -2})
         with pytest.raises(TableLimitError):
             dense_delay_row(prof, 1, 0, 3)
-
-    def test_rounded_mean_half_away_from_zero(self):
-        # posterior mean 1.5 rounds up to 2, mean 0.5 rounds to 1
-        rows = [np.array([1, 0], dtype=np.int32),
-                np.array([2, 1], dtype=np.int32)]
-        out = rounded_mean_rows(rows, [Fraction(1, 2), Fraction(1, 2)])
-        assert out.tolist() == [2, 1]
-
-    def test_rounded_mean_exact_thirds(self):
-        rows = [np.array([1], dtype=np.int32),
-                np.array([1], dtype=np.int32),
-                np.array([4], dtype=np.int32)]
-        out = rounded_mean_rows(rows, [Fraction(1, 3)] * 3)
-        assert out.tolist() == [2]    # mean 2 exactly
 
 
 class TestDeterministicEquivalence:
@@ -234,7 +218,7 @@ def horizon_game(rng):
     dist = uniform_profile_distribution(net, game.fleet.values())
     worlds = []
     for scenario, prob in enumerate_support(dist):
-        travel = _ScenarioTravel(game, scenario)
+        travel = ProfileTravel(net.edges, scenario_profiles(game, scenario))
         avail = {0: rng.randint(0, 3), 1: travel(0, 0), 2: rng.randint(0, 3)}
         worlds.append((prob, avail, travel))
     return game, WorldsOracle(game, views, worlds)

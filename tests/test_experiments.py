@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import make_net
-from hubplatoon.errors import FormatError, InputError
+from hubplatoon.errors import FormatError, InputError, NonConvergenceError
 from hubplatoon.experiments import (STEPS_PER_DAY, ExperimentConfig,
                                     compute_metrics, config_from_dict,
                                     config_to_dict, feasible_destinations,
@@ -202,6 +202,13 @@ class TestMetrics:
             compute_metrics([hand_trace()], [self.fleet(), self.fleet()],
                             self.net())
 
+    def test_fleet_must_match_the_trace(self):
+        short = self.fleet()[:1]
+        stranger = short + [VehicleSpec(id=2, edge_sequence=(0,), start_step=0)]
+        for fleet in (short, stranger):
+            with pytest.raises(InputError, match="vehicle ids differ"):
+                compute_metrics([hand_trace()], fleet, self.net())
+
 
 class TestRunExperiment:
     def test_happy_path_and_determinism(self):
@@ -255,6 +262,33 @@ class TestRunExperiment:
         assert result.failures == [(0, "InputError: boom")]
         assert result.sample_ids == [1]
         assert len(result.reports["sp"].per_sample) == 1
+
+    def test_non_convergence_is_a_failed_sample(self, monkeypatch):
+        import hubplatoon.experiments as mod
+
+        real = run_sample
+
+        def stuck(net, config, sample, feasible=None):
+            if sample == 1:
+                raise NonConvergenceError("simulation exceeded 3 steps")
+            return real(net, config, sample, feasible)
+
+        monkeypatch.setattr(mod, "run_sample", stuck)
+        with pytest.warns(UserWarning, match="sample 1 failed"):
+            result = run_experiment(corridor_net(), tiny_config())
+        assert result.failures == [
+            (1, "NonConvergenceError: simulation exceeded 3 steps")]
+        assert result.sample_ids == [0]
+
+    def test_programming_errors_are_not_failed_samples(self, monkeypatch):
+        import hubplatoon.experiments as mod
+
+        def buggy(net, config, sample, feasible=None):
+            return [][sample]
+
+        monkeypatch.setattr(mod, "run_sample", buggy)
+        with pytest.raises(IndexError):
+            run_experiment(corridor_net(), tiny_config())
 
     def test_every_sample_failing_raises(self, monkeypatch):
         import hubplatoon.experiments as mod

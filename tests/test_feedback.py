@@ -4,16 +4,18 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_game, make_net
-from hubplatoon.errors import InputError, ModelInconsistencyError
+from hubplatoon.errors import (InputError, ModelInconsistencyError,
+                               NonConvergenceError)
 from hubplatoon.feedback import (PolicySpec, SimulationTrace, TraceEvent,
-                                 VehicleState, WorldState, build_views,
-                                 conditional_distribution,
+                                 VehicleState, WorldState, _mean_profiles,
+                                 build_views, conditional_distribution,
                                  detect_decision_instance, gating_steps,
                                  run_closed_loop, step_world)
 from hubplatoon.game import Scenario, deterministic_scenario
-from hubplatoon.solver import horizon_departure_times
+from hubplatoon.solver import ProfileTravel, horizon_departure_times
 from hubplatoon.stochastic import (ScenarioDistribution,
                                    uniform_profile_distribution)
+from oracles import ref_round_half_away
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -250,6 +252,68 @@ class TestHorizonViews:
             horizon_departure_times(view, (1, 0), 4, travel)
 
 
+class TestMeanProfile:
+    """The drhs world's delays against the scalar definition of the
+    rounded posterior mean."""
+
+    WINDOW = range(-2, 14)
+
+    @staticmethod
+    def reference(game, pairs, eid, t):
+        profiles = game.net.delay_profiles
+        return game.net.edges[eid].base_travel_steps + ref_round_half_away(
+            sum(p * profiles[pid].delay(eid, t) for pid, p in pairs))
+
+    def check(self, game, posterior):
+        travel = ProfileTravel(game.net.edges, _mean_profiles(game, posterior))
+        for eid, pairs in posterior.edge_profiles.items():
+            for t in self.WINDOW:
+                assert travel(eid, t) == self.reference(game, pairs, eid, t), \
+                    (eid, t, pairs)
+
+    def test_seeded_random_posteriors(self):
+        rng = random.Random(515)
+        weightings = [(Fraction(1, 3),) * 3,
+                      (Fraction(1, 7), Fraction(2, 7), Fraction(4, 7)),
+                      (Fraction(1, 3), Fraction(1, 7), Fraction(11, 21)),
+                      (HALF, HALF)]
+        for _case in range(30):
+            # every profile has entries on both edges, negative ones too
+            profiles = {pid: {(e, t): rng.randint(-3, 5) for e in (0, 1)
+                              for t in range(12) if rng.random() < 0.6}
+                        for pid in range(4)}
+            net = make_net([(0, 0, 1, 100, 4), (1, 1, 2, 100, 4)],
+                           profiles=profiles)
+            game = make_game(net, [(0, (0, 1), 0, 2)])
+            edge_profiles = {}
+            for eid in (0, 1):
+                probs = rng.choice(weightings)
+                pids = rng.sample(range(4), len(probs))
+                edge_profiles[eid] = tuple(zip(pids, probs))
+            self.check(game, ScenarioDistribution(edge_profiles=edge_profiles,
+                                                  start_steps={}))
+
+    def test_exact_halves_round_away_from_zero(self):
+        # means 1.5, -1.5, 0.5 and -0.5 at steps 0..3
+        profiles = {0: {(0, 0): 1, (0, 1): -1, (0, 2): 0, (0, 3): 0},
+                    1: {(0, 0): 2, (0, 1): -2, (0, 2): 1, (0, 3): -1},
+                    2: {(1, t): 9 for t in range(4)}}   # another edge only
+        net = make_net([(0, 0, 1, 100, 4), (1, 1, 2, 100, 4)],
+                       profiles=profiles)
+        game = make_game(net, [(0, (0, 1), 0, 2)])
+        posterior = ScenarioDistribution(
+            edge_profiles={0: ((0, HALF), (1, HALF))}, start_steps={})
+        travel = ProfileTravel(net.edges, _mean_profiles(game, posterior))
+        assert [travel(0, t) for t in range(5)] == [6, 2, 5, 3, 4]
+        self.check(game, posterior)
+        # a profile whose entries all lie on another edge adds nothing
+        posterior = ScenarioDistribution(
+            edge_profiles={0: ((1, HALF), (2, HALF))}, start_steps={})
+        travel = ProfileTravel(net.edges, _mean_profiles(game, posterior))
+        assert [travel(0, t) for t in range(4)] == [5, 3, 5, 3]
+        self.check(game, posterior)
+
+
 class TestStepWorld:
     def test_wait_burns_budget_and_departure_rewards(self):
         net = make_net([(0, 0, 1, 100, 3)])
@@ -389,7 +453,7 @@ class TestClosedLoop:
 
     def test_runaway_guard(self):
         game, dist, truth = separation_setup()
-        with pytest.raises(RuntimeError, match="exceeded"):
+        with pytest.raises(NonConvergenceError, match="exceeded"):
             run_closed_loop(game, dist, truth, spec("sp"), max_steps=3)
 
     def test_trace_jsonl_output(self, tmp_path):
