@@ -40,17 +40,6 @@ def scaled_weights(probs: Sequence[Fraction]) -> tuple[list[int], int]:
     return [int(p * scale) for p in probs], scale
 
 
-def dense_delay_row(profile, eid: int, t0: int, t1: int) -> np.ndarray:
-    """The profile's extra steps on one edge over [t0, t1)."""
-    row = np.zeros(t1 - t0, dtype=np.int32)
-    for (e, t), d in profile.delay_at.items():
-        if e == eid and t0 <= t < t1:
-            if d < 0:
-                raise TableLimitError(f"negative delay on edge {e} at {t}")
-            row[t - t0] = d
-    return row
-
-
 class EntryTable:
     """Entry times and platoon counts over W weighted worlds.
 

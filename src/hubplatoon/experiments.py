@@ -22,8 +22,9 @@ from .errors import (FormatError, InputError, ModelInconsistencyError,
 from .feedback import PolicySpec, SimulationTrace, run_policies
 from .game import (CoordinationGame, RewardModel, Scenario, VehicleSpec,
                    WaitingCostModel)
-from .network import (DelayProfile, RoadNetwork, check_fields, load_json,
-                      replace_profiles, shortest_path)
+from .network import (INTEGER, INTEGERS, NUMBER, STRINGS, DelayProfile,
+                      RoadNetwork, check_fields, load_json, replace_profiles,
+                      shortest_path)
 from .seeding import derive_seed
 from .stochastic import sample_scenario, uniform_profile_distribution
 
@@ -412,11 +413,13 @@ def sweep(net: RoadNetwork, config: ExperimentConfig, axis: str,
 
 # --- config / output files ----------------------------------------------
 
-_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
+_CONFIG_FIELDS = {f.name: NUMBER if isinstance(f.default, float) else INTEGER
+                  for f in fields(ExperimentConfig)}
+_CONFIG_FIELDS.update(policies=STRINGS, peak_heights=INTEGERS)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    check_fields(doc, _CONFIG_FIELDS, set(), "config")
+    check_fields(doc, _CONFIG_FIELDS, "config", required=())
     kwargs = dict(doc)
     if "policies" in kwargs:
         kwargs["policies"] = tuple(kwargs["policies"])

@@ -20,6 +20,7 @@ game and the solve terminating.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -177,23 +178,126 @@ def conditional_distribution(dist: ScenarioDistribution, world: WorldState,
         if not kept:
             raise ModelInconsistencyError(
                 f"every profile on edge {eid} is contradicted by observations")
-        total = sum(p for _pid, p in kept)
-        posterior_edges[eid] = tuple((pid, p / total) for pid, p in kept)
+        posterior_edges[eid] = _renormalised(kept)
     posterior_starts: dict[int, tuple[tuple[int, Fraction], ...]] = {}
     for vid, pairs in dist.start_steps.items():
         state = world.vehicles.get(vid)
-        if state is not None and state.status != "pending" \
-                and state.realized_start is not None:
+        if _appeared(state):
             posterior_starts[vid] = ((state.realized_start, Fraction(1)),)
         else:
             kept = tuple((t, p) for t, p in pairs if t > world.now)
             if not kept:
                 raise ModelInconsistencyError(
                     f"vehicle {vid} has not appeared but every start step is <= {world.now}")
-            total = sum(p for _t, p in kept)
-            posterior_starts[vid] = tuple((t, p / total) for t, p in kept)
+            posterior_starts[vid] = _renormalised(kept)
     return ScenarioDistribution(edge_profiles=posterior_edges,
                                 start_steps=posterior_starts)
+
+
+def _appeared(state: VehicleState | None) -> bool:
+    return state is not None and state.status != "pending" \
+        and state.realized_start is not None
+
+
+def _renormalised(pairs):
+    """(value, probability) pairs scaled exactly to sum to one."""
+    total = sum(p for _value, p in pairs)
+    return tuple((value, p / total) for value, p in pairs)
+
+
+class Belief:
+    """The posterior of one closed-loop run, brought up to date in place.
+
+    Per edge it keeps the prior's (profile, probability) pairs that no
+    observation has ruled out. ``update`` reads each finished traversal
+    once and prunes with the trucks on an edge at that moment. Under the
+    simulator's dynamics eliminations only grow: a truck's later en-route
+    bound, and its arrival, each imply its earlier en-route bounds. So
+    after ``update(world)`` the belief equals
+    ``conditional_distribution(prior, world, game)``, and a contradiction
+    raises the same error at the same step. Start marginals are formed
+    only for the pending vehicles a horizon game sees; every vehicle's
+    last possible start step keeps the "has not appeared" check. Each
+    edge's normalised marginal and rounded-mean profile are cached until
+    its kept pairs change.
+    """
+
+    def __init__(self, game: CoordinationGame, prior: ScenarioDistribution):
+        self.game = game
+        self.prior = prior
+        self._kept = dict(prior.edge_profiles)    # in the prior's edge order
+        self._read: dict[int, int] = {}           # edge -> traversals applied
+        self._last_start = {vid: max(t for t, _p in pairs)
+                            for vid, pairs in prior.start_steps.items()}
+        self._marginals: dict[int, tuple] = {}
+        self._means: dict[int, DelayProfile] = {}
+
+    def _prune(self, eid: int, possible) -> None:
+        kept = self._kept[eid]
+        left = tuple(pair for pair in kept
+                     if possible(self.game.net.delay_profiles[pair[0]]))
+        if len(left) != len(kept):
+            self._kept[eid] = left
+            self._marginals.pop(eid, None)
+            self._means.pop(eid, None)
+
+    def update(self, world: WorldState) -> None:
+        """Apply what ``world`` has observed since the last update."""
+        edges = self.game.net.edges
+        for eid, done in world.completed.items():
+            read = self._read.get(eid, 0)
+            self._read[eid] = len(done)
+            if read < len(done) and eid in self._kept:
+                base = edges[eid].base_travel_steps
+                fresh = done[read:]
+                self._prune(eid, lambda prof: all(
+                    base + prof.delay(eid, t_in) == travel for t_in, travel in fresh))
+        for v in world.in_progress():
+            eid = self.game.fleet[v.vid].edge_sequence[v.edge_index]
+            if eid in self._kept:
+                base = edges[eid].base_travel_steps
+                elapsed = world.now - v.entered_at
+                self._prune(eid, lambda prof: base + prof.delay(eid, v.entered_at) > elapsed)
+        for eid, kept in self._kept.items():
+            if not kept:
+                raise ModelInconsistencyError(
+                    f"every profile on edge {eid} is contradicted by observations")
+        for vid, last in self._last_start.items():
+            if last <= world.now and not _appeared(world.vehicles.get(vid)):
+                raise ModelInconsistencyError(
+                    f"vehicle {vid} has not appeared but every start step is <= {world.now}")
+
+    def edge_marginal(self, eid: int) -> tuple[tuple[int, Fraction], ...]:
+        got = self._marginals.get(eid)
+        if got is None:
+            got = self._marginals[eid] = _renormalised(self._kept[eid])
+        return got
+
+    def mean_profile(self, eid: int) -> DelayProfile:
+        """The edge's rounded posterior-mean delays; see ``_mean_profile``."""
+        got = self._means.get(eid)
+        if got is None:
+            got = self._means[eid] = _mean_profile(self.game, eid,
+                                                   self.edge_marginal(eid))
+        return got
+
+    def visible(self, views: Sequence[HorizonView], now: int) -> ScenarioDistribution:
+        """The marginals a horizon game reads: window edges, current edges of
+        moving vehicles and start steps of pending ones."""
+        edges: set[int] = set()
+        vids: set[int] = set()
+        for view in views:
+            edges.update(view.window_edges)
+            if view.current_edge is not None:
+                edges.add(view.current_edge)
+            if view.kind == "pending":
+                vids.add(view.vid)
+        return ScenarioDistribution(
+            edge_profiles={eid: self.edge_marginal(eid) for eid in self._kept
+                           if eid in edges},
+            start_steps={vid: _renormalised(tuple((t, p) for t, p in pairs if t > now))
+                         for vid, pairs in self.prior.start_steps.items()
+                         if vid in vids})
 
 
 # --- horizon game ------------------------------------------------------
@@ -263,12 +367,19 @@ def _mean_starts(posterior: ScenarioDistribution) -> dict[int, int]:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _horizon_actions(length: int, budget: int) -> tuple[tuple[int, ...], ...]:
+    """``enumerate_actions``, built once per pair: a horizon game's spans
+    and budgets take only a few values, met again at every decision."""
+    return tuple(enumerate_actions(length, budget))
+
+
 def _solve_horizon(game: CoordinationGame, views: Sequence[HorizonView],
                    worlds, policy: PolicySpec) -> dict[int, dict[int, int]]:
     """Each player's equilibrium waits, keyed by path node index."""
     oracle = WorldsOracle(game, views, worlds)
-    spaces = {vid: enumerate_actions(len(oracle.views[vid].span_nodes),
-                                     oracle.views[vid].budget_left)
+    spaces = {vid: _horizon_actions(len(oracle.views[vid].span_nodes),
+                                    oracle.views[vid].budget_left)
               for vid in oracle.players}
     if not spaces:
         return {}
@@ -279,69 +390,49 @@ def _solve_horizon(game: CoordinationGame, views: Sequence[HorizonView],
             for vid, waits in report.profile.items()}
 
 
-def _visible(posterior: ScenarioDistribution,
-             views: Sequence[HorizonView]) -> ScenarioDistribution:
-    """The marginals a horizon game reads: window edges, current edges of
-    moving vehicles and start steps of pending ones."""
-    edges: set[int] = set()
-    vids: set[int] = set()
-    for view in views:
-        edges.update(view.window_edges)
-        if view.current_edge is not None:
-            edges.add(view.current_edge)
-        if view.kind == "pending":
-            vids.add(view.vid)
-    return ScenarioDistribution(
-        edge_profiles={eid: pairs for eid, pairs in posterior.edge_profiles.items()
-                       if eid in edges},
-        start_steps={vid: pairs for vid, pairs in posterior.start_steps.items()
-                     if vid in vids})
-
-
-def _mean_profiles(game: CoordinationGame,
-                   posterior: ScenarioDistribution) -> dict[int, DelayProfile]:
-    """Per edge, the rounded posterior-mean delay as one profile.
+def _mean_profile(game: CoordinationGame, eid: int,
+                  pairs: Sequence[tuple[int, Fraction]]) -> DelayProfile:
+    """One edge's rounded mean delay under (profile, probability) pairs.
 
     Probabilities become integer weights over the lcm of their
     denominators, so each step's mean is an exact ratio of integers.
     Entries on other edges are ignored.
     """
     profiles = game.net.delay_profiles
-    out = {}
-    for eid, pairs in posterior.edge_profiles.items():
-        scale = math.lcm(*(p.denominator for _pid, p in pairs))
-        totals: dict[int, int] = {}
-        for pid, p in pairs:
-            weight = p.numerator * (scale // p.denominator)
-            for (e, t), d in profiles[pid].delay_at.items():
-                if e == eid:
-                    totals[t] = totals.get(t, 0) + weight * d
-        out[eid] = DelayProfile(id=-1, delay_at={  # not a network profile
-            (eid, t): round_ratio(total, scale) for t, total in totals.items()})
-    return out
+    scale = math.lcm(*(p.denominator for _pid, p in pairs))
+    totals: dict[int, int] = {}
+    for pid, p in pairs:
+        weight = p.numerator * (scale // p.denominator)
+        steps, delays, _top = profiles[pid].on_edge(eid)
+        for t, d in zip(steps.tolist(), delays.tolist()):
+            totals[t] = totals.get(t, 0) + weight * d
+    return DelayProfile(id=-1, delay_at={  # not a network profile
+        (eid, t): round_ratio(total, scale) for t, total in totals.items()})
 
 
 def _decide(game: CoordinationGame, world: WorldState,
-            dist: ScenarioDistribution, eligible: Sequence[int],
+            dist: ScenarioDistribution | Belief, eligible: Sequence[int],
             policy: PolicySpec, draws) -> dict[int, dict[int, int]]:
     """The receding-horizon step both feedback rules share.
 
-    The posterior is conditioned on the whole distribution, so every
-    observation is checked, then cut to the marginals the horizon game
-    sees. ``draws(visible)`` turns those into weighted worlds, each a
-    (probability, delay profile per edge, start steps) triple.
+    ``dist`` is the run's belief, or a prior that gets a fresh one. The
+    belief is brought up to date, so every observation is checked, and cut
+    to the marginals the horizon game sees. ``draws(belief, visible)``
+    turns those into weighted worlds, each a (probability, delay profile
+    per edge, start steps) triple.
     """
-    posterior = conditional_distribution(dist, world, game)
+    belief = dist if isinstance(dist, Belief) else Belief(game, dist)
+    belief.update(world)
     views = build_views(game, world, eligible, policy.horizon)
     worlds = []
-    for prob, profiles, starts in draws(_visible(posterior, views)):
+    for prob, profiles, starts in draws(belief, belief.visible(views, world.now)):
         travel = ProfileTravel(game.net.edges, profiles)
         worlds.append((prob, _avail_map(game, world, views, travel, starts), travel))
     return _solve_horizon(game, views, worlds, policy)
 
 
 def drhs_decide(game: CoordinationGame, world: WorldState,
-                dist: ScenarioDistribution, eligible: Sequence[int],
+                dist: ScenarioDistribution | Belief, eligible: Sequence[int],
                 policy: PolicySpec) -> dict[int, dict[int, int]]:
     """Deterministic receding-horizon step: certainty-equivalent solve.
 
@@ -349,12 +440,13 @@ def drhs_decide(game: CoordinationGame, world: WorldState,
     rounded posterior means. Returns each player's new waits keyed by
     path node index.
     """
-    return _decide(game, world, dist, eligible, policy, lambda visible: [
-        (Fraction(1), _mean_profiles(game, visible), _mean_starts(visible))])
+    return _decide(game, world, dist, eligible, policy, lambda belief, visible: [
+        (Fraction(1), {eid: belief.mean_profile(eid) for eid in visible.edge_profiles},
+         _mean_starts(visible))])
 
 
 def srhs_decide(game: CoordinationGame, world: WorldState,
-                dist: ScenarioDistribution, eligible: Sequence[int],
+                dist: ScenarioDistribution | Belief, eligible: Sequence[int],
                 policy: PolicySpec, seed: int = 0) -> dict[int, dict[int, int]]:
     """Stochastic receding-horizon step: expectation over the posterior.
 
@@ -362,7 +454,7 @@ def srhs_decide(game: CoordinationGame, world: WorldState,
     policy cap and sampled with a seeded stratified draw above it.
     Returns each player's new waits keyed by path node index.
     """
-    def draws(visible):
+    def draws(_belief, visible):
         if visible.support_size() <= policy.support_cap:
             weighted = enumerate_support(visible, policy.support_cap)
         else:
@@ -525,6 +617,7 @@ def run_closed_loop(game: CoordinationGame, dist: ScenarioDistribution,
     events: list[TraceEvent] = []
     gate = gating_steps(policy, game.net.time_step_minutes)
     replanning = policy.kind in ("drhs", "srhs")
+    belief = Belief(game, dist) if replanning else None
     steps = 0
     while True:
         _arrivals_and_starts(game, world, truth, events)
@@ -533,9 +626,9 @@ def run_closed_loop(game: CoordinationGame, dist: ScenarioDistribution,
         eligible = detect_decision_instance(world, game, gate)
         if eligible and replanning:
             if policy.kind == "drhs":
-                solved = drhs_decide(game, world, dist, eligible, policy)
+                solved = drhs_decide(game, world, belief, eligible, policy)
             else:
-                solved = srhs_decide(game, world, dist, eligible, policy,
+                solved = srhs_decide(game, world, belief, eligible, policy,
                                      seed=derive_seed(seed, "srhs", world.now))
             if solved:
                 for vid, waits in solved.items():

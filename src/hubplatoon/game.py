@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import FormatError, InputError
-from .network import (DelayProfile, RoadNetwork, check_fields, load_json,
-                      travel_time)
+from .network import (INTEGER, INTEGERS, OBJECT, DelayProfile, RoadNetwork,
+                      check_fields, load_json, travel_time)
 
 DEFAULT_KM_REWARD_CENTI = 170     # 1.70 SEK saved per platooned km
 DEFAULT_STEP_COST_CENTI = 2200    # 22 SEK per waited 5-minute step
@@ -258,8 +258,9 @@ def deterministic_scenario(net: RoadNetwork, fleet: Sequence[VehicleSpec],
 
 # --- fleet / profile / scenario serialization ---------------------------
 
-_VEHICLE_FIELDS = {"id", "edge_sequence", "start_step", "waiting_budget_steps"}
-_SCENARIO_FIELDS = {"profile_assignment", "start_steps"}
+_VEHICLE_FIELDS = {"id": INTEGER, "edge_sequence": INTEGERS,
+                   "start_step": INTEGER, "waiting_budget_steps": INTEGER}
+_SCENARIO_FIELDS = {"profile_assignment": OBJECT, "start_steps": OBJECT}
 
 
 def fleet_from_list(doc) -> list[VehicleSpec]:
@@ -267,7 +268,7 @@ def fleet_from_list(doc) -> list[VehicleSpec]:
         raise FormatError("fleet document must be a JSON array")
     out = []
     for raw in doc:
-        check_fields(raw, _VEHICLE_FIELDS, _VEHICLE_FIELDS, "vehicle")
+        check_fields(raw, _VEHICLE_FIELDS, "vehicle")
         out.append(VehicleSpec(id=int(raw["id"]),
                                edge_sequence=tuple(int(e) for e in raw["edge_sequence"]),
                                start_step=int(raw["start_step"]),
@@ -303,7 +304,7 @@ def profile_from_dict(doc: dict) -> dict[int, tuple[int, ...]]:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    check_fields(doc, _SCENARIO_FIELDS, _SCENARIO_FIELDS, "scenario")
+    check_fields(doc, _SCENARIO_FIELDS, "scenario")
     return Scenario(
         profile_assignment={int(k): int(v) for k, v in doc["profile_assignment"].items()},
         start_steps={int(k): int(v) for k, v in doc["start_steps"].items()})

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import FormatError, InputError
 
 UNREACHABLE = math.inf
@@ -44,9 +46,25 @@ class DelayProfile:
 
     id: int
     delay_at: Mapping[tuple[int, int], int] = field(default_factory=dict)
+    # edge id -> on_edge(edge id); filled on first use, freed with the profile
+    _by_edge: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def delay(self, edge_id: int, entry_step: int) -> int:
         return self.delay_at.get((edge_id, entry_step), 0)
+
+    def on_edge(self, edge_id: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """The entries on one edge: sorted entry steps, their delays, and
+        the largest delay (0 when there is none)."""
+        got = self._by_edge.get(edge_id)
+        if got is None:
+            entries = sorted((t, d) for (e, t), d in self.delay_at.items()
+                             if e == edge_id)
+            steps = np.array([t for t, _d in entries], dtype=np.int32)
+            delays = np.array([d for _t, d in entries], dtype=np.int32)
+            got = (steps, delays, max((d for _t, d in entries), default=0))
+            self._by_edge[edge_id] = got
+        return got
 
 
 @dataclass
@@ -171,24 +189,51 @@ def shortest_path_km(net: RoadNetwork, origin: int, destination: int) -> float:
 
 # --- JSON serialization ------------------------------------------------
 
-_HUB_FIELDS = {"id", "name", "population_weight", "lat", "lon"}
+# The JSON type a field may hold: its name in error messages, the Python
+# types json.load gives for it (so a boolean is not an integer), and for
+# arrays, those of their items.
+INTEGER = ("an integer", {int}, None)
+NUMBER = ("a number", {int, float}, None)
+STRING = ("a string", {str}, None)
+ARRAY = ("an array", {list}, None)
+OBJECT = ("an object", {dict}, None)
+INTEGERS = ("an array of integers", {list}, {int})
+STRINGS = ("an array of strings", {list}, {str})
+NUMBER_OR_NULL = ("a number or null", {int, float, type(None)}, None)
+
+_HUB_FIELDS = {"id": INTEGER, "name": STRING, "population_weight": NUMBER,
+               "lat": NUMBER_OR_NULL, "lon": NUMBER_OR_NULL}
 _HUB_REQUIRED = {"id", "name", "population_weight"}
-_EDGE_FIELDS = {"id", "tail", "head", "length_km", "base_travel_steps", "delay_profile_ids"}
-_PROFILE_FIELDS = {"id", "entries"}
-_ENTRY_FIELDS = {"edge", "t", "delta"}
-_TOP_FIELDS = {"time_step_minutes", "hubs", "edges", "delay_profiles"}
+_EDGE_FIELDS = {"id": INTEGER, "tail": INTEGER, "head": INTEGER,
+                "length_km": NUMBER, "base_travel_steps": INTEGER,
+                "delay_profile_ids": INTEGERS}
+_PROFILE_FIELDS = {"id": INTEGER, "entries": ARRAY}
+_ENTRY_FIELDS = {"edge": INTEGER, "t": INTEGER, "delta": INTEGER}
+_TOP_FIELDS = {"time_step_minutes": INTEGER, "hubs": ARRAY, "edges": ARRAY,
+               "delay_profiles": ARRAY}
 
 
-def check_fields(obj: dict, allowed: set, required: set, what: str) -> None:
-    """A JSON object with no unknown fields and every required one."""
+def check_fields(obj: dict, fields: Mapping[str, tuple], what: str,
+                 required: Iterable[str] | None = None) -> None:
+    """A JSON object with no unknown fields, every required one (default:
+    all of them), and each field of the JSON type ``fields`` gives it."""
     if not isinstance(obj, dict):
         raise FormatError(f"{what} must be an object, got {type(obj).__name__}")
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise FormatError(f"{what} has unknown fields: {', '.join(unknown)}")
-    missing = sorted(required - set(obj))
-    if missing:
-        raise FormatError(f"{what} is missing fields: {', '.join(missing)}")
+    if obj.keys() != fields.keys():
+        unknown = obj.keys() - fields.keys()
+        if unknown:
+            raise FormatError(f"{what} has unknown fields: {', '.join(sorted(unknown))}")
+        missing = (fields.keys() if required is None else set(required)) - obj.keys()
+        if missing:
+            raise FormatError(f"{what} is missing fields: {', '.join(sorted(missing))}")
+    for name, value in obj.items():
+        kind, types, items = fields[name]
+        if type(value) not in types or (
+                items is not None and any(type(v) not in items for v in value)):
+            shown = json.dumps(value)
+            if len(shown) > 40:
+                shown = shown[:37] + "..."
+            raise FormatError(f"{what} field {name!r} must be {kind}, not {shown}")
 
 
 def load_json(path, convert):
@@ -211,10 +256,10 @@ def load_json(path, convert):
 
 
 def network_from_dict(doc: dict) -> RoadNetwork:
-    check_fields(doc, _TOP_FIELDS, _TOP_FIELDS, "network document")
+    check_fields(doc, _TOP_FIELDS, "network document")
     hubs: dict[int, Hub] = {}
     for raw in doc["hubs"]:
-        check_fields(raw, _HUB_FIELDS, _HUB_REQUIRED, "hub")
+        check_fields(raw, _HUB_FIELDS, "hub", _HUB_REQUIRED)
         hub = Hub(id=int(raw["id"]), name=str(raw["name"]),
                   population_weight=float(raw["population_weight"]),
                   lat=raw.get("lat"), lon=raw.get("lon"))
@@ -223,7 +268,7 @@ def network_from_dict(doc: dict) -> RoadNetwork:
         hubs[hub.id] = hub
     edges: dict[int, Edge] = {}
     for raw in doc["edges"]:
-        check_fields(raw, _EDGE_FIELDS, _EDGE_FIELDS, "edge")
+        check_fields(raw, _EDGE_FIELDS, "edge")
         edge = Edge(id=int(raw["id"]), tail=int(raw["tail"]), head=int(raw["head"]),
                     length_km=float(raw["length_km"]),
                     base_travel_steps=int(raw["base_travel_steps"]),
@@ -233,10 +278,10 @@ def network_from_dict(doc: dict) -> RoadNetwork:
         edges[edge.id] = edge
     profiles: dict[int, DelayProfile] = {}
     for raw in doc["delay_profiles"]:
-        check_fields(raw, _PROFILE_FIELDS, _PROFILE_FIELDS, "delay profile")
+        check_fields(raw, _PROFILE_FIELDS, "delay profile")
         delay_at: dict[tuple[int, int], int] = {}
         for entry in raw["entries"]:
-            check_fields(entry, _ENTRY_FIELDS, _ENTRY_FIELDS, "delay entry")
+            check_fields(entry, _ENTRY_FIELDS, "delay entry")
             delay_at[(int(entry["edge"]), int(entry["t"]))] = int(entry["delta"])
         prof = DelayProfile(id=int(raw["id"]), delay_at=delay_at)
         if prof.id in profiles:

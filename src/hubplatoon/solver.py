@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dense import TableLimitError, dense_delay_row, worlds_table
+from .dense import TableLimitError, worlds_table
 from .errors import InputError, NonConvergenceError
 from .game import CoordinationGame, Scenario
 from .network import DelayProfile, Edge
@@ -125,16 +125,22 @@ class ProfileTravel:
 
     def max_extra(self, eid: int) -> int:
         prof = self._profiles.get(eid)
-        if prof is None:
-            return 0
-        return max((d for (e, _t), d in prof.delay_at.items() if e == eid), default=0)
+        return 0 if prof is None else prof.on_edge(eid)[2]
 
     def dense_row(self, eid: int, t0: int, t1: int):
-        base = self._edges[eid].base_travel_steps
+        """Travel steps for entries over [t0, t1); a negative delay in the
+        window is refused, so the caller keeps its reference loop."""
+        row = np.full(t1 - t0, self._edges[eid].base_travel_steps, dtype=np.int32)
         prof = self._profiles.get(eid)
-        if prof is None:
-            return np.full(t1 - t0, base, dtype=np.int32)
-        return base + dense_delay_row(prof, eid, t0, t1)
+        if prof is not None:
+            steps, delays, _top = prof.on_edge(eid)
+            lo, hi = np.searchsorted(steps, (t0, t1))
+            if lo < hi:
+                window = delays[lo:hi]
+                if window.min() < 0:
+                    raise TableLimitError(f"negative delay on edge {eid}")
+                row[steps[lo:hi] - t0] += window
+        return row
 
 
 def scenario_game(game: CoordinationGame,
@@ -203,16 +209,20 @@ class WorldsOracle:
 
     def action_values(self, vid: int, actions: Sequence[Sequence[int]],
                       profile: Mapping[int, Sequence[int]]) -> list:
+        return self._typed(self.scaled_values(vid, actions, profile))
+
+    def scaled_values(self, vid: int, actions: Sequence[Sequence[int]],
+                      profile: Mapping[int, Sequence[int]]):
+        """``action_values`` times the lcm of the world probabilities'
+        denominators: exact integers in the same order, cheap to compare."""
         table = self._dense(profile)
         if table is not None:
             try:
                 table.sync({v: profile[v] for v in self.players})
-                scaled = table.scaled_values(vid, actions)
+                return table.scaled_values(vid, actions)
             except TableLimitError:
                 self._table, self._no_table = None, True
-            else:
-                return self._typed(scaled)
-        return self._values_by_loop(vid, actions, profile)
+        return self._scaled_by_loop(vid, actions, profile)
 
     def _counts(self, world, profile, skip: int | None = None
                 ) -> dict[tuple[int, int], int]:
@@ -230,6 +240,10 @@ class WorldsOracle:
 
     def _values_by_loop(self, vid: int, actions: Sequence[Sequence[int]],
                         profile: Mapping[int, Sequence[int]]) -> list:
+        return self._typed(self._scaled_by_loop(vid, actions, profile))
+
+    def _scaled_by_loop(self, vid: int, actions: Sequence[Sequence[int]],
+                        profile: Mapping[int, Sequence[int]]) -> list[int]:
         view = self.views[vid]
         reward = self.game.reward_model.reward
         edges = self.game.net.edges
@@ -246,7 +260,7 @@ class WorldsOracle:
                     u += reward(counts.get((eid, t), 0) + 1, edges[eid])
                 total += weight * u
             totals.append(total)
-        return self._typed(totals)
+        return totals
 
     def utility(self, vid: int, profile: Mapping[int, Sequence[int]]):
         return self.action_values(vid, [tuple(profile[vid])], profile)[0]
@@ -281,20 +295,16 @@ def best_response(oracle, vid: int, actions: Sequence[tuple[int, ...]],
 
     Returns (waits, candidates evaluated). Ties keep the current action if
     it attains the maximum, otherwise the lexicographically smallest
-    maximizer wins; ``actions`` must already be in lex order.
+    maximizer wins; ``actions`` must already be in lex order. Values are
+    the oracle's ``scaled_values``, integers in the order of utilities.
     """
-    values = oracle.action_values(vid, actions, profile)
-    best_value = max(values)
+    values = np.asarray(oracle.scaled_values(vid, actions, profile))
+    best = np.flatnonzero(values == values.max())
     current = tuple(profile[vid])
-    choice = None
-    for waits, value in zip(actions, values):
-        if value == best_value:
-            if choice is None:
-                choice = tuple(waits)
-            if tuple(waits) == current:
-                choice = current
-                break
-    return choice, len(actions)
+    for i in best:
+        if tuple(actions[i]) == current:
+            return current, len(actions)
+    return tuple(actions[best[0]]), len(actions)
 
 
 @dataclass
@@ -374,9 +384,9 @@ def verify_ne(oracle, spaces: Mapping[int, Sequence[tuple[int, ...]]],
               profile: Mapping[int, Sequence[int]]) -> bool:
     """Exhaustive unilateral-deviation check; exact comparisons."""
     for vid in sorted(spaces):
-        values = oracle.action_values(vid, spaces[vid], profile)
+        values = np.asarray(oracle.scaled_values(vid, spaces[vid], profile))
         here = values[list(map(tuple, spaces[vid])).index(tuple(profile[vid]))]
-        if any(v > here for v in values):
+        if (values > here).any():
             return False
     return True
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +21,7 @@ from typing import Mapping, Sequence
 
 from .errors import FormatError, InputError, SupportTooLargeError
 from .game import CoordinationGame, Scenario
-from .network import check_fields, load_json
+from .network import ARRAY, INTEGER, check_fields, load_json
 from .solver import WorldsOracle, scenario_game
 
 DEFAULT_SUPPORT_CAP = 4096
@@ -43,18 +44,22 @@ class ScenarioDistribution:
             for key, pairs in marginals.items():
                 if not pairs:
                     raise InputError(f"{label} {key} has an empty marginal")
-                total = Fraction(0)
                 seen = set()
                 for value, p in pairs:
-                    if not isinstance(p, Fraction) or p <= 0:
+                    # a Fraction's denominator is positive, so its sign is
+                    # its numerator's
+                    if not isinstance(p, Fraction) or p.numerator <= 0:
                         raise InputError(
                             f"{label} {key} needs positive Fraction probabilities")
                     if value in seen:
                         raise InputError(f"{label} {key} repeats value {value}")
                     seen.add(value)
-                    total += p
-                if total != 1:
-                    raise InputError(f"{label} {key} probabilities sum to {total}, not 1")
+                # the exact sum in integers over the lcm of the denominators
+                scale = math.lcm(*(p.denominator for _value, p in pairs))
+                total = sum(p.numerator * (scale // p.denominator) for _value, p in pairs)
+                if total != scale:
+                    raise InputError(f"{label} {key} probabilities sum to "
+                                     f"{Fraction(total, scale)}, not 1")
 
     def support_size(self) -> int:
         n = 1
@@ -247,31 +252,30 @@ def stochastic_oracle(game: CoordinationGame, dist: ScenarioDistribution,
 
 # --- JSON serialization ------------------------------------------------
 
-_DIST_FIELDS = {"edges", "starts"}
-_EDGE_ROW_FIELDS = {"edge", "profiles"}
-_PROB_FIELDS = {"id", "p_num", "p_den"}
-_START_ROW_FIELDS = {"vehicle", "steps"}
-_STEP_FIELDS = {"t", "p_num", "p_den"}
+_DIST_FIELDS = {"edges": ARRAY, "starts": ARRAY}
+_EDGE_ROW_FIELDS = {"edge": INTEGER, "profiles": ARRAY}
+_PROB_FIELDS = {"id": INTEGER, "p_num": INTEGER, "p_den": INTEGER}
+_START_ROW_FIELDS = {"vehicle": INTEGER, "steps": ARRAY}
+_STEP_FIELDS = {"t": INTEGER, "p_num": INTEGER, "p_den": INTEGER}
 
 
 def distribution_from_dict(doc: dict) -> ScenarioDistribution:
-    check_fields(doc, _DIST_FIELDS, _DIST_FIELDS, "distribution")
+    check_fields(doc, _DIST_FIELDS, "distribution")
     edge_profiles = {}
     for row in doc["edges"]:
-        check_fields(row, _EDGE_ROW_FIELDS, _EDGE_ROW_FIELDS, "distribution edge row")
+        check_fields(row, _EDGE_ROW_FIELDS, "distribution edge row")
         pairs = []
         for cell in row["profiles"]:
-            check_fields(cell, _PROB_FIELDS, _PROB_FIELDS, "profile probability")
+            check_fields(cell, _PROB_FIELDS, "profile probability")
             pairs.append((int(cell["id"]),
                           Fraction(int(cell["p_num"]), int(cell["p_den"]))))
         edge_profiles[int(row["edge"])] = tuple(pairs)
     start_steps = {}
     for row in doc["starts"]:
-        check_fields(row, _START_ROW_FIELDS, _START_ROW_FIELDS,
-                     "distribution start row")
+        check_fields(row, _START_ROW_FIELDS, "distribution start row")
         pairs = []
         for cell in row["steps"]:
-            check_fields(cell, _STEP_FIELDS, _STEP_FIELDS, "start probability")
+            check_fields(cell, _STEP_FIELDS, "start probability")
             pairs.append((int(cell["t"]),
                           Fraction(int(cell["p_num"]), int(cell["p_den"]))))
         start_steps[int(row["vehicle"])] = tuple(pairs)

@@ -54,3 +54,30 @@ def delay_net():
     """One 100 km edge with two profiles: flat zero and a 2-step bump at t>=2."""
     profiles = {0: {}, 1: {(0, 2): 2, (0, 3): 2, (0, 4): 2, (0, 5): 2}}
     return make_net([(0, 0, 1, 100, 3, (0, 1))], profiles=profiles)
+
+
+def random_corridor(rng, n_profiles=2, max_budget=3, max_vehicles=4):
+    """A seeded small instance: a line of up to 5 hubs with edges both
+    ways, ``n_profiles`` short delay profiles admissible everywhere, and
+    2 to ``max_vehicles`` trucks on random sub-routes."""
+    n_hubs = rng.randint(2, 5)
+    profiles = {pid: {(eid, t): rng.randint(0, 2)
+                      for eid in range(2 * (n_hubs - 1)) for t in range(16)
+                      if rng.random() < 0.3}
+                for pid in range(n_profiles)}
+    rows = []
+    for k in range(n_hubs - 1):
+        km = rng.choice((50, 100, 150))
+        base = rng.randint(1, 3)
+        rows.append((2 * k, k, k + 1, km, base, tuple(range(n_profiles))))
+        rows.append((2 * k + 1, k + 1, k, km, base, tuple(range(n_profiles))))
+    vrows = []
+    for vid in range(rng.randint(2, max_vehicles)):
+        a = rng.randrange(n_hubs - 1)
+        b = rng.randrange(a, n_hubs - 1)
+        if rng.random() < 0.5:
+            seq = tuple(2 * k for k in range(a, b + 1))
+        else:
+            seq = tuple(2 * k + 1 for k in range(b, a - 1, -1))
+        vrows.append((vid, seq, rng.randint(0, 3), rng.randint(0, max_budget)))
+    return make_game(make_net(rows, profiles=profiles), vrows)

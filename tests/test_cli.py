@@ -162,7 +162,8 @@ class TestSolveStatic:
         workdir["fleet"].write_text(json.dumps(doc))
         assert run(["solve-static", "--network", workdir["net"],
                     "--fleet", workdir["fleet"]]) == 1
-        assert "error: " in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: vehicle field 'edge_sequence' "
+                                           "must be an array of integers, not 5\n")
 
     def test_wrong_typed_scenario_field(self, workdir, capsys):
         doc = json.loads(workdir["scenario"].read_text())
@@ -171,7 +172,27 @@ class TestSolveStatic:
         assert run(["solve-static", "--network", workdir["net"],
                     "--fleet", workdir["fleet"],
                     "--scenario", workdir["scenario"]]) == 1
-        assert "error: " in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: scenario field 'profile_assignment' "
+                                           "must be an object, not []\n")
+
+    @pytest.mark.parametrize("file, edit, message", [
+        ("net", lambda d: d["edges"][0].update(length_km="far"),
+         "edge field 'length_km' must be a number, not \"far\""),
+        ("net", lambda d: d["edges"][1].update(delay_profile_ids=[0, True]),
+         "edge field 'delay_profile_ids' must be an array of integers, not [0, true]"),
+        ("fleet", lambda d: d[1].update(start_step=1.5),
+         "vehicle field 'start_step' must be an integer, not 1.5"),
+        ("dist", lambda d: d["starts"][0]["steps"][0].update(p_den=None),
+         "start probability field 'p_den' must be an integer, not null"),
+    ])
+    def test_wrong_typed_field_is_named(self, workdir, capsys, file, edit, message):
+        doc = json.loads(workdir[file].read_text())
+        edit(doc)
+        workdir[file].write_text(json.dumps(doc))
+        assert run(["solve-static", "--network", workdir["net"],
+                    "--fleet", workdir["fleet"],
+                    "--distribution", workdir["dist"]]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("extra", [[], ["--track-potential"]])
     def test_inadmissible_scenario_profile(self, workdir, capsys, extra):

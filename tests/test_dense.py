@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_game, make_net
-from hubplatoon.dense import TableLimitError, dense_delay_row, scaled_weights
+from hubplatoon.dense import TableLimitError, scaled_weights
 from hubplatoon.feedback import PolicySpec, run_closed_loop
 from hubplatoon.game import Scenario
 from hubplatoon.network import DelayProfile
@@ -64,14 +64,25 @@ class TestScaledWeights:
 
 class TestDenseRows:
     def test_delay_row_matches_profile_lookup(self):
-        prof = DelayProfile(id=0, delay_at={(5, 2): 3, (5, 4): 1})
-        row = dense_delay_row(prof, 5, 0, 6)
-        assert row.tolist() == [prof.delay(5, t) for t in range(6)]
+        edges = make_net([(5, 0, 1, 100, 4), (6, 1, 2, 100, 2)]).edges
+        prof = DelayProfile(id=0, delay_at={(5, 2): 3, (5, 4): 1, (5, 9): 7,
+                                            (5, -1): 2, (6, 3): 5})
+        travel = ProfileTravel(edges, {5: prof})
+        for t0, t1 in ((0, 6), (2, 3), (3, 4), (-3, 12), (10, 14)):
+            row = travel.dense_row(5, t0, t1)
+            assert row.tolist() == [travel(5, t) for t in range(t0, t1)]
+        assert travel.dense_row(6, 0, 5).tolist() == [2] * 5  # free flow
+        assert travel.max_extra(5) == 7 and travel.max_extra(6) == 0
 
     def test_negative_delay_rejected(self):
-        prof = DelayProfile(id=0, delay_at={(1, 0): -2})
+        edges = make_net([(1, 0, 1, 100, 3)]).edges
+        prof = DelayProfile(id=0, delay_at={(1, 0): -2, (1, 4): 1})
+        travel = ProfileTravel(edges, {1: prof})
         with pytest.raises(TableLimitError):
-            dense_delay_row(prof, 1, 0, 3)
+            travel.dense_row(1, 0, 3)
+        # outside the window the negative entry is not read
+        assert travel.dense_row(1, 1, 6).tolist() == [3, 3, 3, 4, 3]
+        assert travel.max_extra(1) == 1
 
 
 class TestDeterministicEquivalence:

@@ -331,7 +331,8 @@ class TestConfigIO:
             config_from_dict([1, 2])
         with pytest.raises(FormatError, match="bad config"):
             config_from_dict({"samples": 0})
-        with pytest.raises(FormatError, match="bad config"):
+        with pytest.raises(FormatError,
+                           match="config field 'samples' must be an integer"):
             config_from_dict({"samples": "many"})
 
     def test_load_config(self, tmp_path):

@@ -1,17 +1,23 @@
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
-from conftest import make_game, make_net
+from conftest import make_game, make_net, random_corridor
+from hubplatoon import feedback
 from hubplatoon.errors import (InputError, ModelInconsistencyError,
                                NonConvergenceError)
-from hubplatoon.feedback import (PolicySpec, SimulationTrace, TraceEvent,
-                                 VehicleState, WorldState, _mean_profiles,
-                                 build_views, conditional_distribution,
+from hubplatoon.experiments import (ExperimentConfig, prepare_network,
+                                    run_sample)
+from hubplatoon.feedback import (Belief, PolicySpec, SimulationTrace,
+                                 TraceEvent, VehicleState, WorldState,
+                                 _mean_profile, build_views,
+                                 conditional_distribution,
                                  detect_decision_instance, gating_steps,
                                  run_closed_loop, step_world)
 from hubplatoon.game import Scenario, deterministic_scenario
+from hubplatoon.network import load_network
 from hubplatoon.solver import ProfileTravel, horizon_departure_times
 from hubplatoon.stochastic import (ScenarioDistribution,
                                    uniform_profile_distribution)
@@ -180,6 +186,154 @@ class TestConditioning:
         assert set(trace.finish_steps) == {0, 1}
 
 
+def visible_reference(posterior, views):
+    """The marginals a horizon game reads, cut from a full posterior."""
+    edges = {eid for v in views for eid in v.window_edges}
+    edges |= {v.current_edge for v in views if v.current_edge is not None}
+    vids = {v.vid for v in views if v.kind == "pending"}
+    return ([(eid, pairs) for eid, pairs in posterior.edge_profiles.items()
+             if eid in edges],
+            [(vid, pairs) for vid, pairs in posterior.start_steps.items()
+             if vid in vids])
+
+
+def bundled(name):
+    with resources.as_file(resources.files("hubplatoon") / "data"
+                           / f"{name}.json") as path:
+        return prepare_network(load_network(path), ExperimentConfig())
+
+
+class TestBelief:
+    """The run's belief against ``conditional_distribution``, the full
+    recomputation from the prior, at every decision instance."""
+
+    @pytest.mark.parametrize("kind", ["drhs", "srhs"])
+    @pytest.mark.parametrize("name, vehicles", [("synthetic10", 30), ("sweden", 20)])
+    def test_equals_full_recomputation(self, monkeypatch, kind, name, vehicles):
+        original = getattr(feedback, f"{kind}_decide")
+        checked = []
+
+        def checking(game, world, belief, eligible, policy, **kw):
+            assert isinstance(belief, Belief)
+            solved = original(game, world, belief, eligible, policy, **kw)
+            posterior = conditional_distribution(belief.prior, world, game)
+            views = build_views(game, world, eligible, policy.horizon)
+            edges, starts = visible_reference(posterior, views)
+            visible = belief.visible(views, world.now)
+            assert list(visible.edge_profiles.items()) == edges
+            assert list(visible.start_steps.items()) == starts
+            for eid, pairs in edges:
+                assert belief.mean_profile(eid) == _mean_profile(game, eid, pairs), \
+                    (world.now, eid)
+            checked.append(world.now)
+            return solved
+
+        monkeypatch.setattr(feedback, f"{kind}_decide", checking)
+        config = ExperimentConfig(vehicle_count=vehicles, samples=1,
+                                  master_seed=31, policies=(kind,))
+        _fleet, traces = run_sample(bundled(name), config, 0)
+        decides = [e.t for e in traces[kind].events if e.kind == "decide"]
+        assert len(checked) >= 20 and len(checked) >= len(decides)
+
+    @staticmethod
+    def raises_like_reference(monkeypatch, game, prior, truth, kind):
+        """Run with the reference computed before every decision; the
+        belief must raise exactly when and what the reference raises.
+        Returns the (step, message) of the raise, or None."""
+        original = getattr(feedback, f"{kind}_decide")
+        raised = []
+
+        def checking(game, world, belief, eligible, policy, **kw):
+            try:
+                conditional_distribution(belief.prior, world, game)
+                expected = None
+            except ModelInconsistencyError as exc:
+                expected = str(exc)
+            try:
+                solved = original(game, world, belief, eligible, policy, **kw)
+            except ModelInconsistencyError as exc:
+                assert str(exc) == expected, world.now
+                raised.append((world.now, expected))
+                raise
+            assert expected is None, (world.now, expected)
+            return solved
+
+        monkeypatch.setattr(feedback, f"{kind}_decide", checking)
+        try:
+            run_closed_loop(game, prior, truth, PolicySpec(kind=kind), seed=5)
+        except ModelInconsistencyError:
+            assert raised
+        return raised[0] if raised else None
+
+    @staticmethod
+    def contradicted(case):
+        """Edges 0 and 2 take 3 steps under profile 0 and 5 under profile
+        1, which the truth has; truck 0 drives edges 0 and 1, trucks 1 and
+        2 drive edge 2. None of them may wait."""
+        net = make_net([(0, 0, 1, 100, 3, (0, 1)), (1, 1, 2, 100, 3),
+                        (2, 3, 4, 100, 3, (0, 1))],
+                       profiles={0: {}, 1: {(e, t): 2 for e in (0, 2)
+                                            for t in range(20)}})
+        starts = {"en_route": (3, 9), "arrival": (9, 2), "start": (9, 2),
+                  "two_edges": (0, 9)}[case]
+        game = make_game(net, [(0, (0, 1), 0, 0), (1, (2,), starts[0], 0),
+                               (2, (2,), starts[1], 0)])
+        flat = ((0, ONE),)
+        both = ((0, HALF), (1, HALF))
+        late = ((1, HALF), (2, HALF)) if case == "start" else ((starts[0], ONE),)
+        prior = ScenarioDistribution(
+            edge_profiles={2: flat if case == "two_edges" else both,
+                           0: both if case == "start" else flat},
+            start_steps={0: ((0, ONE),), 1: late, 2: ((starts[1], ONE),)})
+        truth = Scenario(profile_assignment={0: 1, 2: 1},
+                         start_steps={0: 0, 1: starts[0], 2: starts[1]})
+        return game, prior, truth
+
+    @pytest.mark.parametrize("kind", ["drhs", "srhs"])
+    @pytest.mark.parametrize("case, step, message", [
+        # truck 0 is still on edge 0 when the prior's only profile says it
+        # has arrived; truck 1's start opens the instance
+        ("en_route", 3, "every profile on edge 0 is contradicted by observations"),
+        # truck 0 arrives after 5 steps where the prior allows 3
+        ("arrival", 5, "every profile on edge 0 is contradicted by observations"),
+        # truck 1 has not started by its last possible start step
+        ("start", 2, "vehicle 1 has not appeared but every start step is <= 2"),
+        # trucks 0 and 1 contradict two edges at once: the first in the
+        # prior's order is named
+        ("two_edges", 5, "every profile on edge 2 is contradicted by observations"),
+    ])
+    def test_contradiction_raises_the_reference_error(self, monkeypatch, kind,
+                                                      case, step, message):
+        game, prior, truth = self.contradicted(case)
+        assert self.raises_like_reference(monkeypatch, game, prior, truth,
+                                          kind) == (step, message)
+
+    @pytest.mark.parametrize("kind", ["drhs", "srhs"])
+    def test_seeded_priors_that_exclude_the_truth(self, monkeypatch, kind):
+        rng = random.Random(4141)
+        raised = 0
+        for _case in range(40):
+            game = random_corridor(rng, n_profiles=3)
+            truth = Scenario(
+                profile_assignment={eid: rng.randrange(3) for eid in game.net.edges},
+                start_steps={vid: game.fleet[vid].start_step + rng.randint(0, 2)
+                             for vid in game.vehicle_ids})
+            edge_profiles = {}
+            for eid in sorted(game.net.edges):
+                pids = rng.sample(range(3), rng.randint(1, 2))
+                edge_profiles[eid] = tuple((p, Fraction(1, len(pids))) for p in pids)
+            start_steps = {}
+            for vid in game.vehicle_ids:
+                first = game.fleet[vid].start_step
+                steps = rng.sample(range(first, first + 3), rng.randint(1, 2))
+                start_steps[vid] = tuple((t, Fraction(1, len(steps))) for t in steps)
+            prior = ScenarioDistribution(edge_profiles=edge_profiles,
+                                         start_steps=start_steps)
+            raised += self.raises_like_reference(monkeypatch, game, prior,
+                                                 truth, kind) is not None
+        assert raised >= 10
+
+
 class TestHorizonViews:
     def setup_game(self):
         net = make_net([(k, k, k + 1, 100, 3) for k in range(5)])
@@ -252,6 +406,11 @@ class TestHorizonViews:
             horizon_departure_times(view, (1, 0), 4, travel)
 
 
+def mean_profiles(game, posterior):
+    return {eid: _mean_profile(game, eid, pairs)
+            for eid, pairs in posterior.edge_profiles.items()}
+
+
 class TestMeanProfile:
     """The drhs world's delays against the scalar definition of the
     rounded posterior mean."""
@@ -265,7 +424,7 @@ class TestMeanProfile:
             sum(p * profiles[pid].delay(eid, t) for pid, p in pairs))
 
     def check(self, game, posterior):
-        travel = ProfileTravel(game.net.edges, _mean_profiles(game, posterior))
+        travel = ProfileTravel(game.net.edges, mean_profiles(game, posterior))
         for eid, pairs in posterior.edge_profiles.items():
             for t in self.WINDOW:
                 assert travel(eid, t) == self.reference(game, pairs, eid, t), \
@@ -303,13 +462,13 @@ class TestMeanProfile:
         game = make_game(net, [(0, (0, 1), 0, 2)])
         posterior = ScenarioDistribution(
             edge_profiles={0: ((0, HALF), (1, HALF))}, start_steps={})
-        travel = ProfileTravel(net.edges, _mean_profiles(game, posterior))
+        travel = ProfileTravel(net.edges, mean_profiles(game, posterior))
         assert [travel(0, t) for t in range(5)] == [6, 2, 5, 3, 4]
         self.check(game, posterior)
         # a profile whose entries all lie on another edge adds nothing
         posterior = ScenarioDistribution(
             edge_profiles={0: ((1, HALF), (2, HALF))}, start_steps={})
-        travel = ProfileTravel(net.edges, _mean_profiles(game, posterior))
+        travel = ProfileTravel(net.edges, mean_profiles(game, posterior))
         assert [travel(0, t) for t in range(4)] == [5, 3, 5, 3]
         self.check(game, posterior)
 
