@@ -258,11 +258,12 @@ class TestBelief:
             assert expected is None, (world.now, expected)
             return solved
 
-        monkeypatch.setattr(feedback, f"{kind}_decide", checking)
-        try:
-            run_closed_loop(game, prior, truth, PolicySpec(kind=kind), seed=5)
-        except ModelInconsistencyError:
-            assert raised
+        with monkeypatch.context() as patch:
+            patch.setattr(feedback, f"{kind}_decide", checking)
+            try:
+                run_closed_loop(game, prior, truth, PolicySpec(kind=kind), seed=5)
+            except ModelInconsistencyError:
+                assert raised
         return raised[0] if raised else None
 
     @staticmethod
