@@ -404,7 +404,7 @@ def _mean_profile(game: CoordinationGame, eid: int,
     for pid, p in pairs:
         weight = p.numerator * (scale // p.denominator)
         steps, delays, _top = profiles[pid].on_edge(eid)
-        for t, d in zip(steps.tolist(), delays.tolist()):
+        for t, d in zip(steps, delays):
             totals[t] = totals.get(t, 0) + weight * d
     return DelayProfile(id=-1, delay_at={  # not a network profile
         (eid, t): round_ratio(total, scale) for t, total in totals.items()})

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .errors import FormatError, InputError
 
 UNREACHABLE = math.inf
@@ -53,16 +51,16 @@ class DelayProfile:
     def delay(self, edge_id: int, entry_step: int) -> int:
         return self.delay_at.get((edge_id, entry_step), 0)
 
-    def on_edge(self, edge_id: int) -> tuple[np.ndarray, np.ndarray, int]:
+    def on_edge(self, edge_id: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         """The entries on one edge: sorted entry steps, their delays, and
-        the largest delay (0 when there is none)."""
+        the largest delay (0 when there is none), all exact integers."""
         got = self._by_edge.get(edge_id)
         if got is None:
             entries = sorted((t, d) for (e, t), d in self.delay_at.items()
                              if e == edge_id)
-            steps = np.array([t for t, _d in entries], dtype=np.int32)
-            delays = np.array([d for _t, d in entries], dtype=np.int32)
-            got = (steps, delays, max((d for _t, d in entries), default=0))
+            steps = tuple(t for t, _d in entries)
+            delays = tuple(d for _t, d in entries)
+            got = (steps, delays, max(delays, default=0))
             self._by_edge[edge_id] = got
         return got
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -134,12 +135,12 @@ class ProfileTravel:
         prof = self._profiles.get(eid)
         if prof is not None:
             steps, delays, _top = prof.on_edge(eid)
-            lo, hi = np.searchsorted(steps, (t0, t1))
+            lo, hi = bisect_left(steps, t0), bisect_left(steps, t1)
             if lo < hi:
                 window = delays[lo:hi]
-                if window.min() < 0:
+                if min(window) < 0:
                     raise TableLimitError(f"negative delay on edge {eid}")
-                row[steps[lo:hi] - t0] += window
+                row[np.subtract(steps[lo:hi], t0)] += window
         return row
 
 
@@ -168,8 +169,9 @@ class WorldsOracle:
     A world is (probability, avail map, travel model): when each vehicle
     can first leave its span's first node, and the travel steps in force.
     Rewards count only a vehicle's own window edges; waiting cost covers
-    its span. Values come from the dense table when it fits, otherwise
-    from ``_values_by_loop``, the reference the table is checked against.
+    its span. Scaled values come from the dense table when it fits,
+    otherwise from ``_scaled_by_loop``, the reference the table is checked
+    against.
     """
 
     approximate = False
@@ -237,10 +239,6 @@ class WorldsOracle:
             for key in zip(view.window_edges, entries):
                 counts[key] = counts.get(key, 0) + 1
         return counts
-
-    def _values_by_loop(self, vid: int, actions: Sequence[Sequence[int]],
-                        profile: Mapping[int, Sequence[int]]) -> list:
-        return self._typed(self._scaled_by_loop(vid, actions, profile))
 
     def _scaled_by_loop(self, vid: int, actions: Sequence[Sequence[int]],
                         profile: Mapping[int, Sequence[int]]) -> list[int]:

@@ -99,8 +99,8 @@ class TestDeterministicEquivalence:
             for _trial in range(3):
                 profile = random_profile(rng, spaces)
                 for vid in game.vehicle_ids:
-                    fast = oracle.action_values(vid, spaces[vid], profile)
-                    slow = oracle._values_by_loop(vid, spaces[vid], profile)
+                    fast = list(oracle.scaled_values(vid, spaces[vid], profile))
+                    slow = oracle._scaled_by_loop(vid, spaces[vid], profile)
                     assert fast == slow
                     checked += len(fast)
         assert checked > 1000
@@ -113,8 +113,20 @@ class TestDeterministicEquivalence:
         oracle = DeterministicOracle(game, s)
         profile = {0: (0,), 1: (1,)}
         space = enumerate_actions(1, 2)
-        assert oracle.action_values(0, space, profile) == \
-            oracle._values_by_loop(0, space, profile)
+        assert list(oracle.scaled_values(0, space, profile)) == \
+            oracle._scaled_by_loop(0, space, profile)
+
+    def test_falls_back_on_delay_beyond_32_bits(self):
+        net = make_net([(0, 0, 1, 100, 3, (7,))],
+                       profiles={7: {(0, 1): 2 ** 31, (0, 2): 2 ** 64}})
+        game = make_game(net, [(0, (0,), 0, 2), (1, (0,), 0, 2)])
+        s = Scenario(profile_assignment={0: 7}, start_steps={})
+        oracle = DeterministicOracle(game, s)
+        profile = {0: (0,), 1: (1,)}
+        space = enumerate_actions(1, 2)
+        assert list(oracle.scaled_values(0, space, profile)) == \
+            oracle._scaled_by_loop(0, space, profile)
+        assert oracle._no_table is True
 
 
 class TestStochasticEquivalence:
@@ -127,8 +139,8 @@ class TestStochasticEquivalence:
             spaces = spaces_for_fleet(game.fleet.values())
             profile = random_profile(rng, spaces)
             for vid in game.vehicle_ids:
-                fast = oracle.action_values(vid, spaces[vid], profile)
-                slow = oracle._values_by_loop(vid, spaces[vid], profile)
+                fast = list(oracle.scaled_values(vid, spaces[vid], profile))
+                slow = oracle._scaled_by_loop(vid, spaces[vid], profile)
                 assert fast == slow
 
     def test_sampled_oracle_matches_loops(self):
@@ -140,8 +152,8 @@ class TestStochasticEquivalence:
             spaces = spaces_for_fleet(game.fleet.values())
             profile = random_profile(rng, spaces)
             for vid in game.vehicle_ids:
-                fast = oracle.action_values(vid, spaces[vid], profile)
-                slow = oracle._values_by_loop(vid, spaces[vid], profile)
+                fast = list(oracle.scaled_values(vid, spaces[vid], profile))
+                slow = oracle._scaled_by_loop(vid, spaces[vid], profile)
                 assert fast == slow
 
     def test_tiny_probability_falls_back(self):
@@ -155,8 +167,8 @@ class TestStochasticEquivalence:
         oracle = ExpectedUtilityOracle(game, dist)
         space = enumerate_actions(1, 1)
         profile = {0: (0,), 1: (0,)}
-        vals = oracle.action_values(0, space, profile)
-        assert vals == oracle._values_by_loop(0, space, profile)
+        vals = list(oracle.scaled_values(0, space, profile))
+        assert vals == oracle._scaled_by_loop(0, space, profile)
         assert oracle._no_table is True
 
 

@@ -473,6 +473,20 @@ class TestMeanProfile:
         assert [travel(0, t) for t in range(4)] == [5, 3, 5, 3]
         self.check(game, posterior)
 
+    def test_delays_beyond_32_bits_stay_exact(self):
+        big = 2 ** 31
+        profiles = {0: {(0, 0): big, (0, 1): 2 ** 64 + 1},
+                    1: {(0, 0): big + 1, (0, 1): 0}}
+        net = make_net([(0, 0, 1, 100, 4)], profiles=profiles)
+        game = make_game(net, [(0, (0,), 0, 2)])
+        posterior = ScenarioDistribution(
+            edge_profiles={0: ((0, HALF), (1, HALF))}, start_steps={})
+        travel = ProfileTravel(net.edges, mean_profiles(game, posterior))
+        assert [travel(0, t) for t in range(3)] == \
+            [4 + big + 1, 4 + 2 ** 63 + 1, 4]
+        assert travel.max_extra(0) == 2 ** 63 + 1
+        self.check(game, posterior)
+
 
 class TestStepWorld:
     def test_wait_burns_budget_and_departure_rewards(self):

@@ -1,18 +1,23 @@
 """Compare two checkouts on the benchmark, in alternating pairs.
 
-Usage (from the root of a checkout):
+Usage (from the root of a checkout of the change):
 
-    git worktree add ../parent HEAD~1
+    git worktree add ../parent <parent>
     python3 tools/bench_pairs.py --parent ../parent --change . --pr 6 \
         --pairs country-mc=10,corridor-mc=3,exact-plan=3 --seed 601
 
+``<parent>`` is the commit the change starts from, not ``HEAD~1`` when
+the change has several commits; on a branch of its own it is
+``$(git merge-base HEAD main)``.
+
 Each pair runs ``perfbench/run.py`` once in each checkout on the same
-seed, one after the other; the order flips from one pair to the next, so
-a drift of the machine's speed hits both sides alike. Pair ``i`` uses
-seed ``--seed + i``. ``BENCH_<pr>.json`` gets, per workload and
-end-to-end metric, the median and quartiles of each side and the number
-of pairs the change won. It is rewritten after every pair, so an
-interrupted comparison keeps the pairs it finished.
+seed, for BENCHMARK.json's ``run_seconds``, one after the other; the
+order flips from one pair to the next, so a drift of the machine's speed
+hits both sides alike. Pair ``i`` uses seed ``--seed + i``.
+``BENCH_<pr>.json`` gets, per workload and end-to-end metric, the median
+and quartiles of each side and the number of pairs the change won. It is
+rewritten after every pair, so an interrupted comparison keeps the pairs
+it finished.
 """
 
 from __future__ import annotations
@@ -39,15 +44,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def label(checkout: Path) -> str:
-    """The checkout's commit, or its directory name outside git."""
-    try:
-        done = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
-                              capture_output=True, text=True, check=True)
-    except (OSError, subprocess.CalledProcessError):
-        return checkout.resolve().name
-    dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
-                           cwd=checkout, capture_output=True, text=True).stdout.strip()
-    return done.stdout.strip() + (" with uncommitted changes" if dirty else "")
+    """The checkout's commit."""
+    return subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
+                          capture_output=True, text=True, check=True).stdout.strip()
 
 
 def spread(values: list[float]) -> dict:
@@ -90,13 +89,11 @@ def main(argv=None) -> int:
                         help="pairs per workload, e.g. country-mc=10,exact-plan=3")
     parser.add_argument("--seed", type=int, required=True,
                         help="seed of the first pair; pair i uses seed + i")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="measured seconds per run (default: BENCHMARK.json's)")
     parser.add_argument("--out-dir", type=Path, default=Path("."),
                         help="where BENCH_<pr>.json is written")
     args = parser.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     checkouts = {"parent": args.parent, "change": args.change}
     doc = {"pr": args.pr, "seconds": seconds, "first_seed": args.seed,
            "sides": {side: label(path) for side, path in checkouts.items()},
