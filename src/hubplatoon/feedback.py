@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 from .errors import InputError, ModelInconsistencyError, NonConvergenceError
 from .game import (CoordinationGame, Scenario, round_half_away, round_ratio,
                    zero_profile)
-from .network import DelayProfile, travel_time
+from .network import DelayProfile
 from .seeding import derive_seed
 from .solver import (DEFAULT_ROUND_CAP, DeterministicOracle, HorizonView,
                      ProfileTravel, WorldsOracle, enumerate_actions, nash_seek,
@@ -472,11 +472,12 @@ def srhs_decide(game: CoordinationGame, world: WorldState,
 
 
 def step_world(game: CoordinationGame, world: WorldState,
-               truth_profiles, events: list[TraceEvent]) -> None:
+               truth: ProfileTravel, events: list[TraceEvent]) -> None:
     """Execute one step: committed zero-waits depart, positive waits burn one.
 
     Decision logic has already run for this step; this applies plans
-    against the ground truth, forms platoons, and advances the clock.
+    against the ground truth's travel times, forms platoons, and advances
+    the clock.
     """
     now = world.now
     departures: dict[int, list[int]] = {}  # same step => same entry time
@@ -496,8 +497,7 @@ def step_world(game: CoordinationGame, world: WorldState,
             events.append(TraceEvent(now, "wait", {"vehicle": vid, "node": k}))
             continue
         eid = seq[k]
-        edge = game.net.edges[eid]
-        steps = travel_time(edge, now, truth_profiles)
+        steps = truth(eid, now)
         state.status = "on_edge"
         state.edge_index = k
         state.entered_at = now
@@ -590,7 +590,7 @@ def run_closed_loop(game: CoordinationGame, dist: ScenarioDistribution,
     reuse the open-loop plan instead of recomputing it; it must equal
     open_loop_anchor(...) for the same seed, or determinism breaks.
     """
-    truth_profiles = game.resolve_profiles(truth)
+    truth_travel = ProfileTravel(game.net.edges, scenario_profiles(game, truth))
     plans: dict[int, tuple[int, ...]]
     if policy.kind == "sp":
         plans = {vid: (0,) * len(game.fleet[vid].edge_sequence)
@@ -638,7 +638,7 @@ def run_closed_loop(game: CoordinationGame, dist: ScenarioDistribution,
                                          {"eligible": list(eligible),
                                           "waits": {str(v): list(w.values())
                                                     for v, w in sorted(solved.items())}}))
-        step_world(game, world, truth_profiles, events)
+        step_world(game, world, truth_travel, events)
         steps += 1
         if steps > max_steps:
             raise NonConvergenceError(f"simulation exceeded {max_steps} steps")

@@ -7,19 +7,20 @@ grows with platoon size; waiting costs money per step. All money is
 integer centi-SEK. The game admits an exact potential: the change in any
 vehicle's utility under a unilateral change of its waiting vector equals
 the change of the potential, which is what makes best-response iteration
-terminate.
+terminate. Utilities and the potential are computed by
+``solver.WorldsOracle``; this module holds the game's data and checks.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import FormatError, InputError
-from .network import (INTEGER, INTEGERS, OBJECT, DelayProfile, RoadNetwork,
-                      check_fields, load_json, travel_time)
+from .network import (INTEGER, INTEGERS, OBJECT, RoadNetwork, check_fields,
+                      load_json)
 
 DEFAULT_KM_REWARD_CENTI = 170     # 1.70 SEK saved per platooned km
 DEFAULT_STEP_COST_CENTI = 2200    # 22 SEK per waited 5-minute step
@@ -120,7 +121,7 @@ class WaitingCostModel:
 
 
 class CoordinationGame:
-    """Deterministic coordination game bound to a network and a fleet."""
+    """A network, a fleet with checked routes, and the money models."""
 
     def __init__(self, net: RoadNetwork, fleet: Sequence[VehicleSpec],
                  reward_model: RewardModel | None = None,
@@ -150,99 +151,11 @@ class CoordinationGame:
                     f"vehicle {v.id} route breaks at edge {eid}: tail {edge.tail} != {prev_head}")
             prev_head = edge.head
 
-    def resolve_profiles(self, scenario: Scenario) -> dict[int, DelayProfile]:
-        out: dict[int, DelayProfile] = {}
-        for eid, pid in scenario.profile_assignment.items():
-            if eid not in self.net.edges:
-                raise InputError(f"scenario assigns a profile to unknown edge {eid}")
-            prof = self.net.delay_profiles.get(pid)
-            if prof is None:
-                raise InputError(f"scenario references unknown delay profile {pid}")
-            out[eid] = prof
-        return out
-
     def start_of(self, vid: int, scenario: Scenario) -> int:
         try:
             return scenario.start_steps[vid]
         except KeyError:
             return self.fleet[vid].start_step
-
-    def departure_times(self, vid: int, waits: Sequence[int],
-                        scenario: Scenario,
-                        profiles: Mapping[int, DelayProfile] | None = None) -> tuple[int, ...]:
-        """Step at which the vehicle enters each route edge.
-
-        waits[k] is the wait at the k-th route node (the destination has
-        none); entry to edge k happens after arriving at node k and
-        waiting, so entries are strictly increasing.
-        """
-        v = self.fleet[vid]
-        if len(waits) != len(v.edge_sequence):
-            raise InputError(
-                f"vehicle {vid} needs {len(v.edge_sequence)} waits, got {len(waits)}")
-        if profiles is None:
-            profiles = self.resolve_profiles(scenario)
-        out = []
-        t = self.start_of(vid, scenario) + waits[0]
-        out.append(t)
-        for k in range(1, len(v.edge_sequence)):
-            prev_edge = self.net.edges[v.edge_sequence[k - 1]]
-            t = t + travel_time(prev_edge, t, profiles) + waits[k]
-            out.append(t)
-        return tuple(out)
-
-    def platoon_sets(self, profile: Mapping[int, Sequence[int]],
-                     scenario: Scenario) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Group vehicles by (edge id, entry step); values sorted by id."""
-        self._check_profile(profile)
-        profiles = self.resolve_profiles(scenario)
-        groups: dict[tuple[int, int], list[int]] = {}
-        for vid in self.vehicle_ids:
-            entries = self.departure_times(vid, profile[vid], scenario, profiles)
-            for eid, t in zip(self.fleet[vid].edge_sequence, entries):
-                groups.setdefault((eid, t), []).append(vid)
-        return {key: tuple(sorted(vids)) for key, vids in groups.items()}
-
-    def utility(self, vid: int, profile: Mapping[int, Sequence[int]],
-                scenario: Scenario) -> int:
-        """Platoon rewards along the route minus the waiting cost, centi-SEK."""
-        groups = self.platoon_sets(profile, scenario)
-        profiles = self.resolve_profiles(scenario)
-        entries = self.departure_times(vid, profile[vid], scenario, profiles)
-        total = 0
-        for eid, t in zip(self.fleet[vid].edge_sequence, entries):
-            edge = self.net.edges[eid]
-            total += self.reward_model.reward(len(groups[(eid, t)]), edge)
-        return total - self.cost_model.cost(profile[vid])
-
-    def potential(self, profile: Mapping[int, Sequence[int]],
-                  scenario: Scenario) -> int:
-        """Exact potential: cumulative platoon value minus all waiting costs.
-
-        A unilateral change of one vehicle's waits moves this by exactly
-        that vehicle's utility change.
-        """
-        groups = self.platoon_sets(profile, scenario)
-        total = 0
-        for (eid, _t), members in groups.items():
-            total += self.reward_model.cumulative(len(members), self.net.edges[eid])
-        for vid in self.vehicle_ids:
-            total -= self.cost_model.cost(profile[vid])
-        return total
-
-    def _check_profile(self, profile: Mapping[int, Sequence[int]]) -> None:
-        if set(profile) != set(self.vehicle_ids):
-            raise InputError("action profile ids do not match the fleet")
-
-    def check_budgets(self, profile: Mapping[int, Sequence[int]]) -> None:
-        self._check_profile(profile)
-        for vid, waits in profile.items():
-            v = self.fleet[vid]
-            if any(w < 0 for w in waits):
-                raise InputError(f"vehicle {vid} has a negative wait")
-            if sum(waits) > v.waiting_budget_steps:
-                raise InputError(
-                    f"vehicle {vid} waits {sum(waits)} > budget {v.waiting_budget_steps}")
 
 
 def zero_profile(fleet: Sequence[VehicleSpec]) -> dict[int, tuple[int, ...]]:
@@ -256,7 +169,7 @@ def deterministic_scenario(net: RoadNetwork, fleet: Sequence[VehicleSpec],
                     start_steps={v.id: v.start_step for v in fleet})
 
 
-# --- fleet / profile / scenario serialization ---------------------------
+# --- fleet / scenario serialization --------------------------------------
 
 _VEHICLE_FIELDS = {"id": INTEGER, "edge_sequence": INTEGERS,
                    "start_step": INTEGER, "waiting_budget_steps": INTEGER}
@@ -291,16 +204,6 @@ def save_fleet(fleet: Sequence[VehicleSpec], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(fleet_to_list(fleet), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def profile_to_dict(profile: Mapping[int, Sequence[int]]) -> dict:
-    return {str(vid): list(waits) for vid, waits in sorted(profile.items())}
-
-
-def profile_from_dict(doc: dict) -> dict[int, tuple[int, ...]]:
-    if not isinstance(doc, dict):
-        raise FormatError("profile document must be an object")
-    return {int(vid): tuple(int(w) for w in waits) for vid, waits in doc.items()}
 
 
 def scenario_from_dict(doc: dict) -> Scenario:

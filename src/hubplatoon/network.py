@@ -87,22 +87,6 @@ class RoadNetwork:
         return self.adjacency.get(hub_id, ())
 
 
-def travel_time(edge: Edge, entry_step: int,
-                profiles: Mapping[int, DelayProfile]) -> int:
-    """Realized travel steps for entering ``edge`` at ``entry_step``.
-
-    ``profiles`` maps edge id to the delay profile in force on that edge.
-    An edge missing from the map travels at free flow.
-    """
-    profile = profiles.get(edge.id)
-    if profile is None:
-        return edge.base_travel_steps
-    if edge.delay_profile_ids and profile.id not in edge.delay_profile_ids:
-        raise InputError(
-            f"profile {profile.id} is not admissible on edge {edge.id}")
-    return edge.base_travel_steps + profile.delay(edge.id, entry_step)
-
-
 def validate_network(net: RoadNetwork) -> list[str]:
     """Return human-readable violations; empty list means the model is sound."""
     problems: list[str] = []

@@ -95,14 +95,20 @@ def scenario_profiles(game: CoordinationGame,
                       scenario: Scenario) -> dict[int, DelayProfile]:
     """A scenario's delay profile per edge.
 
-    The assignment is checked once here: every profile must exist and be
-    admissible on its edge.
+    The one place a scenario is resolved: every edge must exist, and every
+    profile must exist and be admissible on its edge.
     """
-    profiles = game.resolve_profiles(scenario)
-    for eid, prof in profiles.items():
-        allowed = game.net.edges[eid].delay_profile_ids
-        if allowed and prof.id not in allowed:
+    profiles: dict[int, DelayProfile] = {}
+    for eid, pid in scenario.profile_assignment.items():
+        edge = game.net.edges.get(eid)
+        if edge is None:
+            raise InputError(f"scenario assigns a profile to unknown edge {eid}")
+        prof = game.net.delay_profiles.get(pid)
+        if prof is None:
+            raise InputError(f"scenario references unknown delay profile {pid}")
+        if edge.delay_profile_ids and prof.id not in edge.delay_profile_ids:
             raise InputError(f"profile {prof.id} is not admissible on edge {eid}")
+        profiles[eid] = prof
     return profiles
 
 

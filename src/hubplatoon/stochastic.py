@@ -194,24 +194,6 @@ def _draw(pairs: Sequence[tuple[int, Fraction]], rng: random.Random) -> int:
     return pairs[-1][0]
 
 
-def expected_utility(game: CoordinationGame, vid: int,
-                     profile: Mapping[int, Sequence[int]],
-                     support: Sequence[tuple[Scenario, Fraction]]) -> Fraction:
-    total = Fraction(0)
-    for scenario, prob in support:
-        total += prob * game.utility(vid, profile, scenario)
-    return total
-
-
-def expected_potential(game: CoordinationGame,
-                       profile: Mapping[int, Sequence[int]],
-                       support: Sequence[tuple[Scenario, Fraction]]) -> Fraction:
-    total = Fraction(0)
-    for scenario, prob in support:
-        total += prob * game.potential(profile, scenario)
-    return total
-
-
 class ExpectedUtilityOracle(WorldsOracle):
     """Exact expectation over an enumerated support."""
 

@@ -81,3 +81,23 @@ def random_corridor(rng, n_profiles=2, max_budget=3, max_vehicles=4):
             seq = tuple(2 * k + 1 for k in range(b, a - 1, -1))
         vrows.append((vid, seq, rng.randint(0, 3), rng.randint(0, max_budget)))
     return make_game(make_net(rows, profiles=profiles), vrows)
+
+
+def reference_inputs(game, scenario):
+    """One scenario of ``game`` as the plain inputs of ``tests/oracles.py``.
+
+    Returns ``vehicles`` (vid -> (start step, route)), ``travel(eid, t)``
+    read straight off the raw ``delay_at`` tables, and ``lengths`` (edge
+    id -> km). Nothing here goes through the package's travel model.
+    """
+    edges, tables = game.net.edges, game.net.delay_profiles
+    vehicles = {vid: (scenario.start_steps.get(vid, v.start_step), v.edge_sequence)
+                for vid, v in game.fleet.items()}
+
+    def travel(eid, t):
+        pid = scenario.profile_assignment.get(eid)
+        extra = 0 if pid is None else tables[pid].delay_at.get((eid, t), 0)
+        return edges[eid].base_travel_steps + extra
+
+    lengths = {eid: e.length_km for eid, e in edges.items()}
+    return vehicles, travel, lengths

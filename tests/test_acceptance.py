@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 from importlib import resources
 
-from conftest import make_game, make_net
+from conftest import make_game, make_net, reference_inputs
 from hubplatoon.cli import main as cli_main
 from hubplatoon.experiments import (ExperimentConfig, run_experiment, sweep,
                                     trace_metrics)
@@ -28,9 +28,9 @@ from hubplatoon.solver import (DeterministicOracle, nash_seek,
 from hubplatoon.stochastic import (ExpectedUtilityOracle,
                                    ScenarioDistribution,
                                    degenerate_distribution, enumerate_support,
-                                   expected_potential, expected_utility,
                                    sample_scenario,
                                    uniform_profile_distribution)
+from oracles import ref_potential, ref_utility
 
 POLICY_LADDER = ("ktt", "srhs", "drhs", "ip", "sp")
 
@@ -119,6 +119,10 @@ def _random_profile(rng, spaces):
 
 
 # --- 1: deviation identity, deterministic --------------------------------
+#
+# Checks 1, 2 and 4 take utilities and potentials from the independent
+# reference in tests/oracles.py. The engine's oracle must equal it wherever
+# it is read, so the engine is never its own reference.
 
 
 def test_deterministic_potential_exactness():
@@ -128,18 +132,23 @@ def test_deterministic_potential_exactness():
     for _case in range(100):
         game = _random_instance(rng)
         scenario = _random_scenario(rng, game)
+        vehicles, travel, lengths = reference_inputs(game, scenario)
+        oracle = DeterministicOracle(game, scenario)
         spaces = spaces_for_fleet(game.fleet.values())
         for _t in range(10):
             profile = _random_profile(rng, spaces)
             vid = rng.choice(sorted(spaces))
             alt = rng.choice(spaces[vid])
-            before = game.potential(profile, scenario)
-            u_before = game.utility(vid, profile, scenario)
             moved = dict(profile)
             moved[vid] = alt
-            d_phi = game.potential(moved, scenario) - before
-            d_u = game.utility(vid, moved, scenario) - u_before
+            phi = [ref_potential(vehicles, p, travel, lengths)
+                   for p in (profile, moved)]
+            u = [ref_utility(vid, vehicles, p, travel, lengths)
+                 for p in (profile, moved)]
+            d_phi, d_u = phi[1] - phi[0], u[1] - u[0]
             assert d_phi == d_u, f"case {_case}: {d_phi} != {d_u}"
+            assert [oracle.potential(p) for p in (profile, moved)] == phi
+            assert [oracle.utility(vid, p) for p in (profile, moved)] == u
             triples += 1
     print(f"[INFO] deterministic potential exactness elapsed: "
           f"{time.monotonic() - t0:.1f}s")
@@ -159,6 +168,9 @@ def test_stochastic_potential_exactness():
         dist = _random_distribution(rng, game)
         support = enumerate_support(dist, 16)
         assert len(support) <= 16
+        worlds = [(prob, reference_inputs(game, scenario))
+                  for scenario, prob in support]
+        oracle = ExpectedUtilityOracle(game, dist, cap=16)
         spaces = spaces_for_fleet(game.fleet.values())
         for _t in range(10):
             profile = _random_profile(rng, spaces)
@@ -166,11 +178,16 @@ def test_stochastic_potential_exactness():
             alt = rng.choice(spaces[vid])
             moved = dict(profile)
             moved[vid] = alt
-            d_phi = expected_potential(game, moved, support) - \
-                expected_potential(game, profile, support)
-            d_u = expected_utility(game, vid, moved, support) - \
-                expected_utility(game, vid, profile, support)
+            phi = [sum(prob * ref_potential(vehicles, p, travel, lengths)
+                       for prob, (vehicles, travel, lengths) in worlds)
+                   for p in (profile, moved)]
+            u = [sum(prob * ref_utility(vid, vehicles, p, travel, lengths)
+                     for prob, (vehicles, travel, lengths) in worlds)
+                 for p in (profile, moved)]
+            d_phi, d_u = phi[1] - phi[0], u[1] - u[0]
             assert d_phi == d_u, f"case {_case}: {d_phi} != {d_u}"
+            assert [oracle.potential(p) for p in (profile, moved)] == phi
+            assert [oracle.utility(vid, p) for p in (profile, moved)] == u
             triples += 1
     print(f"[INFO] stochastic potential exactness elapsed: "
           f"{time.monotonic() - t0:.1f}s")
@@ -220,20 +237,21 @@ def test_brute_force_equilibrium_consistency():
         if joint > 100_000:     # outside the exhaustive regime
             continue
         scenario = _random_scenario(rng, game)
+        vehicles, travel, lengths = reference_inputs(game, scenario)
         oracle = DeterministicOracle(game, scenario)
         vids = sorted(spaces)
         best, best_phi = None, None
         for combo in itertools.product(*(spaces[v] for v in vids)):
             profile = dict(zip(vids, combo))
-            phi = game.potential(profile, scenario)
+            phi = ref_potential(vehicles, profile, travel, lengths)
             if best_phi is None or phi > best_phi:
                 best, best_phi = profile, phi
         assert verify_ne(oracle, spaces, best) is True, \
             f"case {_case}: potential maximizer fails equilibrium check"
         report = solve_deterministic(game, scenario)
         zero = {vid: (0,) * len(game.fleet[vid].edge_sequence) for vid in vids}
-        assert game.potential(report.profile, scenario) >= \
-            game.potential(zero, scenario)
+        assert ref_potential(vehicles, report.profile, travel, lengths) >= \
+            ref_potential(vehicles, zero, travel, lengths)
         checked += 1
     assert _line("brute-force equilibrium consistency", checked >= 20,
                  f"{checked} instances, every potential maximizer is an equilibrium")

@@ -286,6 +286,23 @@ class TestSimulate:
                     "--fleet", workdir["fleet"], "--policies", "sp"]) == 1
         assert "error: simulation exceeded 3 steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("policies", ["sp", "sp,ktt"])
+    def test_inadmissible_truth_on_an_undriven_edge(self, workdir, capsys,
+                                                     policies):
+        # edge 3 admits only profile 1 and no truck drives it
+        doc = json.loads(workdir["net"].read_text())
+        doc["edges"].append(dict(doc["edges"][0], id=3, tail=3, head=0,
+                                 delay_profile_ids=[1]))
+        workdir["net"].write_text(json.dumps(doc))
+        workdir["scenario"].write_text(json.dumps(scenario_to_dict(
+            Scenario(profile_assignment={0: 0, 3: 0}, start_steps={}))))
+        assert run(["simulate", "--network", workdir["net"],
+                    "--config", workdir["config"], "--out", workdir["out"],
+                    "--fleet", workdir["fleet"], "--truth", workdir["scenario"],
+                    "--policies", policies]) == 1
+        assert capsys.readouterr().err == \
+            "error: profile 0 is not admissible on edge 3\n"
+
     def test_truth_without_fleet_rejected(self, workdir, capsys):
         assert run(["simulate", "--network", workdir["net"],
                     "--out", workdir["out"],
@@ -345,6 +362,17 @@ def test_module_entry_point(workdir):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "network OK" in proc.stdout
+
+
+def test_public_names_resolve():
+    import hubplatoon
+
+    missing = [name for name in hubplatoon.__all__
+               if not hasattr(hubplatoon, name)]
+    assert missing == []
+    namespace = {}
+    exec("from hubplatoon import *", namespace)
+    assert set(hubplatoon.__all__) <= set(namespace)
 
 
 # What the installer-generated ``hubplatoon`` wrapper does: load the

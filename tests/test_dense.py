@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_game, make_net
+from conftest import make_game, make_net, reference_inputs
 from hubplatoon.dense import TableLimitError, scaled_weights
 from hubplatoon.feedback import PolicySpec, run_closed_loop
 from hubplatoon.game import Scenario
@@ -68,6 +68,8 @@ class TestDenseRows:
         prof = DelayProfile(id=0, delay_at={(5, 2): 3, (5, 4): 1, (5, 9): 7,
                                             (5, -1): 2, (6, 3): 5})
         travel = ProfileTravel(edges, {5: prof})
+        # base 4 plus the delay keyed at the entry step, and nothing between
+        assert [travel(5, t) for t in range(1, 6)] == [4, 7, 4, 5, 4]
         for t0, t1 in ((0, 6), (2, 3), (3, 4), (-3, 12), (10, 14)):
             row = travel.dense_row(5, t0, t1)
             assert row.tolist() == [travel(5, t) for t in range(t0, t1)]
@@ -203,17 +205,6 @@ class TestHorizonEquivalence:
             assert fast == slow
 
 
-def ref_travel(game, scenario):
-    """Realized travel steps read straight off the profile tables."""
-    def travel(eid, t):
-        base = game.net.edges[eid].base_travel_steps
-        pid = scenario.profile_assignment.get(eid)
-        if pid is None:
-            return base
-        return base + game.net.delay_profiles[pid].delay_at.get((eid, t), 0)
-    return travel
-
-
 def horizon_game(rng):
     """A horizon game on a 3-edge line: vehicle 0 plays from its origin,
     vehicle 1 is on edge 0 and plays the two nodes after it, vehicle 2 is
@@ -295,17 +286,13 @@ class TestOraclePotential:
         number = int if kind == "deterministic" else Fraction
         for case in range(20):
             game, oracle, weighted = full_route_oracle(kind, rng, case)
-            lengths = {eid: e.length_km for eid, e in game.net.edges.items()}
             spaces = spaces_for_fleet(game.fleet.values())
             for _trial in range(3):
                 profile = random_profile(rng, spaces)
                 want_phi = 0
                 want_u = {vid: 0 for vid in game.vehicle_ids}
                 for scenario, prob in weighted:
-                    vehicles = {vid: (game.start_of(vid, scenario),
-                                      game.fleet[vid].edge_sequence)
-                                for vid in game.vehicle_ids}
-                    travel = ref_travel(game, scenario)
+                    vehicles, travel, lengths = reference_inputs(game, scenario)
                     want_phi += prob * ref_potential(vehicles, profile, travel,
                                                      lengths)
                     for vid in game.vehicle_ids:

@@ -498,7 +498,7 @@ class TestStepWorld:
                           budget_left=4, planned_waits=[0])
         world = world_with(game, [s0, s1], now=0)
         events = []
-        step_world(game, world, {}, events)
+        step_world(game, world, ProfileTravel(net.edges, {}), events)
         assert world.now == 1
         assert s0.waited_steps == 1 and s0.budget_left == 3
         assert s0.planned_waits == [0]
@@ -516,7 +516,7 @@ class TestStepWorld:
                           budget_left=4, planned_waits=[0])
         world = world_with(game, [s0, s1], now=5)
         events = []
-        step_world(game, world, {}, events)
+        step_world(game, world, ProfileTravel(net.edges, {}), events)
         assert s0.reward_centi == s1.reward_centi == 8500
         platoons = [e for e in events if e.kind == "platoon"]
         assert len(platoons) == 1
@@ -529,7 +529,7 @@ class TestStepWorld:
                           budget_left=0, planned_waits=[2])
         world = world_with(game, [s0], now=0)
         with pytest.raises(InputError, match="no budget"):
-            step_world(game, world, {}, [])
+            step_world(game, world, ProfileTravel(net.edges, {}), [])
 
 
 def separation_setup():

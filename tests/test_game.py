@@ -4,17 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_game, make_net
+from conftest import make_game, make_net, reference_inputs
 from oracles import (ref_potential, ref_reward, ref_round_half_away,
                      ref_utility)
 from hubplatoon.errors import FormatError, InputError
-from hubplatoon.game import (CoordinationGame, RewardModel, Scenario,
-                             VehicleSpec, WaitingCostModel,
-                             deterministic_scenario, fleet_from_list,
-                             fleet_to_list, load_fleet, profile_from_dict,
-                             profile_to_dict, round_half_away, save_fleet,
-                             scenario_from_dict, scenario_to_dict,
-                             zero_profile)
+from hubplatoon.game import (RewardModel, Scenario, VehicleSpec,
+                             WaitingCostModel, deterministic_scenario,
+                             fleet_from_list, fleet_to_list, load_fleet,
+                             round_half_away, save_fleet, scenario_from_dict,
+                             scenario_to_dict, zero_profile)
+from hubplatoon.solver import (DeterministicOracle, horizon_departure_times,
+                               scenario_game, scenario_profiles)
 
 
 @pytest.mark.parametrize("x, want", [
@@ -88,13 +88,21 @@ def test_waiting_cost_is_linear():
     assert cm.cost(()) == 0
 
 
+def entries(game, vid, waits, scenario):
+    """Entry step onto each route edge, through the static game's view of
+    ``vid`` and the scenario's travel model."""
+    views, [(_p, avail, travel)] = scenario_game(game, [(scenario, Fraction(1))])
+    [view] = [v for v in views if v.vid == vid]
+    return horizon_departure_times(view, waits, avail[vid], travel)
+
+
 class TestDepartureTimes:
     def test_free_flow_recursion(self, line_net):
         game = make_game(line_net, [(0, (0, 1, 2), 0, 4)])
         s = deterministic_scenario(line_net, game.fleet.values())
-        assert game.departure_times(0, (0, 0, 0), s) == (0, 3, 6)
-        assert game.departure_times(0, (0, 0, 1), s) == (0, 3, 7)
-        assert game.departure_times(0, (2, 1, 0), s) == (2, 6, 9)
+        assert entries(game, 0, (0, 0, 0), s) == (0, 3, 6)
+        assert entries(game, 0, (0, 0, 1), s) == (0, 3, 7)
+        assert entries(game, 0, (2, 1, 0), s) == (2, 6, 9)
 
     def test_delay_shifts_downstream_entries(self):
         profiles = {1: {(0, 2): 2}}
@@ -103,85 +111,80 @@ class TestDepartureTimes:
         game = make_game(net, [(0, (0, 1), 0, 4)])
         s = Scenario(profile_assignment={0: 1}, start_steps={})
         # entering edge 0 at step 2 costs 3+2 steps
-        assert game.departure_times(0, (2, 0), s) == (2, 7)
-        assert game.departure_times(0, (1, 0), s) == (1, 4)
+        assert entries(game, 0, (2, 0), s) == (2, 7)
+        assert entries(game, 0, (1, 0), s) == (1, 4)
 
     def test_scenario_start_override(self, line_net):
         game = make_game(line_net, [(0, (0, 1, 2), 0, 4)])
         s = Scenario(profile_assignment={}, start_steps={0: 5})
-        assert game.departure_times(0, (0, 0, 0), s) == (5, 8, 11)
+        assert entries(game, 0, (0, 0, 0), s) == (5, 8, 11)
 
     def test_wrong_wait_length_rejected(self, line_net):
         game = make_game(line_net, [(0, (0, 1, 2), 0, 4)])
         s = deterministic_scenario(line_net, game.fleet.values())
         with pytest.raises(InputError, match="needs 3 waits"):
-            game.departure_times(0, (0, 0), s)
+            entries(game, 0, (0, 0), s)
 
 
 class TestUtilityAndPotential:
+    """Hand-computed values, read through the engine's oracle."""
+
     def two_vehicle_game(self, line_net):
         return make_game(line_net, [(0, (0, 1, 2), 0, 4), (1, (0, 1, 2), 1, 4)])
 
     def test_frozen_full_platoon_values(self, line_net):
         game = self.two_vehicle_game(line_net)
-        s = deterministic_scenario(line_net, game.fleet.values())
+        oracle = DeterministicOracle(
+            game, deterministic_scenario(line_net, game.fleet.values()))
         profile = {0: (1, 0, 0), 1: (0, 0, 0)}
         # platoon of 2 on all three 100 km edges; one waited step
-        assert game.utility(0, profile, s) == 23300   # 3*8500 - 2200
-        assert game.utility(1, profile, s) == 25500   # 3*8500
-        assert game.potential(profile, s) == 23300    # 3*(0+8500) - 2200
+        assert oracle.utility(0, profile) == 23300   # 3*8500 - 2200
+        assert oracle.utility(1, profile) == 25500   # 3*8500
+        assert oracle.potential(profile) == 23300    # 3*(0+8500) - 2200
 
     def test_zero_profile_is_all_zero(self, line_net):
         game = self.two_vehicle_game(line_net)
-        s = deterministic_scenario(line_net, game.fleet.values())
+        oracle = DeterministicOracle(
+            game, deterministic_scenario(line_net, game.fleet.values()))
         profile = zero_profile(game.fleet.values())
-        assert game.utility(0, profile, s) == 0
-        assert game.utility(1, profile, s) == 0
-        assert game.potential(profile, s) == 0
+        assert oracle.utility(0, profile) == 0
+        assert oracle.utility(1, profile) == 0
+        assert oracle.potential(profile) == 0
 
     def test_frozen_single_edge_values(self):
         net = make_net([(0, 0, 1, 100, 3)])
         game = make_game(net, [(0, (0,), 0, 4), (1, (0,), 1, 4)])
-        s = deterministic_scenario(net, game.fleet.values())
-        assert game.utility(0, {0: (1,), 1: (0,)}, s) == 6300    # 8500 - 2200
+        oracle = DeterministicOracle(
+            game, deterministic_scenario(net, game.fleet.values()))
+        assert oracle.utility(0, {0: (1,), 1: (0,)}) == 6300    # 8500 - 2200
         # burning the whole budget to join can go negative
         game2 = make_game(net, [(0, (0,), 0, 4), (1, (0,), 4, 4)])
-        s2 = deterministic_scenario(net, game2.fleet.values())
-        assert game2.utility(0, {0: (4,), 1: (0,)}, s2) == -300  # 8500 - 8800
-
-    def test_platoon_sets_partition(self, line_net):
-        game = self.two_vehicle_game(line_net)
-        s = deterministic_scenario(line_net, game.fleet.values())
-        profile = {0: (1, 0, 0), 1: (0, 1, 0)}
-        groups = game.platoon_sets(profile, s)
-        placed = [vid for members in groups.values() for vid in members]
-        assert sorted(placed) == [0, 0, 0, 1, 1, 1]
-        for (eid, t), members in groups.items():
-            assert list(members) == sorted(members)
-            assert eid in line_net.edges
+        oracle2 = DeterministicOracle(
+            game2, deterministic_scenario(net, game2.fleet.values()))
+        assert oracle2.utility(0, {0: (4,), 1: (0,)}) == -300  # 8500 - 8800
 
     def test_matches_reference_implementation(self, line_net):
         game = self.two_vehicle_game(line_net)
         s = deterministic_scenario(line_net, game.fleet.values())
-        vehicles = {0: (0, (0, 1, 2)), 1: (1, (0, 1, 2))}
-        lengths = {0: 100, 1: 100, 2: 100}
-        travel = lambda eid, t: 3
+        oracle = DeterministicOracle(game, s)
+        vehicles, travel, lengths = reference_inputs(game, s)
         for profile in ({0: (1, 0, 0), 1: (0, 0, 0)},
                         {0: (0, 2, 0), 1: (1, 0, 1)},
                         {0: (0, 0, 0), 1: (0, 0, 0)}):
             for vid in (0, 1):
-                assert game.utility(vid, profile, s) == ref_utility(
+                assert oracle.utility(vid, profile) == ref_utility(
                     vid, vehicles, profile, travel, lengths)
-            assert game.potential(profile, s) == ref_potential(
+            assert oracle.potential(profile) == ref_potential(
                 vehicles, profile, travel, lengths)
 
     def test_exact_potential_under_unilateral_deviation(self, line_net):
         game = self.two_vehicle_game(line_net)
-        s = deterministic_scenario(line_net, game.fleet.values())
+        oracle = DeterministicOracle(
+            game, deterministic_scenario(line_net, game.fleet.values()))
         before = {0: (0, 0, 0), 1: (0, 0, 0)}
         after = {0: (1, 0, 0), 1: (0, 0, 0)}
-        du = game.utility(0, after, s) - game.utility(0, before, s)
-        dphi = game.potential(after, s) - game.potential(before, s)
+        du = oracle.utility(0, after) - oracle.utility(0, before)
+        dphi = oracle.potential(after) - oracle.potential(before)
         assert du == dphi == 23300
 
     def test_exact_potential_property_randomized(self):
@@ -204,28 +207,18 @@ class TestUtilityAndPotential:
                 vrows.append((vid, tuple(range(a, b + 1)),
                               rng.randint(0, 3), rng.randint(1, 3)))
             game = make_game(net, vrows)
-            s = Scenario(profile_assignment={k: 1 for k in range(n_edges)},
-                         start_steps={})
+            oracle = DeterministicOracle(game, Scenario(
+                profile_assignment={k: 1 for k in range(n_edges)},
+                start_steps={}))
             profile = {vid: tuple(rng.randint(0, 1) for _ in seq)
                        for vid, seq, _st, _b in vrows}
             vid = rng.randrange(n_vehicles)
             seq = vrows[vid][1]
             trial = dict(profile)
             trial[vid] = tuple(rng.randint(0, 2) for _ in seq)
-            du = game.utility(vid, trial, s) - game.utility(vid, profile, s)
-            dphi = game.potential(trial, s) - game.potential(profile, s)
+            du = oracle.utility(vid, trial) - oracle.utility(vid, profile)
+            dphi = oracle.potential(trial) - oracle.potential(profile)
             assert du == dphi
-
-    def test_profile_validation(self, line_net):
-        game = self.two_vehicle_game(line_net)
-        s = deterministic_scenario(line_net, game.fleet.values())
-        with pytest.raises(InputError):
-            game.utility(0, {0: (0, 0, 0)}, s)          # missing vehicle 1
-        with pytest.raises(InputError):
-            game.potential({0: (0, 0), 1: (0, 0, 0)}, s)  # wrong length
-        game.check_budgets({0: (2, 1, 1), 1: (0, 0, 0)})
-        with pytest.raises(InputError, match="budget"):
-            game.check_budgets({0: (2, 2, 1), 1: (0, 0, 0)})
 
 
 class TestGameConstruction:
@@ -249,12 +242,12 @@ class TestGameConstruction:
 
     def test_scenario_profile_resolution(self, delay_net):
         game = make_game(delay_net, [(0, (0,), 0, 4)])
-        got = game.resolve_profiles(Scenario({0: 1}, {}))
+        got = scenario_profiles(game, Scenario({0: 1}, {}))
         assert got[0].id == 1
-        with pytest.raises(InputError, match="unknown edge"):
-            game.resolve_profiles(Scenario({7: 1}, {}))
-        with pytest.raises(InputError, match="unknown delay profile"):
-            game.resolve_profiles(Scenario({0: 9}, {}))
+        with pytest.raises(InputError, match="unknown edge 7"):
+            scenario_profiles(game, Scenario({7: 1}, {}))
+        with pytest.raises(InputError, match="unknown delay profile 9"):
+            scenario_profiles(game, Scenario({0: 9}, {}))
 
 
 class TestSerialization:
@@ -277,11 +270,6 @@ class TestSerialization:
             fleet_from_list([bad])
         with pytest.raises(FormatError, match="must be a JSON array"):
             fleet_from_list({"id": 0})
-
-    def test_profile_dict_round_trip(self):
-        profile = {0: (1, 0), 3: (0, 0, 2)}
-        assert profile_from_dict(profile_to_dict(profile)) == profile
-        assert profile_to_dict(profile) == {"0": [1, 0], "3": [0, 0, 2]}
 
     def test_scenario_round_trip_and_strictness(self):
         s = Scenario(profile_assignment={0: 1, 2: 1}, start_steps={5: 7})

@@ -3,37 +3,33 @@ import math
 
 import pytest
 
-from conftest import make_net
+from conftest import make_game, make_net
 from hubplatoon.errors import FormatError, InputError
+from hubplatoon.game import Scenario
 from hubplatoon.network import (UNREACHABLE, DelayProfile, Edge, Hub,
                                 RoadNetwork, load_network, network_from_dict,
                                 network_to_dict, replace_profiles,
                                 save_network, shortest_path, shortest_path_km,
-                                travel_time, validate_network)
+                                validate_network)
+from hubplatoon.solver import ProfileTravel, scenario_profiles
 
 
-def test_travel_time_adds_profile_delay():
-    net = make_net([(0, 0, 1, 100, 3, (1,))],
-                   profiles={1: {(0, 2): 2}})
-    edge = net.edges[0]
-    profiles = {0: net.delay_profiles[1]}
-    # base 3, delay 2 at entry step 2 only
-    assert travel_time(edge, 2, profiles) == 5
-    assert travel_time(edge, 1, profiles) == 3
-    assert travel_time(edge, 3, profiles) == 3
-    # edge absent from the map: free flow
-    assert travel_time(edge, 2, {}) == 3
+def scenario_travel(net, assignment):
+    """The travel model of one scenario on a one-truck game over edge 0."""
+    game = make_game(net, [(0, (0,), 0, 0)])
+    return ProfileTravel(net.edges, scenario_profiles(
+        game, Scenario(profile_assignment=assignment, start_steps={})))
 
 
 def test_travel_time_rejects_inadmissible_profile():
     net = make_net([(0, 0, 1, 100, 3, (1,))], profiles={1: {}, 2: {}})
-    with pytest.raises(InputError):
-        travel_time(net.edges[0], 0, {0: net.delay_profiles[2]})
+    with pytest.raises(InputError, match="profile 2 is not admissible on edge 0"):
+        scenario_travel(net, {0: 2})
 
 
 def test_travel_time_allows_any_profile_when_edge_lists_none():
     net = make_net([(0, 0, 1, 100, 3)], profiles={7: {(0, 1): 4}})
-    assert travel_time(net.edges[0], 1, {0: net.delay_profiles[7]}) == 7
+    assert scenario_travel(net, {0: 7})(0, 1) == 7
 
 
 def test_validate_clean_network(line_net):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import make_game, make_net
+from conftest import make_game, make_net, reference_inputs
 from oracles import all_actions, ref_is_nash
 from hubplatoon.errors import InputError, NonConvergenceError
 from hubplatoon.game import Scenario, deterministic_scenario
@@ -158,15 +158,9 @@ class TestNashSeek:
 
 
 def ref_is_nash_wrapper(game, scenario, profile):
-    vehicles = {vid: (game.start_of(vid, scenario),
-                      game.fleet[vid].edge_sequence)
-                for vid in game.vehicle_ids}
+    vehicles, travel, lengths = reference_inputs(game, scenario)
     budgets = {vid: game.fleet[vid].waiting_budget_steps
                for vid in game.vehicle_ids}
-    lengths = {eid: e.length_km for eid, e in game.net.edges.items()}
-    profiles = game.resolve_profiles(scenario)
-    travel = lambda eid, t: game.net.edges[eid].base_travel_steps + \
-        (profiles[eid].delay(eid, t) if eid in profiles else 0)
     return ref_is_nash(vehicles, budgets, profile, travel, lengths,
                        game.reward_model.km_rate_centi,
                        game.cost_model.step_cost_centi)

@@ -12,7 +12,6 @@ from hubplatoon.stochastic import (DEFAULT_SUPPORT_CAP, ExpectedUtilityOracle,
                                    degenerate_distribution,
                                    distribution_from_dict,
                                    distribution_to_dict, enumerate_support,
-                                   expected_potential, expected_utility,
                                    load_distribution, sample_scenario,
                                    save_distribution, stochastic_oracle,
                                    uniform_profile_distribution)
@@ -92,28 +91,28 @@ class TestDistribution:
 
 
 class TestExpectations:
+    """Hand-computed expectations, read through the exact oracle."""
+
     def test_frozen_expected_values(self):
         net, game, dist = two_edge_setup(v1_start=3)
-        support = enumerate_support(dist)
+        oracle = ExpectedUtilityOracle(game, dist)
         zero = {0: (0, 0), 1: (0,)}
         # platoon on edge 1 happens only in the undelayed world: 8500 / 2
-        assert expected_utility(game, 0, zero, support) == Fraction(4250)
-        assert expected_utility(game, 1, zero, support) == Fraction(4250)
-        assert expected_potential(game, zero, support) == Fraction(4250)
+        assert oracle.utility(0, zero) == Fraction(4250)
+        assert oracle.utility(1, zero) == Fraction(4250)
+        assert oracle.potential(zero) == Fraction(4250)
         late = {0: (0, 0), 1: (1,)}
         # now the platoon needs the delay; one waited step always paid
-        assert expected_utility(game, 1, late, support) == Fraction(2050)
-        assert expected_potential(game, late, support) == Fraction(2050)
+        assert oracle.utility(1, late) == Fraction(2050)
+        assert oracle.potential(late) == Fraction(2050)
 
     def test_expected_change_matches_potential_change(self):
         net, game, dist = two_edge_setup()
-        support = enumerate_support(dist)
+        oracle = ExpectedUtilityOracle(game, dist)
         zero = {0: (0, 0), 1: (0,)}
         late = {0: (0, 0), 1: (1,)}
-        du = expected_utility(game, 1, late, support) - \
-            expected_utility(game, 1, zero, support)
-        dphi = expected_potential(game, late, support) - \
-            expected_potential(game, zero, support)
+        du = oracle.utility(1, late) - oracle.utility(1, zero)
+        dphi = oracle.potential(late) - oracle.potential(zero)
         assert du == dphi == Fraction(-2200)
 
     def test_exactness_with_thirds(self):
@@ -123,8 +122,7 @@ class TestExpectations:
         dist = ScenarioDistribution(
             edge_profiles={0: ((0, Fraction(1, 3)), (1, Fraction(2, 3)))},
             start_steps={0: ((0, Fraction(1)),), 1: ((3, Fraction(1)),)})
-        support = enumerate_support(dist)
-        got = expected_utility(game, 0, {0: (0, 0), 1: (0,)}, support)
+        got = ExpectedUtilityOracle(game, dist).utility(0, {0: (0, 0), 1: (0,)})
         assert got == Fraction(8500, 3)
         assert got.denominator == 3
 
@@ -147,8 +145,7 @@ class TestOracles:
         oracle = ExpectedUtilityOracle(game, dist)
         report = nash_seek(oracle, spaces_for_fleet(game.fleet.values()))
         assert report.profile == {0: (1, 0), 1: (0,)}
-        support = enumerate_support(dist)
-        assert expected_utility(game, 0, report.profile, support) == \
+        assert oracle.utility(0, report.profile) == \
             Fraction(6300)   # 8500 - 2200, in every scenario
 
     def test_sampled_oracle_is_seed_deterministic(self):
