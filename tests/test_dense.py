@@ -68,8 +68,6 @@ class TestDenseRows:
         prof = DelayProfile(id=0, delay_at={(5, 2): 3, (5, 4): 1, (5, 9): 7,
                                             (5, -1): 2, (6, 3): 5})
         travel = ProfileTravel(edges, {5: prof})
-        # base 4 plus the delay keyed at the entry step, and nothing between
-        assert [travel(5, t) for t in range(1, 6)] == [4, 7, 4, 5, 4]
         for t0, t1 in ((0, 6), (2, 3), (3, 4), (-3, 12), (10, 14)):
             row = travel.dense_row(5, t0, t1)
             assert row.tolist() == [travel(5, t) for t in range(t0, t1)]

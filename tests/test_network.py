@@ -21,6 +21,18 @@ def scenario_travel(net, assignment):
         game, Scenario(profile_assignment=assignment, start_steps={})))
 
 
+def test_travel_time_adds_profile_delay():
+    net = make_net([(0, 0, 1, 100, 3, (1,))],
+                   profiles={1: {(0, 2): 2}})
+    travel = scenario_travel(net, {0: 1})
+    # base 3, delay 2 at entry step 2 only
+    assert travel(0, 2) == 5
+    assert travel(0, 1) == 3
+    assert travel(0, 3) == 3
+    # edge absent from the assignment: free flow
+    assert scenario_travel(net, {})(0, 2) == 3
+
+
 def test_travel_time_rejects_inadmissible_profile():
     net = make_net([(0, 0, 1, 100, 3, (1,))], profiles={1: {}, 2: {}})
     with pytest.raises(InputError, match="profile 2 is not admissible on edge 0"):
