@@ -7,6 +7,14 @@ at a time is exact but slow; this module tabulates travel times, entry
 counts and platoon rewards as integer arrays so a whole action space is
 valued with a handful of numpy gathers.
 
+A table is built in whole-array passes, not per world. Travel is filled
+per edge: the worlds are grouped by their travel model's row token, one
+row is read per distinct token, and one gather copies it into every
+world. Tracks of the same length are traced together, and their entry
+counts go in with one scatter. Rewards come from the reward model's
+per-edge rows ``[0, R(1, e), ..., R(n, e)]``, which it keeps between
+tables.
+
 Everything stays exact: probabilities enter as lcm-scaled integer
 weights, so a value here equals the reference Fraction times the scale.
 Construction raises TableLimitError when the tables would be too large
@@ -45,7 +53,9 @@ class EntryTable:
 
     A *track* is one vehicle's list of edges with a per-world availability
     step and a committed wait vector; player tracks can be re-valued and
-    re-committed, environment tracks only contribute counts.
+    re-committed, environment tracks only contribute counts. A track's
+    entries are kept as flat indices into ``counts``, so adding or taking
+    out a track is one scatter.
     """
 
     def __init__(self, worlds: int, edge_ids: Sequence[int], horizon_steps: int,
@@ -65,64 +75,75 @@ class EntryTable:
         self.travel = np.zeros((worlds, len(edge_ids), horizon_steps),
                                dtype=np.int32)
         self.counts = np.zeros_like(self.travel)
+        self._flat_counts = self.counts.reshape(-1)   # a view, not a copy
         self.weights = np.asarray(weights, dtype=np.int64)
-        self._w_idx = np.arange(worlds)[:, None]
+        self._worlds = np.arange(worlds)
+        self._w_idx = self._worlds[:, None]
+        self._w_cell = self._worlds * (len(edge_ids) * horizon_steps)
         self._cols: dict[int, np.ndarray] = {}
         self._avail: dict[int, np.ndarray] = {}
-        self._budget: dict[int, int] = {}
         self._waits: dict[int, tuple[int, ...]] = {}
-        self._entries: dict[int, np.ndarray] = {}
+        self._cells: dict[int, np.ndarray] = {}
         self._acts: dict[int, tuple] = {}
         self._rt: np.ndarray | None = None
-        self._reward = None
 
     # -- construction -----------------------------------------------------
-
-    def set_travel(self, world: int, eid: int, row: np.ndarray) -> None:
-        """Absolute travel steps for one edge over [t0, t0 + steps)."""
-        if row.min() < 0:
-            raise TableLimitError(f"negative travel on edge {eid}")
-        self.travel[world, self.col[eid]] = row
 
     def finish_travel(self, reward_model, edges: Mapping, max_platoon: int,
                       max_budget: int, max_track_len: int) -> None:
         """Freeze travel tables and build the reward lookup."""
-        rt = np.zeros((len(self.col), max_platoon + 1), dtype=np.int64)
-        for eid, c in self.col.items():
-            edge = edges[eid]
-            for n in range(1, max_platoon + 1):
-                rt[c, n] = reward_model.reward(n, edge)
+        rt = np.stack([reward_model.reward_row(edges[eid], max_platoon)
+                       for eid in self.col])
         self._rt = rt
         bound = self.scale * (max_track_len * int(abs(rt).max(initial=1))
                               + max_budget * self.step_cost + 1)
         if bound > MAX_VALUE_BOUND:
             raise TableLimitError(f"value bound {bound} risks overflow")
 
-    def add_track(self, vid: int, edge_ids: Sequence[int],
-                  avail: Sequence[int], waits: Sequence[int],
-                  budget: int) -> None:
-        cols = np.asarray([self.col[e] for e in edge_ids], dtype=np.int64)
-        self._cols[vid] = cols
-        self._avail[vid] = np.asarray(avail, dtype=np.int64) - self.t0
-        self._budget[vid] = budget
-        entries = self._trace(vid, tuple(waits))
-        self._entries[vid] = entries
-        self._waits[vid] = tuple(waits)
-        np.add.at(self.counts, (self._w_idx, cols[None, :], entries), 1)
+    def add_tracks(self, tracks: Sequence[tuple[int, Sequence[int],
+                                                Sequence[int], Sequence[int]]]
+                   ) -> None:
+        """Add (vid, edge ids, availability per world, waits) tracks.
 
-    def _trace(self, vid: int, waits: tuple[int, ...]) -> np.ndarray:
-        """Entry step (relative to t0) per world for one wait vector."""
-        cols = self._cols[vid]
-        entries = np.empty((self.w, len(cols)), dtype=np.int64)
-        t = self._avail[vid] + waits[0]
-        w_idx = np.arange(self.w)
-        for k, c in enumerate(cols):
-            entries[:, k] = t
-            if k + 1 < len(cols):
-                t = t + self.travel[w_idx, c, t] + waits[k + 1]
-        if entries.max() >= self.steps or entries.min() < 0:
-            raise TableLimitError("entry outside the tabulated window")
-        return entries
+        Tracks of one length are traced together, and all their counts
+        go in with one scatter.
+        """
+        by_len: dict[int, list] = {}
+        for track in tracks:
+            by_len.setdefault(len(track[1]), []).append(track)
+        cells = []
+        for group in by_len.values():
+            cols = np.asarray([[self.col[e] for e in edge_ids]
+                               for _v, edge_ids, _a, _w in group], dtype=np.int64)
+            avail = np.asarray([a for _v, _e, a, _w in group],
+                               dtype=np.int64) - self.t0
+            waits = [tuple(w) for _v, _e, _a, w in group]
+            got = self._trace(cols, avail, np.asarray(waits, dtype=np.int64))
+            cells.append(got.reshape(-1))
+            for i, (vid, _e, _a, _w) in enumerate(group):
+                self._cols[vid] = cols[i]
+                self._avail[vid] = avail[i]
+                self._waits[vid] = waits[i]
+                self._cells[vid] = got[i]
+        np.add.at(self._flat_counts, np.concatenate(cells), 1)
+
+    def _trace(self, cols: np.ndarray, avail: np.ndarray,
+               waits: np.ndarray) -> np.ndarray:
+        """Flat ``counts`` index of each entry, shape (tracks, worlds, edges).
+
+        ``cols``, ``avail`` (relative to t0) and ``waits`` hold one row per
+        track, all tracks of one length.
+        """
+        cells = np.empty((len(cols), self.w, cols.shape[1]), dtype=np.int64)
+        t = avail + waits[:, :1]
+        for k in range(cols.shape[1]):
+            if t.max() >= self.steps or t.min() < 0:
+                raise TableLimitError("entry outside the tabulated window")
+            c = cols[:, k:k + 1]
+            cells[:, :, k] = self._w_cell + c * self.steps + t
+            if k + 1 < cols.shape[1]:
+                t = t + self.travel[self._worlds, c, t] + waits[:, k + 1:k + 2]
+        return cells
 
     # -- queries ----------------------------------------------------------
 
@@ -131,13 +152,12 @@ class EntryTable:
         waits = tuple(waits)
         if waits == self._waits[vid]:
             return
-        cols = self._cols[vid]
-        np.subtract.at(self.counts,
-                       (self._w_idx, cols[None, :], self._entries[vid]), 1)
-        entries = self._trace(vid, waits)
-        self._entries[vid] = entries
+        np.subtract.at(self._flat_counts, self._cells[vid], 1)
+        cells = self._trace(self._cols[vid][None], self._avail[vid][None],
+                            np.asarray([waits], dtype=np.int64))[0]
+        self._cells[vid] = cells
         self._waits[vid] = waits
-        np.add.at(self.counts, (self._w_idx, cols[None, :], entries), 1)
+        np.add.at(self._flat_counts, cells, 1)
 
     def sync(self, profile: Mapping[int, Sequence[int]]) -> None:
         for vid, waits in profile.items():
@@ -158,8 +178,8 @@ class EntryTable:
         """scale * expected utility for each action, as int64."""
         cols = self._cols[vid]
         acts = self.action_matrix(vid, actions)
-        own = self._entries[vid]
-        np.subtract.at(self.counts, (self._w_idx, cols[None, :], own), 1)
+        own = self._cells[vid]
+        np.subtract.at(self._flat_counts, own, 1)
         try:
             t = self._avail[vid][:, None] + acts[None, :, 0]
             rewards = np.zeros((self.w, len(acts)), dtype=np.int64)
@@ -171,7 +191,7 @@ class EntryTable:
                 if k + 1 < len(cols):
                     t = t + self.travel[self._w_idx, c, t] + acts[None, :, k + 1]
         finally:
-            np.add.at(self.counts, (self._w_idx, cols[None, :], own), 1)
+            np.add.at(self._flat_counts, own, 1)
         totals = rewards - self.step_cost * acts.sum(axis=1)[None, :]
         return self.weights @ totals
 
@@ -182,38 +202,53 @@ def worlds_table(game, views, worlds,
 
     ``worlds`` are (probability, avail map, travel model) triples; the
     travel model supplies ``row_token``, ``max_extra`` and ``dense_row``.
-    ``waits`` gives the wait vector each track starts from.
+    Worlds with equal ``row_token`` on an edge share that edge's row, so
+    each edge reads one row per distinct token and gathers it into every
+    world. ``waits`` gives the wait vector each track starts from.
     """
     edge_ids = sorted({eid for v in views for eid in v.window_edges})
     if not edge_ids:
         raise TableLimitError("no window edges")
     weights, scale = scaled_weights([p for p, _a, _t in worlds])
-    avail = {v.vid: [a[v.vid] for _p, a, _t in worlds] for v in views}
-    max_delta = {eid: max(t.max_extra(eid) for _p, _a, t in worlds)
-                 for eid in edge_ids}
-    t0 = min(min(a) for a in avail.values())
+    travels = [t for _p, _a, t in worlds]
+    groups = {eid: _token_groups(travels, eid) for eid in edge_ids}
+    max_delta = {eid: max(t.max_extra(eid) for t in reps)
+                 for eid, (reps, _inverse) in groups.items()}
+    avail = [[a[v.vid] for _p, a, _t in worlds] for v in views]
+    t0 = min(min(a) for a in avail)
+    edges = game.net.edges
     horizon = 1
-    for v in views:
-        span = max(avail[v.vid]) + v.budget_left
-        for eid in v.window_edges:
-            span += game.net.edges[eid].base_travel_steps + max_delta[eid]
+    for v, av in zip(views, avail):
+        span = max(av) + v.budget_left + sum(
+            edges[eid].base_travel_steps + max_delta[eid] for eid in v.window_edges)
         horizon = max(horizon, span - t0 + 1)
     table = EntryTable(len(worlds), edge_ids, horizon, t0, weights, scale,
                        game.cost_model.step_cost_centi)
-    rows: dict = {}
-    for w, (_p, _a, travel) in enumerate(worlds):
-        for eid in edge_ids:
-            token = travel.row_token(eid)
-            row = rows.get(token)
-            if row is None:
-                row = travel.dense_row(eid, t0, t0 + horizon)
-                rows[token] = row
-            table.set_travel(w, eid, row)
-    table.finish_travel(game.reward_model, game.net.edges,
+    for eid, (reps, inverse) in groups.items():
+        rows = np.stack([t.dense_row(eid, t0, t0 + horizon) for t in reps])
+        if rows.min() < 0:
+            raise TableLimitError(f"negative travel on edge {eid}")
+        table.travel[:, table.col[eid]] = rows[inverse]
+    table.finish_travel(game.reward_model, edges,
                         max_platoon=len(views),
                         max_budget=max(v.budget_left for v in views),
                         max_track_len=max(len(v.window_edges) for v in views))
-    for v in views:
-        table.add_track(v.vid, v.window_edges, avail[v.vid], waits[v.vid],
-                        v.budget_left)
+    table.add_tracks([(v.vid, v.window_edges, av, waits[v.vid])
+                      for v, av in zip(views, avail)])
     return table
+
+
+def _token_groups(travels, eid: int) -> tuple[list, np.ndarray]:
+    """One travel model per distinct ``row_token`` on ``eid``, in order of
+    first appearance, and each world's index into that list."""
+    index: dict = {}
+    reps = []
+    inverse = []
+    for travel in travels:
+        token = travel.row_token(eid)
+        k = index.get(token)
+        if k is None:
+            k = index[token] = len(reps)
+            reps.append(travel)
+        inverse.append(k)
+    return reps, np.asarray(inverse, dtype=np.intp)

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import FormatError, InputError
 from .network import (INTEGER, INTEGERS, OBJECT, RoadNetwork, check_fields,
                       load_json)
@@ -77,6 +79,7 @@ class RewardModel:
         self.table = dict(table) if table is not None else None
         self._reward_cache: dict[tuple[int, int], int] = {}
         self._cumulative_cache: dict[tuple[int, int], int] = {}
+        self._rows: dict[int, np.ndarray] = {}
 
     def reward(self, n: int, edge) -> int:
         """Per-member reward for an n-truck platoon on ``edge``."""
@@ -98,6 +101,23 @@ class RewardModel:
             self._reward_cache[key] = got
         return got
 
+    def reward_row(self, edge, n: int) -> np.ndarray:
+        """``[0, reward(1, edge), ..., reward(n, edge)]`` as read-only int64.
+
+        One row per edge is kept and extended when a larger ``n`` is asked
+        for; sizes beyond the largest asked are never looked up.
+        """
+        row = self._rows.get(edge.id)
+        have = 0 if row is None else len(row) - 1
+        if row is None or have < n:
+            more = np.array([self.reward(k, edge) for k in range(have + 1, n + 1)],
+                            dtype=np.int64)
+            row = np.concatenate((np.zeros(1, dtype=np.int64) if row is None
+                                  else row, more))
+            row.flags.writeable = False
+            self._rows[edge.id] = row
+        return row[:n + 1]
+
     def cumulative(self, n: int, edge) -> int:
         """r(n, e) = sum of reward(j, e) for j = 1..n; the potential's edge term."""
         if n < 1:
@@ -115,9 +135,6 @@ class WaitingCostModel:
     """Linear waiting cost: step_cost_centi per waited step."""
 
     step_cost_centi: int = DEFAULT_STEP_COST_CENTI
-
-    def cost(self, waits: Sequence[int]) -> int:
-        return self.step_cost_centi * sum(waits)
 
 
 class CoordinationGame:

@@ -9,7 +9,7 @@ from oracles import (ref_potential, ref_reward, ref_round_half_away,
                      ref_utility)
 from hubplatoon.errors import FormatError, InputError
 from hubplatoon.game import (RewardModel, Scenario, VehicleSpec,
-                             WaitingCostModel, deterministic_scenario,
+                             deterministic_scenario,
                              fleet_from_list, fleet_to_list, load_fleet,
                              round_half_away, save_fleet, scenario_from_dict,
                              scenario_to_dict, zero_profile)
@@ -81,11 +81,13 @@ class TestRewardModel:
             RewardModel().reward(0, line_net.edges[0])
 
 
-def test_waiting_cost_is_linear():
-    cm = WaitingCostModel(step_cost_centi=2200)
-    assert cm.cost((0, 0, 0)) == 0
-    assert cm.cost((1, 0, 2)) == 6600
-    assert cm.cost(()) == 0
+def test_waiting_cost_is_linear(line_net):
+    """A lone truck earns no reward, so its utility is minus its waiting cost."""
+    game = make_game(line_net, [(0, (0, 1, 2), 0, 3)], step_cost=2200)
+    oracle = DeterministicOracle(game, deterministic_scenario(
+        line_net, game.fleet.values()))
+    assert oracle.utility(0, {0: (0, 0, 0)}) == 0
+    assert oracle.utility(0, {0: (1, 0, 2)}) == -6600
 
 
 def entries(game, vid, waits, scenario):

@@ -15,9 +15,11 @@ seed, for BENCHMARK.json's ``run_seconds``, one after the other; the
 order flips from one pair to the next, so a drift of the machine's speed
 hits both sides alike. Pair ``i`` uses seed ``--seed + i``.
 ``BENCH_<pr>.json`` gets, per workload and end-to-end metric, the median
-and quartiles of each side and the number of pairs the change won. It is
-rewritten after every pair, so an interrupted comparison keeps the pairs
-it finished.
+and quartiles of each side and the number of pairs the change won, and
+per workload and side the operations attempted and failed and whether
+every run checked correct. It is rewritten after every pair, so an
+interrupted comparison keeps the pairs it finished. The exit status is 1
+when any run failed an operation or a check, else 0.
 """
 
 from __future__ import annotations
@@ -56,8 +58,15 @@ def spread(values: list[float]) -> dict:
 
 
 def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: each side's median and quartiles, and the change's wins."""
-    out = {}
+    """Per metric: each side's median and quartiles, and the change's wins.
+
+    Under ``operations``, per side: the operations attempted and failed
+    over all runs, and whether every run reported ``correct``.
+    """
+    out = {"operations": {side: {
+        "attempted": sum(p[side]["attempted"] for p in pairs),
+        "failed": sum(p[side]["failed"] for p in pairs),
+        "correct": all(p[side]["correct"] for p in pairs)} for side in SIDES}}
     for metric in metrics:
         name = metric["name"]
         got = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
@@ -67,6 +76,17 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
         out[name] = {"better": metric["better"], "bound": metric["bound"],
                      "parent": spread(got["parent"]), "change": spread(got["change"]),
                      "change_wins": wins, "pairs": len(pairs)}
+    return out
+
+
+def failures(doc: dict) -> list[str]:
+    """One line per workload and side with a failed operation or check."""
+    out = []
+    for workload, got in doc["workloads"].items():
+        for side, ops in got["summary"]["operations"].items():
+            if ops["failed"] or not ops["correct"]:
+                out.append(f"{workload} {side}: {ops['failed']} of {ops['attempted']} "
+                           f"operations failed, all correct: {ops['correct']}")
     return out
 
 
@@ -117,7 +137,10 @@ def main(argv=None) -> int:
             ops = {side: pair[side]["metrics"]["ops_per_s"]["value"] for side in SIDES}
             print(f"{workload} seed {seed}: ops_per_s parent {ops['parent']:.3f}, "
                   f"change {ops['change']:.3f}", file=sys.stderr)
-    return 0
+    bad = failures(doc)
+    for line in bad:
+        print(f"FAILED: {line}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
