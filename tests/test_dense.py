@@ -1,22 +1,24 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import make_game, make_net, reference_inputs
-from hubplatoon.dense import TableLimitError, scaled_weights
+from hubplatoon.dense import TableLimitError, scaled_weights, worlds_table
 from hubplatoon.feedback import PolicySpec, run_closed_loop
 from hubplatoon.game import Scenario
 from hubplatoon.network import DelayProfile
 from hubplatoon.solver import (DeterministicOracle, HorizonView,
                                ProfileTravel, WorldsOracle, enumerate_actions,
-                               scenario_profiles, spaces_for_fleet)
+                               scenario_game, scenario_profiles,
+                               spaces_for_fleet)
 from hubplatoon.stochastic import (ExpectedUtilityOracle,
                                    SampledUtilityOracle,
                                    ScenarioDistribution, enumerate_support,
                                    sample_scenarios,
                                    uniform_profile_distribution)
-from oracles import ref_potential, ref_utility
+from oracles import ref_platoons, ref_potential, ref_utility
 
 
 def random_instance(rng, n_profiles=2):
@@ -124,6 +126,114 @@ class TestDeterministicEquivalence:
         oracle = DeterministicOracle(game, s)
         profile = {0: (0,), 1: (1,)}
         space = enumerate_actions(1, 2)
+        assert list(oracle.scaled_values(0, space, profile)) == \
+            oracle._scaled_by_loop(0, space, profile)
+        assert oracle._no_table is True
+
+
+def mixed_length_game(rng):
+    """Six tracks on a 3-edge line, two per window length (3, 2 and 1):
+    one player and one environment track of each length, over the 8
+    worlds of two profiles per edge. Returns the game, views, worlds,
+    each world's reference travel and a start profile."""
+    profiles = {pid: {(k, t): rng.randint(0, 3) for k in range(3)
+                      for t in range(24) if rng.random() < 0.4}
+                for pid in range(2)}
+    net = make_net([(k, k, k + 1, rng.choice((50, 100, 150)),
+                     rng.randint(1, 3), (0, 1)) for k in range(3)],
+                   profiles=profiles)
+    game = make_game(net, [(vid, (0, 1, 2), 0, rng.randint(0, 3))
+                           for vid in range(6)])
+    views, waits = [], {}
+    for vid in range(6):
+        first = vid % 3
+        span = tuple(range(first, 3))
+        budget = game.fleet[vid].waiting_budget_steps
+        waits[vid] = rng.choice(enumerate_actions(len(span), budget))
+        player = vid < 3
+        views.append(HorizonView(vid=vid, kind="at_node", span_nodes=span,
+                                 window_edges=span,
+                                 committed=(0,) * len(span) if player else waits[vid],
+                                 budget_left=budget, player=player))
+    rng.shuffle(views)
+    dist = uniform_profile_distribution(net, game.fleet.values())
+    worlds, ref_travel = [], []
+    for scenario, prob in enumerate_support(dist):
+        travel = ProfileTravel(net.edges, scenario_profiles(game, scenario))
+        worlds.append((prob, {vid: rng.randint(0, 4) for vid in range(6)}, travel))
+        ref_travel.append(reference_inputs(game, scenario)[1])
+    return game, views, worlds, ref_travel, waits
+
+
+class TestBatchedBuild:
+    """``worlds_table`` against per-world references."""
+
+    @staticmethod
+    def reference_counts(table, views, worlds, ref_travel, waits):
+        want = np.zeros_like(table.counts)
+        for w, ((_p, avail, _t), travel) in enumerate(zip(worlds, ref_travel)):
+            vehicles = {v.vid: (avail[v.vid], v.window_edges) for v in views}
+            for (eid, t), members in ref_platoons(vehicles, waits, travel).items():
+                want[w, table.col[eid], t - table.t0] += len(members)
+        return want
+
+    def test_mixed_window_lengths_match_per_world_references(self):
+        rng = random.Random(8080)
+        for _case in range(10):
+            game, views, worlds, ref_travel, waits = mixed_length_game(rng)
+            table = worlds_table(game, views, worlds, waits)
+            assert sorted({len(v.window_edges) for v in views}) == [1, 2, 3]
+            for w, (_p, _a, travel) in enumerate(worlds):
+                for eid, c in table.col.items():
+                    assert table.travel[w, c].tolist() == travel.dense_row(
+                        eid, table.t0, table.t0 + table.steps).tolist()
+            assert np.array_equal(
+                table.counts,
+                self.reference_counts(table, views, worlds, ref_travel, waits))
+            # a commit retraces one track through the same tracer
+            player = next(v for v in views if v.player and len(v.span_nodes) > 1)
+            moved = dict(waits)
+            moved[player.vid] = rng.choice(enumerate_actions(
+                len(player.span_nodes), player.budget_left))
+            table.commit(player.vid, moved[player.vid])
+            assert np.array_equal(
+                table.counts,
+                self.reference_counts(table, views, worlds, ref_travel, moved))
+
+    def test_negative_delay_in_the_second_profile_is_refused(self):
+        """Both worlds share edge 0; only the second one's profile has a
+        negative delay inside the window."""
+        net = make_net([(0, 0, 1, 100, 3, (0, 1))],
+                       profiles={0: {(0, 5): 1}, 1: {(0, 1): -1}})
+        game = make_game(net, [(0, (0,), 0, 2), (1, (0,), 0, 2)])
+        views, _worlds = scenario_game(game, [])
+        worlds = [(Fraction(1, 2), {0: 0, 1: 0},
+                   ProfileTravel(net.edges, {0: net.delay_profiles[pid]}))
+                  for pid in (0, 1)]
+        oracle = WorldsOracle(game, views, worlds)
+        profile = {0: (0,), 1: (1,)}
+        space = enumerate_actions(1, 2)
+        assert list(oracle.scaled_values(0, space, profile)) == \
+            oracle._scaled_by_loop(0, space, profile)
+        assert oracle._no_table is True
+
+    def test_out_of_window_entry_in_a_later_track_is_refused(self):
+        """Three tracks of length 2; the last one's committed waits exceed
+        its budget, so its second entry falls past the tabulated window."""
+        net = make_net([(0, 0, 1, 100, 3), (1, 1, 2, 100, 3)])
+        game = make_game(net, [(vid, (0, 1), 0, 2) for vid in range(3)])
+        views = [HorizonView(vid=vid, kind="at_node", span_nodes=(0, 1),
+                             window_edges=(0, 1), committed=waits,
+                             budget_left=budget, player=vid < 2)
+                 for vid, waits, budget in ((0, (0, 0), 2), (1, (0, 0), 2),
+                                            (2, (0, 9), 0))]
+        worlds = [(Fraction(1), {0: 0, 1: 1, 2: 0},
+                   ProfileTravel(net.edges, {}))]
+        with pytest.raises(TableLimitError, match="outside the tabulated window"):
+            worlds_table(game, views, worlds, {0: (0, 0), 1: (0, 0), 2: (0, 9)})
+        oracle = WorldsOracle(game, views, worlds)
+        profile = {0: (0, 0), 1: (1, 0)}
+        space = enumerate_actions(2, 2)
         assert list(oracle.scaled_values(0, space, profile)) == \
             oracle._scaled_by_loop(0, space, profile)
         assert oracle._no_table is True

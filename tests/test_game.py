@@ -2,14 +2,15 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import make_game, make_net, reference_inputs
 from oracles import (ref_potential, ref_reward, ref_round_half_away,
                      ref_utility)
 from hubplatoon.errors import FormatError, InputError
-from hubplatoon.game import (RewardModel, Scenario, VehicleSpec,
-                             deterministic_scenario,
+from hubplatoon.game import (CoordinationGame, RewardModel, Scenario,
+                             VehicleSpec, deterministic_scenario,
                              fleet_from_list, fleet_to_list, load_fleet,
                              round_half_away, save_fleet, scenario_from_dict,
                              scenario_to_dict, zero_profile)
@@ -79,6 +80,44 @@ class TestRewardModel:
             RewardModel(table={(2, 0): -5})
         with pytest.raises(InputError):
             RewardModel().reward(0, line_net.edges[0])
+
+    def test_reward_rows_match_reward(self):
+        edges = make_net([(0, 0, 1, 0.3, 1), (1, 1, 2, 37.5, 1),
+                          (2, 2, 3, 100, 1)]).edges
+        rm = RewardModel(km_rate_centi=93)
+        for e in edges.values():
+            row = rm.reward_row(e, 12)
+            assert row.dtype == np.int64
+            assert row.tolist() == [0] + [rm.reward(n, e) for n in range(1, 13)]
+
+    def test_reward_row_grows_when_a_larger_size_is_asked(self, line_net):
+        rm = RewardModel()
+        e = line_net.edges[0]
+        assert rm.reward_row(e, 2).tolist() == [0, 0, 8500]
+        assert rm.reward_row(e, 4).tolist() == [0, 0, 8500, 11333, 12750]
+        assert rm.reward_row(e, 3).tolist() == [0, 0, 8500, 11333]
+        assert rm.reward_row(e, 9).tolist() == \
+            [0] + [ref_reward(n, 100) for n in range(1, 10)]
+        with pytest.raises(ValueError):
+            rm.reward_row(e, 3)[1] = 7     # the kept row is read-only
+
+    def test_custom_table_row_stops_at_a_missing_size(self, line_net):
+        rm = RewardModel(table={(1, 0): 0, (2, 0): 1000, (3, 0): 1500})
+        e = line_net.edges[0]
+        assert rm.reward_row(e, 2).tolist() == [0, 0, 1000]
+        with pytest.raises(InputError, match="no entry for size 4 on edge 0"):
+            rm.reward_row(e, 5)
+        assert rm.reward_row(e, 3).tolist() == [0, 0, 1000, 1500]
+
+    def test_missing_size_refused_when_the_table_is_built(self, line_net):
+        """Three trucks on edge 0 need R(3, 0), which the table lacks."""
+        rm = RewardModel(table={(1, 0): 0, (2, 0): 1000})
+        fleet = [VehicleSpec(id=vid, edge_sequence=(0,), start_step=0,
+                             waiting_budget_steps=1) for vid in range(3)]
+        game = CoordinationGame(line_net, fleet, rm)
+        oracle = DeterministicOracle(game, deterministic_scenario(line_net, fleet))
+        with pytest.raises(InputError, match="no entry for size 3 on edge 0"):
+            oracle.scaled_values(0, [(0,), (1,)], {0: (0,), 1: (0,), 2: (1,)})
 
 
 def test_waiting_cost_is_linear(line_net):
