@@ -13,17 +13,19 @@ import sys
 
 from . import __version__
 from .errors import InputError, ModelInconsistencyError, NonConvergenceError
-from .experiments import (ExperimentConfig, ExperimentResult, POLICY_ORDER,
-                          SWEEP_AXES, compute_metrics, config_from_dict,
-                          config_to_dict, load_config, prepare_network,
-                          run_experiment, run_instance, sweep,
+from .experiments import (ExperimentConfig, ExperimentResult, SWEEP_AXES,
+                          compute_metrics, config_from_dict, config_to_dict,
+                          load_config, prepare_network, run_experiment,
+                          run_instance, sweep,
                           write_followers_csv, write_metrics_json,
                           write_platoon_hist_csv, write_raw_csv)
+from .feedback import POLICY_KINDS
 from .game import (CoordinationGame, RewardModel, WaitingCostModel,
                    deterministic_scenario, load_fleet, scenario_from_dict)
 from .network import load_json, load_network, validate_network
-from .solver import nash_seek, solve_deterministic, spaces_for_fleet
-from .stochastic import load_distribution, stochastic_oracle
+from .solver import (DEFAULT_ROUND_CAP, nash_seek, solve_deterministic,
+                     spaces_for_fleet)
+from .stochastic import DEFAULT_SUPPORT_CAP, load_distribution, stochastic_oracle
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,9 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exhaustively confirm the result is a Nash equilibrium")
     p.add_argument("--track-potential", action="store_true",
                    help="record the potential after every accepted change")
-    p.add_argument("--round-cap", type=int, default=10_000,
+    p.add_argument("--round-cap", type=int, default=DEFAULT_ROUND_CAP,
                    help="abort after this many best-response passes")
-    p.add_argument("--support-cap", type=int, default=4096,
+    p.add_argument("--support-cap", type=int, default=DEFAULT_SUPPORT_CAP,
                    help="largest scenario support enumerated exactly")
     p.add_argument("--draws", type=int, default=16,
                    help="sample size when the support exceeds the cap")
@@ -86,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output directory for metrics and CSV files")
     p.add_argument("--policies", default=None,
                    help="comma-separated policies to run "
-                        f"(subset of {','.join(POLICY_ORDER)})")
+                        f"(subset of {','.join(POLICY_KINDS)})")
     p.add_argument("--samples", type=int, default=None,
                    help="override the number of Monte Carlo samples")
     p.add_argument("--vehicles", type=int, default=None,
@@ -120,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shorthand for --axis c_b --values ... (SEK/km)")
     p.add_argument("--policies", default=None,
                    help="comma-separated policies to run "
-                        f"(subset of {','.join(POLICY_ORDER)})")
+                        f"(subset of {','.join(POLICY_KINDS)})")
     p.add_argument("--samples", type=int, default=None,
                    help="override the number of Monte Carlo samples")
     p.add_argument("--seed", type=int, default=None,

@@ -13,7 +13,8 @@ row is read per distinct token, and one gather copies it into every
 world. Tracks of the same length are traced together, and their entry
 counts go in with one scatter. Rewards come from the reward model's
 per-edge rows ``[0, R(1, e), ..., R(n, e)]``, which it keeps between
-tables.
+tables. One walk, ``_walk``, turns waits into entry cells for the build,
+for ``commit`` and for ``scaled_values``.
 
 Everything stays exact: probabilities enter as lcm-scaled integer
 weights, so a value here equals the reference Fraction times the scale.
@@ -23,8 +24,6 @@ or the integers could overflow; callers then keep their plain loop.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -38,120 +37,122 @@ class TableLimitError(Exception):
     """The dense representation does not fit; use the reference path."""
 
 
-def scaled_weights(probs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer weights preserving exact ordering: weight[i] = prob[i] * scale."""
-    scale = 1
-    for p in probs:
-        scale = scale * p.denominator // math.gcd(scale, p.denominator)
-    if scale > MAX_VALUE_BOUND:
-        raise TableLimitError(f"weight scale {scale} too large")
-    return [int(p * scale) for p in probs], scale
-
-
 class EntryTable:
     """Entry times and platoon counts over W weighted worlds.
 
-    A *track* is one vehicle's list of edges with a per-world availability
-    step and a committed wait vector; player tracks can be re-valued and
-    re-committed, environment tracks only contribute counts. A track's
-    entries are kept as flat indices into ``counts``, so adding or taking
-    out a track is one scatter.
+    ``worlds`` are (probability, avail map, travel model) triples, weighted
+    by the integer ``weights`` over ``scale``; the travel model supplies
+    ``row_token``, ``max_extra`` and ``dense_row``. Each view is a *track*:
+    a vehicle's window edges with a per-world availability step, starting
+    from the wait vector ``waits`` gives it. Player tracks can be re-valued
+    and re-committed, environment tracks only contribute counts. A track's
+    entries are kept as flat cell indices into ``counts`` and ``travel``,
+    so adding or taking out a track is one scatter.
     """
 
-    def __init__(self, worlds: int, edge_ids: Sequence[int], horizon_steps: int,
-                 t0: int, weights: Sequence[int], scale: int,
-                 step_cost_centi: int):
-        if worlds < 1 or not edge_ids or horizon_steps < 1:
+    def __init__(self, game, views, worlds,
+                 waits: Mapping[int, Sequence[int]],
+                 weights: Sequence[int], scale: int):
+        edge_ids = sorted({eid for v in views for eid in v.window_edges})
+        if not worlds or not edge_ids:
             raise TableLimitError("empty table")
-        cells = worlds * len(edge_ids) * horizon_steps
+        if scale > MAX_VALUE_BOUND:
+            raise TableLimitError(f"weight scale {scale} too large")
+        travels = [t for _p, _a, t in worlds]
+        groups = {eid: _token_groups(travels, eid) for eid in edge_ids}
+        edges = game.net.edges
+        longest = {eid: edges[eid].base_travel_steps
+                   + max(t.max_extra(eid) for t in reps)
+                   for eid, (reps, _inverse) in groups.items()}
+        avail = [[a[v.vid] for _p, a, _t in worlds] for v in views]
+        self.t0 = t0 = min(min(a) for a in avail)
+        horizon = 1
+        for v, av in zip(views, avail):
+            span = max(av) + v.budget_left + sum(longest[eid] for eid in v.window_edges)
+            horizon = max(horizon, span - t0 + 1)
+        cells = len(worlds) * len(edge_ids) * horizon
         if cells > MAX_TABLE_CELLS:
             raise TableLimitError(f"{cells} cells exceed the dense limit")
-        self.w = worlds
-        self.t0 = t0
-        self.steps = horizon_steps
-        self.scale = scale
-        self.step_cost = step_cost_centi
-        self.col = {eid: i for i, eid in enumerate(edge_ids)}
-        self.travel = np.zeros((worlds, len(edge_ids), horizon_steps),
-                               dtype=np.int32)
-        self.counts = np.zeros_like(self.travel)
-        self._flat_counts = self.counts.reshape(-1)   # a view, not a copy
+        self.w = len(worlds)
+        self.steps = horizon
+        self.step_cost = game.cost_model.step_cost_centi
         self.weights = np.asarray(weights, dtype=np.int64)
-        self._worlds = np.arange(worlds)
-        self._w_idx = self._worlds[:, None]
-        self._w_cell = self._worlds * (len(edge_ids) * horizon_steps)
+        self.col = {eid: i for i, eid in enumerate(edge_ids)}
+        self.travel = np.zeros((self.w, len(edge_ids), horizon), dtype=np.int32)
+        self.counts = np.zeros_like(self.travel)
+        # views, not copies, indexed by one flat cell
+        self._flat_travel = self.travel.reshape(-1)
+        self._flat_counts = self.counts.reshape(-1)
+        self._w_cell = np.arange(self.w) * (len(edge_ids) * horizon)
+        for eid, (reps, inverse) in groups.items():
+            rows = np.stack([t.dense_row(eid, t0, t0 + horizon) for t in reps])
+            if rows.min() < 0:
+                raise TableLimitError(f"negative travel on edge {eid}")
+            self.travel[:, self.col[eid]] = rows[inverse]
+        self._rt = np.stack([game.reward_model.reward_row(edges[eid], len(views))
+                             for eid in edge_ids])
+        bound = scale * (max(len(v.window_edges) for v in views)
+                         * int(abs(self._rt).max(initial=1))
+                         + max(v.budget_left for v in views) * self.step_cost + 1)
+        if bound > MAX_VALUE_BOUND:
+            raise TableLimitError(f"value bound {bound} risks overflow")
         self._cols: dict[int, np.ndarray] = {}
         self._avail: dict[int, np.ndarray] = {}
         self._waits: dict[int, tuple[int, ...]] = {}
         self._cells: dict[int, np.ndarray] = {}
         self._acts: dict[int, tuple] = {}
-        self._rt: np.ndarray | None = None
-
-    # -- construction -----------------------------------------------------
-
-    def finish_travel(self, reward_model, edges: Mapping, max_platoon: int,
-                      max_budget: int, max_track_len: int) -> None:
-        """Freeze travel tables and build the reward lookup."""
-        rt = np.stack([reward_model.reward_row(edges[eid], max_platoon)
-                       for eid in self.col])
-        self._rt = rt
-        bound = self.scale * (max_track_len * int(abs(rt).max(initial=1))
-                              + max_budget * self.step_cost + 1)
-        if bound > MAX_VALUE_BOUND:
-            raise TableLimitError(f"value bound {bound} risks overflow")
-
-    def add_tracks(self, tracks: Sequence[tuple[int, Sequence[int],
-                                                Sequence[int], Sequence[int]]]
-                   ) -> None:
-        """Add (vid, edge ids, availability per world, waits) tracks.
-
-        Tracks of one length are traced together, and all their counts
-        go in with one scatter.
-        """
+        # tracks of one length are traced together; every count goes in
+        # with one scatter
         by_len: dict[int, list] = {}
-        for track in tracks:
-            by_len.setdefault(len(track[1]), []).append(track)
-        cells = []
+        for v, av in zip(views, avail):
+            by_len.setdefault(len(v.window_edges), []).append((v, av))
+        traced = []
         for group in by_len.values():
-            cols = np.asarray([[self.col[e] for e in edge_ids]
-                               for _v, edge_ids, _a, _w in group], dtype=np.int64)
-            avail = np.asarray([a for _v, _e, a, _w in group],
-                               dtype=np.int64) - self.t0
-            waits = [tuple(w) for _v, _e, _a, w in group]
-            got = self._trace(cols, avail, np.asarray(waits, dtype=np.int64))
-            cells.append(got.reshape(-1))
-            for i, (vid, _e, _a, _w) in enumerate(group):
-                self._cols[vid] = cols[i]
-                self._avail[vid] = avail[i]
-                self._waits[vid] = waits[i]
-                self._cells[vid] = got[i]
-        np.add.at(self._flat_counts, np.concatenate(cells), 1)
+            cols = np.asarray([[self.col[e] for e in v.window_edges]
+                               for v, _av in group], dtype=np.int64)
+            starts = np.asarray([av for _v, av in group], dtype=np.int64) - t0
+            first = [tuple(waits[v.vid]) for v, _av in group]
+            got = self._trace(cols, starts, np.asarray(first, dtype=np.int64))
+            traced.append(got.reshape(-1))
+            for i, (v, _av) in enumerate(group):
+                self._cols[v.vid] = cols[i]
+                self._avail[v.vid] = starts[i]
+                self._waits[v.vid] = first[i]
+                self._cells[v.vid] = got[i]
+        np.add.at(self._flat_counts, np.concatenate(traced), 1)
+
+    def _walk(self, cols, avail: np.ndarray, waits):
+        """Yield the flat cell of each entry, window edge by window edge.
+
+        ``avail`` is when a track can first leave (relative to t0), with
+        the worlds on its last axis; ``cols[k]`` and ``waits[k]``, the
+        column and wait of the k-th window edge, broadcast against it.
+        An entry outside the tabulated window is refused before its travel
+        is read.
+        """
+        t = avail
+        cell = None
+        for c, wait in zip(cols, waits):
+            if cell is not None:
+                t = t + self._flat_travel[cell]
+            t = t + wait
+            if t.max() >= self.steps or t.min() < 0:
+                raise TableLimitError("entry outside the tabulated window")
+            cell = self._w_cell + c * self.steps + t
+            yield cell
 
     def _trace(self, cols: np.ndarray, avail: np.ndarray,
                waits: np.ndarray) -> np.ndarray:
-        """Flat ``counts`` index of each entry, shape (tracks, worlds, edges).
-
-        ``cols``, ``avail`` (relative to t0) and ``waits`` hold one row per
-        track, all tracks of one length.
-        """
-        cells = np.empty((len(cols), self.w, cols.shape[1]), dtype=np.int64)
-        t = avail + waits[:, :1]
-        for k in range(cols.shape[1]):
-            if t.max() >= self.steps or t.min() < 0:
-                raise TableLimitError("entry outside the tabulated window")
-            c = cols[:, k:k + 1]
-            cells[:, :, k] = self._w_cell + c * self.steps + t
-            if k + 1 < cols.shape[1]:
-                t = t + self.travel[self._worlds, c, t] + waits[:, k + 1:k + 2]
-        return cells
+        """Flat cells of the entries of tracks of one length, shape
+        (tracks, edges, worlds); one row per track in each argument."""
+        return np.stack(list(self._walk(cols.T[:, :, None], avail,
+                                        waits.T[:, :, None])), axis=1)
 
     # -- queries ----------------------------------------------------------
 
     def commit(self, vid: int, waits: Sequence[int]) -> None:
         """Adopt a new wait vector for an existing track."""
         waits = tuple(waits)
-        if waits == self._waits[vid]:
-            return
         np.subtract.at(self._flat_counts, self._cells[vid], 1)
         cells = self._trace(self._cols[vid][None], self._avail[vid][None],
                             np.asarray([waits], dtype=np.int64))[0]
@@ -160,6 +161,7 @@ class EntryTable:
         np.add.at(self._flat_counts, cells, 1)
 
     def sync(self, profile: Mapping[int, Sequence[int]]) -> None:
+        """Commit every track whose waits differ from ``profile``."""
         for vid, waits in profile.items():
             if tuple(waits) != self._waits[vid]:
                 self.commit(vid, waits)
@@ -181,61 +183,14 @@ class EntryTable:
         own = self._cells[vid]
         np.subtract.at(self._flat_counts, own, 1)
         try:
-            t = self._avail[vid][:, None] + acts[None, :, 0]
-            rewards = np.zeros((self.w, len(acts)), dtype=np.int64)
-            for k, c in enumerate(cols):
-                if t.max() >= self.steps or t.min() < 0:
-                    raise TableLimitError("entry outside the tabulated window")
-                n = self.counts[self._w_idx, c, t]
-                rewards += self._rt[c, n + 1]
-                if k + 1 < len(cols):
-                    t = t + self.travel[self._w_idx, c, t] + acts[None, :, k + 1]
+            rewards = np.zeros((len(acts), self.w), dtype=np.int64)
+            for c, cell in zip(cols, self._walk(cols, self._avail[vid],
+                                                acts.T[:, :, None])):
+                rewards += self._rt[c][self._flat_counts[cell] + 1]
         finally:
             np.add.at(self._flat_counts, own, 1)
-        totals = rewards - self.step_cost * acts.sum(axis=1)[None, :]
-        return self.weights @ totals
-
-
-def worlds_table(game, views, worlds,
-                 waits: Mapping[int, Sequence[int]]) -> EntryTable:
-    """EntryTable over weighted worlds, one track per view.
-
-    ``worlds`` are (probability, avail map, travel model) triples; the
-    travel model supplies ``row_token``, ``max_extra`` and ``dense_row``.
-    Worlds with equal ``row_token`` on an edge share that edge's row, so
-    each edge reads one row per distinct token and gathers it into every
-    world. ``waits`` gives the wait vector each track starts from.
-    """
-    edge_ids = sorted({eid for v in views for eid in v.window_edges})
-    if not edge_ids:
-        raise TableLimitError("no window edges")
-    weights, scale = scaled_weights([p for p, _a, _t in worlds])
-    travels = [t for _p, _a, t in worlds]
-    groups = {eid: _token_groups(travels, eid) for eid in edge_ids}
-    max_delta = {eid: max(t.max_extra(eid) for t in reps)
-                 for eid, (reps, _inverse) in groups.items()}
-    avail = [[a[v.vid] for _p, a, _t in worlds] for v in views]
-    t0 = min(min(a) for a in avail)
-    edges = game.net.edges
-    horizon = 1
-    for v, av in zip(views, avail):
-        span = max(av) + v.budget_left + sum(
-            edges[eid].base_travel_steps + max_delta[eid] for eid in v.window_edges)
-        horizon = max(horizon, span - t0 + 1)
-    table = EntryTable(len(worlds), edge_ids, horizon, t0, weights, scale,
-                       game.cost_model.step_cost_centi)
-    for eid, (reps, inverse) in groups.items():
-        rows = np.stack([t.dense_row(eid, t0, t0 + horizon) for t in reps])
-        if rows.min() < 0:
-            raise TableLimitError(f"negative travel on edge {eid}")
-        table.travel[:, table.col[eid]] = rows[inverse]
-    table.finish_travel(game.reward_model, edges,
-                        max_platoon=len(views),
-                        max_budget=max(v.budget_left for v in views),
-                        max_track_len=max(len(v.window_edges) for v in views))
-    table.add_tracks([(v.vid, v.window_edges, av, waits[v.vid])
-                      for v, av in zip(views, avail)])
-    return table
+        totals = rewards - self.step_cost * acts.sum(axis=1)[:, None]
+        return totals @ self.weights
 
 
 def _token_groups(travels, eid: int) -> tuple[list, np.ndarray]:

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .errors import (FormatError, InputError, ModelInconsistencyError,
                      NonConvergenceError)
-from .feedback import PolicySpec, SimulationTrace, run_policies
+from .feedback import POLICY_KINDS, PolicySpec, SimulationTrace, run_policies
 from .game import (CoordinationGame, RewardModel, Scenario, VehicleSpec,
                    WaitingCostModel)
 from .network import (INTEGER, INTEGERS, NUMBER, STRINGS, DelayProfile,
@@ -30,15 +30,13 @@ from .stochastic import sample_scenario, uniform_profile_distribution
 
 STEPS_PER_DAY = 288  # 5-minute grid
 
-POLICY_ORDER = ("sp", "ip", "ktt", "drhs", "srhs")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     vehicle_count: int = 100
     samples: int = 50
     master_seed: int = 0
-    policies: tuple[str, ...] = POLICY_ORDER
+    policies: tuple[str, ...] = POLICY_KINDS
     injection_start_step: int = 78      # 06:30
     injection_end_step: int = 102       # 08:30, inclusive
     waiting_budget_steps: int = 4
@@ -70,9 +68,11 @@ class ExperimentConfig:
             raise InputError("peak heights must be nonnegative")
         if not self.injection_start_step <= self.injection_end_step:
             raise InputError("injection window is empty")
-        unknown = [p for p in self.policies if p not in POLICY_ORDER]
+        unknown = [p for p in self.policies if p not in POLICY_KINDS]
         if unknown:
             raise InputError(f"unknown policies: {', '.join(unknown)}")
+        for kind in self.policies:
+            self.policy_spec(kind)   # a bad policy setting fails the config
 
     def policy_spec(self, kind: str) -> PolicySpec:
         return PolicySpec(kind=kind, horizon=self.horizon,

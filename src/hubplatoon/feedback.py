@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,11 +29,11 @@ from typing import Mapping, Sequence
 
 from .errors import InputError, ModelInconsistencyError, NonConvergenceError
 from .game import (CoordinationGame, Scenario, round_half_away, round_ratio,
-                   zero_profile)
+                   scaled_weights, zero_profile)
 from .network import DelayProfile
 from .seeding import derive_seed
-from .solver import (DEFAULT_ROUND_CAP, DeterministicOracle, HorizonView,
-                     ProfileTravel, WorldsOracle, enumerate_actions, nash_seek,
+from .solver import (DeterministicOracle, HorizonView, ProfileTravel,
+                     WorldsOracle, enumerate_actions, nash_seek,
                      scenario_profiles, spaces_for_fleet)
 from .stochastic import (ScenarioDistribution, enumerate_support,
                          sample_scenarios, stochastic_oracle)
@@ -52,13 +51,14 @@ class PolicySpec:
     support_cap: int = 128        # horizon-game posterior enumeration cap
     oracle_draws: int = 16        # sample count above either cap
     open_loop_cap: int = 4096     # IP one-shot enumeration cap
-    round_cap: int = DEFAULT_ROUND_CAP
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise InputError(f"unknown policy kind {self.kind!r}")
         if self.horizon < 1:
             raise InputError("horizon must be >= 1")
+        if self.oracle_draws < 1:
+            raise InputError("oracle_draws must be >= 1")
 
 
 @dataclass
@@ -375,7 +375,7 @@ def _horizon_actions(length: int, budget: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _solve_horizon(game: CoordinationGame, views: Sequence[HorizonView],
-                   worlds, policy: PolicySpec) -> dict[int, dict[int, int]]:
+                   worlds) -> dict[int, dict[int, int]]:
     """Each player's equilibrium waits, keyed by path node index."""
     oracle = WorldsOracle(game, views, worlds)
     spaces = {vid: _horizon_actions(len(oracle.views[vid].span_nodes),
@@ -384,8 +384,7 @@ def _solve_horizon(game: CoordinationGame, views: Sequence[HorizonView],
     if not spaces:
         return {}
     initial = {vid: oracle.views[vid].committed for vid in oracle.players}
-    report = nash_seek(oracle, spaces, initial=initial,
-                       round_cap=policy.round_cap)
+    report = nash_seek(oracle, spaces, initial=initial)
     return {vid: dict(zip(oracle.views[vid].span_nodes, waits))
             for vid, waits in report.profile.items()}
 
@@ -399,10 +398,9 @@ def _mean_profile(game: CoordinationGame, eid: int,
     Entries on other edges are ignored.
     """
     profiles = game.net.delay_profiles
-    scale = math.lcm(*(p.denominator for _pid, p in pairs))
+    weights, scale = scaled_weights([p for _pid, p in pairs])
     totals: dict[int, int] = {}
-    for pid, p in pairs:
-        weight = p.numerator * (scale // p.denominator)
+    for (pid, _p), weight in zip(pairs, weights):
         steps, delays, _top = profiles[pid].on_edge(eid)
         for t, d in zip(steps, delays):
             totals[t] = totals.get(t, 0) + weight * d
@@ -410,29 +408,27 @@ def _mean_profile(game: CoordinationGame, eid: int,
         (eid, t): round_ratio(total, scale) for t, total in totals.items()})
 
 
-def _decide(game: CoordinationGame, world: WorldState,
-            dist: ScenarioDistribution | Belief, eligible: Sequence[int],
-            policy: PolicySpec, draws) -> dict[int, dict[int, int]]:
+def _decide(game: CoordinationGame, world: WorldState, belief: Belief,
+            eligible: Sequence[int], policy: PolicySpec,
+            draws) -> dict[int, dict[int, int]]:
     """The receding-horizon step both feedback rules share.
 
-    ``dist`` is the run's belief, or a prior that gets a fresh one. The
-    belief is brought up to date, so every observation is checked, and cut
-    to the marginals the horizon game sees. ``draws(belief, visible)``
-    turns those into weighted worlds, each a (probability, delay profile
-    per edge, start steps) triple.
+    The run's belief is brought up to date, so every observation is
+    checked, and cut to the marginals the horizon game sees.
+    ``draws(visible)`` turns those into weighted worlds, each a
+    (probability, delay profile per edge, start steps) triple.
     """
-    belief = dist if isinstance(dist, Belief) else Belief(game, dist)
     belief.update(world)
     views = build_views(game, world, eligible, policy.horizon)
     worlds = []
-    for prob, profiles, starts in draws(belief, belief.visible(views, world.now)):
+    for prob, profiles, starts in draws(belief.visible(views, world.now)):
         travel = ProfileTravel(game.net.edges, profiles)
         worlds.append((prob, _avail_map(game, world, views, travel, starts), travel))
-    return _solve_horizon(game, views, worlds, policy)
+    return _solve_horizon(game, views, worlds)
 
 
-def drhs_decide(game: CoordinationGame, world: WorldState,
-                dist: ScenarioDistribution | Belief, eligible: Sequence[int],
+def drhs_decide(game: CoordinationGame, world: WorldState, belief: Belief,
+                eligible: Sequence[int],
                 policy: PolicySpec) -> dict[int, dict[int, int]]:
     """Deterministic receding-horizon step: certainty-equivalent solve.
 
@@ -440,21 +436,21 @@ def drhs_decide(game: CoordinationGame, world: WorldState,
     rounded posterior means. Returns each player's new waits keyed by
     path node index.
     """
-    return _decide(game, world, dist, eligible, policy, lambda belief, visible: [
+    return _decide(game, world, belief, eligible, policy, lambda visible: [
         (Fraction(1), {eid: belief.mean_profile(eid) for eid in visible.edge_profiles},
          _mean_starts(visible))])
 
 
-def srhs_decide(game: CoordinationGame, world: WorldState,
-                dist: ScenarioDistribution | Belief, eligible: Sequence[int],
-                policy: PolicySpec, seed: int = 0) -> dict[int, dict[int, int]]:
+def srhs_decide(game: CoordinationGame, world: WorldState, belief: Belief,
+                eligible: Sequence[int], policy: PolicySpec,
+                seed: int = 0) -> dict[int, dict[int, int]]:
     """Stochastic receding-horizon step: expectation over the posterior.
 
     The visible marginals' joint support is enumerated exactly under the
     policy cap and sampled with a seeded stratified draw above it.
     Returns each player's new waits keyed by path node index.
     """
-    def draws(_belief, visible):
+    def draws(visible):
         if visible.support_size() <= policy.support_cap:
             weighted = enumerate_support(visible, policy.support_cap)
         else:
@@ -465,7 +461,7 @@ def srhs_decide(game: CoordinationGame, world: WorldState,
         return [(prob, scenario_profiles(game, scenario), scenario.start_steps)
                 for scenario, prob in weighted]
 
-    return _decide(game, world, dist, eligible, policy, draws)
+    return _decide(game, world, belief, eligible, policy, draws)
 
 
 # --- world dynamics ----------------------------------------------------
@@ -553,12 +549,11 @@ def open_loop_anchor(game: CoordinationGame, dist: ScenarioDistribution,
                                draws=policy.oracle_draws,
                                seed=derive_seed(seed, "ip"))
     spaces = spaces_for_fleet(game.fleet.values())
-    return nash_seek(oracle, spaces, round_cap=policy.round_cap).profile
+    return nash_seek(oracle, spaces).profile
 
 
 def clairvoyant_plan(game: CoordinationGame, truth: Scenario,
-                     anchor: Mapping[int, tuple[int, ...]],
-                     round_cap: int = DEFAULT_ROUND_CAP
+                     anchor: Mapping[int, tuple[int, ...]]
                      ) -> dict[int, tuple[int, ...]]:
     """Equilibrium plan against the realized travel times.
 
@@ -571,8 +566,7 @@ def clairvoyant_plan(game: CoordinationGame, truth: Scenario,
     spaces = spaces_for_fleet(game.fleet.values())
     best, best_total = None, None
     for start in (anchor, zero_profile(game.fleet.values())):
-        profile = nash_seek(oracle, spaces, initial=start,
-                            round_cap=round_cap).profile
+        profile = nash_seek(oracle, spaces, initial=start).profile
         total = sum(oracle.utility(vid, profile) for vid in profile)
         if best is None or total > best_total:
             best, best_total = profile, total
@@ -605,8 +599,7 @@ def run_closed_loop(game: CoordinationGame, dist: ScenarioDistribution,
             anchor = open_loop_anchor(game, dist, policy, seed)
         plans = {vid: tuple(anchor[vid]) for vid in game.vehicle_ids}
         if policy.kind == "ktt":
-            plans = clairvoyant_plan(game, truth, plans,
-                                     round_cap=policy.round_cap)
+            plans = clairvoyant_plan(game, truth, plans)
 
     start_min = min(game.start_of(vid, truth) for vid in game.vehicle_ids)
     world = WorldState(now=start_min, vehicles={

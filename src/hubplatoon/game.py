@@ -14,6 +14,7 @@ terminate. Utilities and the potential are computed by
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -39,6 +40,13 @@ def round_ratio(num: int, den: int) -> int:
     """``round_half_away(num / den)`` for a positive ``den``, in integers."""
     mag = (2 * abs(num) + den) // (2 * den)
     return mag if num >= 0 else -mag
+
+
+def scaled_weights(probs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer weights over the lcm of the denominators of ``probs``:
+    ``weights[i] == probs[i] * scale`` exactly."""
+    scale = math.lcm(*(p.denominator for p in probs))
+    return [p.numerator * (scale // p.denominator) for p in probs], scale
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ the iteration terminates.
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,9 +19,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dense import TableLimitError, worlds_table
+from .dense import EntryTable, TableLimitError
 from .errors import InputError, NonConvergenceError
-from .game import CoordinationGame, Scenario
+from .game import CoordinationGame, Scenario, scaled_weights
 from .network import DelayProfile, Edge
 
 DEFAULT_ROUND_CAP = 10_000
@@ -189,8 +188,7 @@ class WorldsOracle:
         self.views = {v.vid: v for v in views}
         self.players = tuple(sorted(v.vid for v in views if v.player))
         self.worlds = list(worlds)
-        self._scale = math.lcm(*(p.denominator for p, _a, _t in self.worlds))
-        self._weights = [int(p * self._scale) for p, _a, _t in self.worlds]
+        self._weights, self._scale = scaled_weights([p for p, _a, _t in self.worlds])
         self._table = None
         self._no_table = False
 
@@ -208,9 +206,10 @@ class WorldsOracle:
     def _dense(self, profile):
         if self._table is None and not self._no_table:
             try:
-                self._table = worlds_table(
+                self._table = EntryTable(
                     self.game, list(self.views.values()), self.worlds,
-                    {vid: self._waits(vid, profile) for vid in self.views})
+                    {vid: self._waits(vid, profile) for vid in self.views},
+                    self._weights, self._scale)
             except TableLimitError:
                 self._no_table = True
         return self._table

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import FormatError, InputError, SupportTooLargeError
-from .game import CoordinationGame, Scenario
+from .game import CoordinationGame, Scenario, scaled_weights
 from .network import ARRAY, INTEGER, check_fields, load_json
 from .solver import WorldsOracle, scenario_game
 
@@ -55,8 +54,8 @@ class ScenarioDistribution:
                         raise InputError(f"{label} {key} repeats value {value}")
                     seen.add(value)
                 # the exact sum in integers over the lcm of the denominators
-                scale = math.lcm(*(p.denominator for _value, p in pairs))
-                total = sum(p.numerator * (scale // p.denominator) for _value, p in pairs)
+                weights, scale = scaled_weights([p for _value, p in pairs])
+                total = sum(weights)
                 if total != scale:
                     raise InputError(f"{label} {key} probabilities sum to "
                                      f"{Fraction(total, scale)}, not 1")

@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -285,6 +286,18 @@ class TestSimulate:
                     "--config", workdir["config"], "--out", workdir["out"],
                     "--fleet", workdir["fleet"], "--policies", "sp"]) == 1
         assert "error: simulation exceeded 3 steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["horizon", "oracle_draws"])
+    def test_bad_policy_setting_is_a_config_error(self, workdir, capsys, field):
+        doc = json.loads(workdir["config"].read_text())
+        doc[field] = 0
+        workdir["config"].write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["simulate", "--network", workdir["net"],
+                        "--config", workdir["config"], "--out", workdir["out"]]) == 1
+        assert not caught, "no sample may run on a bad config"
+        assert f"error: bad config: {field} must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("policies", ["sp", "sp,ktt"])
     def test_inadmissible_truth_on_an_undriven_edge(self, workdir, capsys,

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import make_game, make_net, reference_inputs
-from hubplatoon.dense import TableLimitError, scaled_weights, worlds_table
+from hubplatoon.dense import EntryTable, TableLimitError
 from hubplatoon.feedback import PolicySpec, run_closed_loop
-from hubplatoon.game import Scenario
+from hubplatoon.game import Scenario, scaled_weights
 from hubplatoon.network import DelayProfile
 from hubplatoon.solver import (DeterministicOracle, HorizonView,
                                ProfileTravel, WorldsOracle, enumerate_actions,
@@ -46,6 +46,12 @@ def random_profile(rng, spaces):
     return {vid: rng.choice(space) for vid, space in spaces.items()}
 
 
+def entry_table(game, views, worlds, waits):
+    """The table ``WorldsOracle`` builds, weighted as the oracle weights."""
+    return EntryTable(game, views, worlds, waits,
+                      *scaled_weights([p for p, _a, _t in worlds]))
+
+
 class TestScaledWeights:
     def test_lcm_scaling_is_exact(self):
         probs = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
@@ -59,9 +65,16 @@ class TestScaledWeights:
         assert weights == [1] and scale == 1
 
     def test_huge_denominator_rejected(self):
+        """The weights stay exact; the table refuses a scale that could
+        overflow before it builds anything."""
         eps = Fraction(1, 2 ** 70)
-        with pytest.raises(TableLimitError):
-            scaled_weights([eps, 1 - eps])
+        weights, scale = scaled_weights([eps, 1 - eps])
+        assert weights == [1, 2 ** 70 - 1] and scale == 2 ** 70
+        game = make_game(make_net([(0, 0, 1, 100, 3)]), [(0, (0,), 0, 1)])
+        views, worlds = scenario_game(game, [(Scenario({}, {}), eps),
+                                             (Scenario({}, {}), 1 - eps)])
+        with pytest.raises(TableLimitError, match="weight scale"):
+            EntryTable(game, views, worlds, {0: (0,)}, weights, scale)
 
 
 class TestDenseRows:
@@ -166,7 +179,7 @@ def mixed_length_game(rng):
 
 
 class TestBatchedBuild:
-    """``worlds_table`` against per-world references."""
+    """``EntryTable`` construction against per-world references."""
 
     @staticmethod
     def reference_counts(table, views, worlds, ref_travel, waits):
@@ -181,7 +194,7 @@ class TestBatchedBuild:
         rng = random.Random(8080)
         for _case in range(10):
             game, views, worlds, ref_travel, waits = mixed_length_game(rng)
-            table = worlds_table(game, views, worlds, waits)
+            table = entry_table(game, views, worlds, waits)
             assert sorted({len(v.window_edges) for v in views}) == [1, 2, 3]
             for w, (_p, _a, travel) in enumerate(worlds):
                 for eid, c in table.col.items():
@@ -230,7 +243,7 @@ class TestBatchedBuild:
         worlds = [(Fraction(1), {0: 0, 1: 1, 2: 0},
                    ProfileTravel(net.edges, {}))]
         with pytest.raises(TableLimitError, match="outside the tabulated window"):
-            worlds_table(game, views, worlds, {0: (0, 0), 1: (0, 0), 2: (0, 9)})
+            entry_table(game, views, worlds, {0: (0, 0), 1: (0, 0), 2: (0, 9)})
         oracle = WorldsOracle(game, views, worlds)
         profile = {0: (0, 0), 1: (1, 0)}
         space = enumerate_actions(2, 2)
@@ -300,7 +313,7 @@ class TestHorizonEquivalence:
             refused.append(1)
             raise TableLimitError("disabled for test")
 
-        monkeypatch.setattr(solver, "worlds_table", refuse)
+        monkeypatch.setattr(solver, "EntryTable", refuse)
         slow = run_closed_loop(game, dist, truth, policy, seed=seed)
         assert refused, "the loop path never ran"
         return fast, slow

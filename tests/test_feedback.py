@@ -42,6 +42,10 @@ class TestPolicySpec:
         with pytest.raises(InputError, match="horizon"):
             spec("drhs", horizon=0)
 
+    def test_rejects_bad_oracle_draws(self):
+        with pytest.raises(InputError, match="oracle_draws must be >= 1"):
+            spec("srhs", oracle_draws=0)
+
     def test_gating_steps(self):
         assert gating_steps(spec("drhs", gating_minutes=20), 5) == 4
         assert gating_steps(spec("drhs", gating_minutes=18), 5) == 3
