@@ -25,7 +25,8 @@ from .game import (CoordinationGame, RewardModel, WaitingCostModel,
 from .network import load_json, load_network, validate_network
 from .solver import (DEFAULT_ROUND_CAP, nash_seek, solve_deterministic,
                      spaces_for_fleet)
-from .stochastic import DEFAULT_SUPPORT_CAP, load_distribution, stochastic_oracle
+from .stochastic import (DEFAULT_DRAWS, DEFAULT_SUPPORT_CAP, load_distribution,
+                         stochastic_oracle)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="abort after this many best-response passes")
     p.add_argument("--support-cap", type=int, default=DEFAULT_SUPPORT_CAP,
                    help="largest scenario support enumerated exactly")
-    p.add_argument("--draws", type=int, default=16,
+    p.add_argument("--draws", type=int, default=DEFAULT_DRAWS,
                    help="sample size when the support exceeds the cap")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for sampled-oracle draws")

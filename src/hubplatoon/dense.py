@@ -7,14 +7,13 @@ at a time is exact but slow; this module tabulates travel times, entry
 counts and platoon rewards as integer arrays so a whole action space is
 valued with a handful of numpy gathers.
 
-A table is built in whole-array passes, not per world. Travel is filled
-per edge: the worlds are grouped by their travel model's row token, one
-row is read per distinct token, and one gather copies it into every
-world. Tracks of the same length are traced together, and their entry
-counts go in with one scatter. Rewards come from the reward model's
-per-edge rows ``[0, R(1, e), ..., R(n, e)]``, which it keeps between
-tables. One walk, ``_walk``, turns waits into entry cells for the build,
-for ``commit`` and for ``scaled_values``.
+A table is built in whole-array passes, not per world. The worlds are
+index arrays over one travel matrix, so travel is filled with one gather
+of every (world, edge, step) cell. Tracks of the same length are traced
+together, and their entry counts go in with one scatter. Rewards come
+from the reward model's per-edge rows ``[0, R(1, e), ..., R(n, e)]``,
+which it keeps between tables. One walk, ``_walk``, turns waits into
+entry cells for the build, for ``commit`` and for ``scaled_values``.
 
 Everything stays exact: probabilities enter as lcm-scaled integer
 weights, so a value here equals the reference Fraction times the scale.
@@ -40,60 +39,57 @@ class TableLimitError(Exception):
 class EntryTable:
     """Entry times and platoon counts over W weighted worlds.
 
-    ``worlds`` are (probability, avail map, travel model) triples, weighted
-    by the integer ``weights`` over ``scale``; the travel model supplies
-    ``row_token``, ``max_extra`` and ``dense_row``. Each view is a *track*:
-    a vehicle's window edges with a per-world availability step, starting
-    from the wait vector ``waits`` gives it. Player tracks can be re-valued
-    and re-committed, environment tracks only contribute counts. A track's
-    entries are kept as flat cell indices into ``counts`` and ``travel``,
-    so adding or taking out a track is one scatter.
+    ``worlds`` is a ``solver.Worlds``, and ``avail[i, k]`` is when the
+    track of ``views[i]`` can first leave in world k. Each view is a
+    *track*: a vehicle's window edges, starting from the wait vector
+    ``waits`` gives it. Player tracks can be re-valued and re-committed,
+    environment tracks only contribute counts. A track's entries are
+    kept as flat cell indices into ``counts`` and ``travel``, so adding
+    or taking out a track is one scatter.
     """
 
-    def __init__(self, game, views, worlds,
-                 waits: Mapping[int, Sequence[int]],
-                 weights: Sequence[int], scale: int):
+    def __init__(self, game, views, worlds, avail: np.ndarray,
+                 waits: Mapping[int, Sequence[int]]):
         edge_ids = sorted({eid for v in views for eid in v.window_edges})
-        if not worlds or not edge_ids:
+        if not len(worlds.weights) or not edge_ids:
             raise TableLimitError("empty table")
-        if scale > MAX_VALUE_BOUND:
-            raise TableLimitError(f"weight scale {scale} too large")
-        travels = [t for _p, _a, t in worlds]
-        groups = {eid: _token_groups(travels, eid) for eid in edge_ids}
+        if worlds.scale > MAX_VALUE_BOUND:
+            raise TableLimitError(f"weight scale {worlds.scale} too large")
+        matrix = worlds.matrix
+        rows = worlds.rows[:, np.searchsorted(worlds.edges, edge_ids)]
+        if matrix.wide[rows].any():
+            raise TableLimitError("a delay does not fit in 32 bits")
         edges = game.net.edges
-        longest = {eid: edges[eid].base_travel_steps
-                   + max(t.max_extra(eid) for t in reps)
-                   for eid, (reps, _inverse) in groups.items()}
-        avail = [[a[v.vid] for _p, a, _t in worlds] for v in views]
-        self.t0 = t0 = min(min(a) for a in avail)
-        horizon = 1
-        for v, av in zip(views, avail):
-            span = max(av) + v.budget_left + sum(longest[eid] for eid in v.window_edges)
-            horizon = max(horizon, span - t0 + 1)
-        cells = len(worlds) * len(edge_ids) * horizon
+        base = np.array([edges[eid].base_travel_steps for eid in edge_ids],
+                        dtype=np.int64)
+        longest = dict(zip(edge_ids, (base + matrix.top[rows].max(axis=0)).tolist()))
+        self.t0 = t0 = int(avail.min())
+        ends = [int(av) + v.budget_left + sum(longest[eid] for eid in v.window_edges)
+                for v, av in zip(views, avail.max(axis=1))]
+        horizon = max(1, max(ends) - t0 + 1)
+        cells = len(worlds.weights) * len(edge_ids) * horizon
         if cells > MAX_TABLE_CELLS:
             raise TableLimitError(f"{cells} cells exceed the dense limit")
-        self.w = len(worlds)
+        delays = matrix.delays[rows[:, :, None], matrix.columns(range(t0, t0 + horizon))]
+        if matrix.negative[rows].any() and delays.min() < 0:
+            raise TableLimitError("negative delay in the window")
+        self.w = len(worlds.weights)
         self.steps = horizon
         self.step_cost = game.cost_model.step_cost_centi
-        self.weights = np.asarray(weights, dtype=np.int64)
+        self.weights = np.asarray(worlds.weights, dtype=np.int64)
         self.col = {eid: i for i, eid in enumerate(edge_ids)}
-        self.travel = np.zeros((self.w, len(edge_ids), horizon), dtype=np.int32)
+        self.travel = np.ascontiguousarray(delays, dtype=np.int32)
+        self.travel += base.astype(np.int32)[:, None]
         self.counts = np.zeros_like(self.travel)
         # views, not copies, indexed by one flat cell
         self._flat_travel = self.travel.reshape(-1)
         self._flat_counts = self.counts.reshape(-1)
         self._w_cell = np.arange(self.w) * (len(edge_ids) * horizon)
-        for eid, (reps, inverse) in groups.items():
-            rows = np.stack([t.dense_row(eid, t0, t0 + horizon) for t in reps])
-            if rows.min() < 0:
-                raise TableLimitError(f"negative travel on edge {eid}")
-            self.travel[:, self.col[eid]] = rows[inverse]
         self._rt = np.stack([game.reward_model.reward_row(edges[eid], len(views))
                              for eid in edge_ids])
-        bound = scale * (max(len(v.window_edges) for v in views)
-                         * int(abs(self._rt).max(initial=1))
-                         + max(v.budget_left for v in views) * self.step_cost + 1)
+        bound = worlds.scale * (max(len(v.window_edges) for v in views)
+                                * int(abs(self._rt).max(initial=1))
+                                + max(v.budget_left for v in views) * self.step_cost + 1)
         if bound > MAX_VALUE_BOUND:
             raise TableLimitError(f"value bound {bound} risks overflow")
         self._cols: dict[int, np.ndarray] = {}
@@ -104,17 +100,17 @@ class EntryTable:
         # tracks of one length are traced together; every count goes in
         # with one scatter
         by_len: dict[int, list] = {}
-        for v, av in zip(views, avail):
-            by_len.setdefault(len(v.window_edges), []).append((v, av))
+        for i, v in enumerate(views):
+            by_len.setdefault(len(v.window_edges), []).append((v, i))
         traced = []
         for group in by_len.values():
             cols = np.asarray([[self.col[e] for e in v.window_edges]
-                               for v, _av in group], dtype=np.int64)
-            starts = np.asarray([av for _v, av in group], dtype=np.int64) - t0
-            first = [tuple(waits[v.vid]) for v, _av in group]
+                               for v, _i in group], dtype=np.int64)
+            starts = avail[[i for _v, i in group]].astype(np.int64) - t0
+            first = [tuple(waits[v.vid]) for v, _i in group]
             got = self._trace(cols, starts, np.asarray(first, dtype=np.int64))
             traced.append(got.reshape(-1))
-            for i, (v, _av) in enumerate(group):
+            for i, (v, _i) in enumerate(group):
                 self._cols[v.vid] = cols[i]
                 self._avail[v.vid] = starts[i]
                 self._waits[v.vid] = first[i]
@@ -160,10 +156,12 @@ class EntryTable:
         self._waits[vid] = waits
         np.add.at(self._flat_counts, cells, 1)
 
-    def sync(self, profile: Mapping[int, Sequence[int]]) -> None:
-        """Commit every track whose waits differ from ``profile``."""
-        for vid, waits in profile.items():
-            if tuple(waits) != self._waits[vid]:
+    def sync(self, profile: Mapping[int, Sequence[int]],
+             vids: Sequence[int]) -> None:
+        """Commit each track of ``vids`` whose waits differ from ``profile``."""
+        for vid in vids:
+            waits = tuple(profile[vid])
+            if waits != self._waits[vid]:
                 self.commit(vid, waits)
 
     def action_matrix(self, vid: int, actions: Sequence[Sequence[int]]
@@ -191,19 +189,3 @@ class EntryTable:
             np.add.at(self._flat_counts, own, 1)
         totals = rewards - self.step_cost * acts.sum(axis=1)[:, None]
         return totals @ self.weights
-
-
-def _token_groups(travels, eid: int) -> tuple[list, np.ndarray]:
-    """One travel model per distinct ``row_token`` on ``eid``, in order of
-    first appearance, and each world's index into that list."""
-    index: dict = {}
-    reps = []
-    inverse = []
-    for travel in travels:
-        token = travel.row_token(eid)
-        k = index.get(token)
-        if k is None:
-            k = index[token] = len(reps)
-            reps.append(travel)
-        inverse.append(k)
-    return reps, np.asarray(inverse, dtype=np.intp)

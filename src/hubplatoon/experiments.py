@@ -42,8 +42,8 @@ class ExperimentConfig:
     waiting_budget_steps: int = 4
     km_rate_centi: int = 170
     step_cost_centi: int = 2200
-    horizon: int = 2
-    gating_minutes: int = 20
+    horizon: int = PolicySpec.horizon
+    gating_minutes: int = PolicySpec.gating_minutes
     min_km: float = 300.0
     max_km: float = 800.0
     profiles_per_edge: int = 10
@@ -52,9 +52,9 @@ class ExperimentConfig:
     peak_heights: tuple[int, ...] = tuple(range(10))
     height_jitter: int = 0
     days: int = 2
-    support_cap: int = 128
-    oracle_draws: int = 16
-    open_loop_cap: int = 4096
+    support_cap: int = PolicySpec.support_cap
+    oracle_draws: int = PolicySpec.oracle_draws
+    open_loop_cap: int = PolicySpec.open_loop_cap
     max_steps: int = 20_000
 
     def __post_init__(self):

@@ -21,22 +21,26 @@ game and the solve terminating.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import InputError, ModelInconsistencyError, NonConvergenceError
-from .game import (CoordinationGame, Scenario, round_half_away, round_ratio,
-                   scaled_weights, zero_profile)
-from .network import DelayProfile
+from .game import (CoordinationGame, Scenario, round_ratio, scaled_weights,
+                   zero_profile)
+from .network import TravelMatrix
 from .seeding import derive_seed
-from .solver import (DeterministicOracle, HorizonView, ProfileTravel,
-                     WorldsOracle, enumerate_actions, nash_seek,
-                     scenario_profiles, spaces_for_fleet)
-from .stochastic import (ScenarioDistribution, enumerate_support,
-                         sample_scenarios, stochastic_oracle)
+from .solver import (DeterministicOracle, HorizonView, Worlds, WorldsOracle,
+                     enumerate_actions, nash_seek, profile_row,
+                     scenario_travel, spaces_for_fleet)
+from .stochastic import (DEFAULT_DRAWS, ScenarioDistribution, stochastic_oracle,
+                         systematic)
 
 POLICY_KINDS = ("sp", "ip", "ktt", "drhs", "srhs")
 
@@ -49,7 +53,7 @@ class PolicySpec:
     horizon: int = 2
     gating_minutes: int = 20
     support_cap: int = 128        # horizon-game posterior enumeration cap
-    oracle_draws: int = 16        # sample count above either cap
+    oracle_draws: int = DEFAULT_DRAWS   # sample count above either cap
     open_loop_cap: int = 4096     # IP one-shot enumeration cap
 
     def __post_init__(self):
@@ -205,6 +209,28 @@ def _renormalised(pairs):
     return tuple((value, p / total) for value, p in pairs)
 
 
+@dataclass(frozen=True)
+class Marginal:
+    """One visible marginal: the (value, probability) pairs it is cut from,
+    the values as an array (matrix rows or start steps) and the
+    probabilities, renormalised, as integer weights over ``scale``."""
+
+    pairs: tuple[tuple[int, Fraction], ...]
+    values: np.ndarray
+    weights: tuple[int, ...]
+    scale: int
+
+    @classmethod
+    def of(cls, pairs, values) -> Marginal:
+        # over their gcd with their sum, the weights of the pairs are those
+        # ``scaled_weights`` gives the renormalised probabilities
+        weights = scaled_weights([p for _v, p in pairs])[0]
+        total = sum(weights)
+        common = math.gcd(total, *weights)
+        return cls(pairs, np.asarray(values, dtype=np.int64),
+                   tuple(w // common for w in weights), total // common)
+
+
 class Belief:
     """The posterior of one closed-loop run, brought up to date in place.
 
@@ -218,7 +244,7 @@ class Belief:
     raises the same error at the same step. Start marginals are formed
     only for the pending vehicles a horizon game sees; every vehicle's
     last possible start step keeps the "has not appeared" check. Each
-    edge's normalised marginal and rounded-mean profile are cached until
+    edge's normalised marginal and rounded-mean delay row are cached until
     its kept pairs change.
     """
 
@@ -229,8 +255,8 @@ class Belief:
         self._read: dict[int, int] = {}           # edge -> traversals applied
         self._last_start = {vid: max(t for t, _p in pairs)
                             for vid, pairs in prior.start_steps.items()}
-        self._marginals: dict[int, tuple] = {}
-        self._means: dict[int, DelayProfile] = {}
+        self._marginals: dict[int, Marginal] = {}
+        self._means: dict[int, np.ndarray] = {}
 
     def _prune(self, eid: int, possible) -> None:
         kept = self._kept[eid]
@@ -267,37 +293,38 @@ class Belief:
                 raise ModelInconsistencyError(
                     f"vehicle {vid} has not appeared but every start step is <= {world.now}")
 
-    def edge_marginal(self, eid: int) -> tuple[tuple[int, Fraction], ...]:
+    def edge_marginal(self, eid: int) -> Marginal:
+        """The kept pairs' marginal, its values network travel-matrix rows."""
         got = self._marginals.get(eid)
         if got is None:
-            got = self._marginals[eid] = _renormalised(self._kept[eid])
+            kept = self._kept[eid]
+            got = self._marginals[eid] = Marginal.of(
+                kept, [profile_row(self.game.net, eid, pid) for pid, _p in kept])
         return got
 
-    def mean_profile(self, eid: int) -> DelayProfile:
-        """The edge's rounded posterior-mean delays; see ``_mean_profile``."""
+    def mean_row(self, eid: int) -> np.ndarray:
+        """The rounded posterior-mean delay at every travel-matrix column."""
         got = self._means.get(eid)
         if got is None:
-            got = self._means[eid] = _mean_profile(self.game, eid,
-                                                   self.edge_marginal(eid))
+            m = self.edge_marginal(eid)
+            got = self._means[eid] = _rounded_mean(
+                m, self.game.net.travel_matrix.delays[m.values])
         return got
 
-    def visible(self, views: Sequence[HorizonView], now: int) -> ScenarioDistribution:
-        """The marginals a horizon game reads: window edges, current edges of
-        moving vehicles and start steps of pending ones."""
-        edges: set[int] = set()
-        vids: set[int] = set()
-        for view in views:
-            edges.update(view.window_edges)
-            if view.current_edge is not None:
-                edges.add(view.current_edge)
-            if view.kind == "pending":
-                vids.add(view.vid)
-        return ScenarioDistribution(
-            edge_profiles={eid: self.edge_marginal(eid) for eid in self._kept
-                           if eid in edges},
-            start_steps={vid: _renormalised(tuple((t, p) for t, p in pairs if t > now))
-                         for vid, pairs in self.prior.start_steps.items()
-                         if vid in vids})
+    def visible(self, views: Sequence[HorizonView], now: int):
+        """What a horizon game reads: every edge of its views' windows and
+        moving vehicles, in ascending order, and the marginals of those
+        edges and of the start steps of pending vehicles, by ascending key."""
+        edges = {e for v in views for e in (*v.window_edges, v.current_edge)
+                 if e is not None}
+        starts = {}
+        for vid in sorted({v.vid for v in views if v.kind == "pending"}
+                          & self.prior.start_steps.keys()):
+            pairs = tuple((t, p) for t, p in self.prior.start_steps[vid] if t > now)
+            starts[vid] = Marginal.of(pairs, [t for t, _p in pairs])
+        return (tuple(sorted(edges)),
+                {eid: self.edge_marginal(eid) for eid in sorted(edges & self._kept.keys())},
+                starts)
 
 
 # --- horizon game ------------------------------------------------------
@@ -339,32 +366,27 @@ def build_views(game: CoordinationGame, world: WorldState,
     return views
 
 
-def _avail_map(game: CoordinationGame, world: WorldState,
-               views: Sequence[HorizonView], travel, starts: Mapping[int, int]):
-    """When each vehicle can first leave its span's first node."""
-    avail = {}
-    for view in views:
-        if view.kind == "at_node":
-            avail[view.vid] = world.now
-        elif view.kind == "pending":
-            # no marginal => the start is deterministic from the fleet spec
-            avail[view.vid] = starts.get(view.vid,
-                                         game.fleet[view.vid].start_step)
-        else:
-            remaining = travel(view.current_edge, view.entered_at) \
-                - (world.now - view.entered_at)
-            avail[view.vid] = world.now + max(remaining, 0)
+def _avail(game: CoordinationGame, now: int, views: Sequence[HorizonView],
+           worlds: Worlds) -> np.ndarray:
+    """When each view's vehicle can first leave its span's first node, per
+    world: now at a node, its start step when pending (the fleet spec's
+    when it has no marginal), and its arrival in the world when moving."""
+    matrix = worlds.matrix
+    first = [game.fleet[v.vid].start_step if v.kind == "pending" else now for v in views]
+    avail = np.repeat(np.array(first, dtype=object if matrix.delays.dtype == object
+                               else np.int64)[:, None], len(worlds.weights), axis=1)
+    drawn = [(i, worlds.vids.index(v.vid)) for i, v in enumerate(views)
+             if v.kind == "pending" and v.vid in worlds.vids]
+    avail[[i for i, _k in drawn]] = worlds.starts[:, [k for _i, k in drawn]].T
+    moving = [(i, v) for i, v in enumerate(views) if v.kind == "on_edge"]
+    if moving:
+        delays = matrix.delays[
+            worlds.rows[:, [worlds.edges.index(v.current_edge) for _i, v in moving]],
+            matrix.columns([v.entered_at for _i, v in moving])]
+        left = [game.net.edges[v.current_edge].base_travel_steps - (now - v.entered_at)
+                for _i, v in moving]
+        avail[[i for i, _v in moving]] += np.maximum(delays + left, 0).T
     return avail
-
-
-def _mean_starts(posterior: ScenarioDistribution) -> dict[int, int]:
-    out = {}
-    for vid, pairs in posterior.start_steps.items():
-        mean = Fraction(0)
-        for t, p in pairs:
-            mean += p * t
-        out[vid] = round_half_away(mean)
-    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -374,10 +396,30 @@ def _horizon_actions(length: int, budget: int) -> tuple[tuple[int, ...], ...]:
     return tuple(enumerate_actions(length, budget))
 
 
-def _solve_horizon(game: CoordinationGame, views: Sequence[HorizonView],
-                   worlds) -> dict[int, dict[int, int]]:
-    """Each player's equilibrium waits, keyed by path node index."""
-    oracle = WorldsOracle(game, views, worlds)
+def _rounded_mean(marginal: Marginal, values: np.ndarray):
+    """The marginal's mean of ``values``, one entry (or row) per pair,
+    rounded by ``round_ratio``. The sums are int64 when none can overflow,
+    Python ints otherwise, and exact either way."""
+    most = max(int(values.max()), -int(values.min()))
+    exact = np.int64 if marginal.scale * (2 * most + 1) < 2 ** 63 else object
+    return round_ratio(np.asarray(marginal.weights, dtype=exact)
+                       @ values.astype(exact), marginal.scale)
+
+
+def _decide(game: CoordinationGame, world: WorldState, belief: Belief,
+            eligible: Sequence[int], policy: PolicySpec,
+            draws) -> dict[int, dict[int, int]]:
+    """The receding-horizon step both feedback rules share.
+
+    The run's belief is brought up to date, so every observation is
+    checked, and cut to what the horizon game sees. ``draws(edges, edge
+    marginals, start marginals)`` turns that into its ``Worlds``; the
+    game's players then solve for their waits, keyed by path node index.
+    """
+    belief.update(world)
+    views = build_views(game, world, eligible, policy.horizon)
+    worlds = draws(*belief.visible(views, world.now))
+    oracle = WorldsOracle(game, views, worlds, _avail(game, world.now, views, worlds))
     spaces = {vid: _horizon_actions(len(oracle.views[vid].span_nodes),
                                     oracle.views[vid].budget_left)
               for vid in oracle.players}
@@ -389,56 +431,26 @@ def _solve_horizon(game: CoordinationGame, views: Sequence[HorizonView],
             for vid, waits in report.profile.items()}
 
 
-def _mean_profile(game: CoordinationGame, eid: int,
-                  pairs: Sequence[tuple[int, Fraction]]) -> DelayProfile:
-    """One edge's rounded mean delay under (profile, probability) pairs.
-
-    Probabilities become integer weights over the lcm of their
-    denominators, so each step's mean is an exact ratio of integers.
-    Entries on other edges are ignored.
-    """
-    profiles = game.net.delay_profiles
-    weights, scale = scaled_weights([p for _pid, p in pairs])
-    totals: dict[int, int] = {}
-    for (pid, _p), weight in zip(pairs, weights):
-        steps, delays, _top = profiles[pid].on_edge(eid)
-        for t, d in zip(steps, delays):
-            totals[t] = totals.get(t, 0) + weight * d
-    return DelayProfile(id=-1, delay_at={  # not a network profile
-        (eid, t): round_ratio(total, scale) for t, total in totals.items()})
-
-
-def _decide(game: CoordinationGame, world: WorldState, belief: Belief,
-            eligible: Sequence[int], policy: PolicySpec,
-            draws) -> dict[int, dict[int, int]]:
-    """The receding-horizon step both feedback rules share.
-
-    The run's belief is brought up to date, so every observation is
-    checked, and cut to the marginals the horizon game sees.
-    ``draws(visible)`` turns those into weighted worlds, each a
-    (probability, delay profile per edge, start steps) triple.
-    """
-    belief.update(world)
-    views = build_views(game, world, eligible, policy.horizon)
-    worlds = []
-    for prob, profiles, starts in draws(belief.visible(views, world.now)):
-        travel = ProfileTravel(game.net.edges, profiles)
-        worlds.append((prob, _avail_map(game, world, views, travel, starts), travel))
-    return _solve_horizon(game, views, worlds)
-
-
 def drhs_decide(game: CoordinationGame, world: WorldState, belief: Belief,
                 eligible: Sequence[int],
                 policy: PolicySpec) -> dict[int, dict[int, int]]:
     """Deterministic receding-horizon step: certainty-equivalent solve.
 
-    The horizon game has one world, whose delays and start steps are the
-    rounded posterior means. Returns each player's new waits keyed by
-    path node index.
+    The horizon game has one world, whose delays (a matrix of the
+    belief's mean rows) and start steps are the rounded posterior means.
+    Returns each player's new waits keyed by path node index.
     """
-    return _decide(game, world, belief, eligible, policy, lambda visible: [
-        (Fraction(1), {eid: belief.mean_profile(eid) for eid in visible.edge_profiles},
-         _mean_starts(visible))])
+    def draws(edges, edge_marginals, start_marginals):
+        network = game.net.travel_matrix
+        means = TravelMatrix(network.lo, np.stack(
+            [np.zeros(network.span + 1, dtype=np.int64)]
+            + [belief.mean_row(eid) for eid in edge_marginals]))
+        return Worlds.of(means, (1,), 1, edges,
+                         {eid: k for k, eid in enumerate(edge_marginals, 1)},
+                         {vid: [_rounded_mean(m, m.values)]
+                          for vid, m in start_marginals.items()})
+
+    return _decide(game, world, belief, eligible, policy, draws)
 
 
 def srhs_decide(game: CoordinationGame, world: WorldState, belief: Belief,
@@ -447,19 +459,32 @@ def srhs_decide(game: CoordinationGame, world: WorldState, belief: Belief,
     """Stochastic receding-horizon step: expectation over the posterior.
 
     The visible marginals' joint support is enumerated exactly under the
-    policy cap and sampled with a seeded stratified draw above it.
-    Returns each player's new waits keyed by path node index.
+    policy cap, in ``enumerate_support``'s order, and sampled above it
+    with ``sample_scenarios``'s seeded stratified draw. Returns each
+    player's new waits keyed by path node index.
     """
-    def draws(visible):
-        if visible.support_size() <= policy.support_cap:
-            weighted = enumerate_support(visible, policy.support_cap)
+    def draws(edges, edge_marginals, start_marginals):
+        axes = [*edge_marginals.values(), *start_marginals.values()]
+        size = math.prod(len(m.pairs) for m in axes)
+        if size <= policy.support_cap:
+            combos = list(itertools.product(*(range(len(m.pairs)) for m in axes)))
+            picks = np.array(combos, dtype=np.intp).reshape(size, len(axes)).T
+            # a marginal's weights sum to its scale and share no factor
+            # with it, so no prime of the product scale divides every
+            # world's weight: these are the weights ``scaled_weights``
+            # gives the worlds' probabilities
+            weights = [math.prod(m.weights[i] for m, i in zip(axes, c)) for c in combos]
+            scale = math.prod(m.scale for m in axes)
         else:
             rng = random.Random(seed)
-            weight = Fraction(1, policy.oracle_draws)
-            weighted = [(s, weight)
-                        for s in sample_scenarios(visible, policy.oracle_draws, rng)]
-        return [(prob, scenario_profiles(game, scenario), scenario.start_steps)
-                for scenario, prob in weighted]
+            # w / scale is float(p), both correctly rounded
+            picks = [systematic([w / m.scale for w in m.weights], policy.oracle_draws,
+                                rng) for m in axes]
+            weights, scale = [1] * policy.oracle_draws, policy.oracle_draws
+        drawn = [m.values[pick] for m, pick in zip(axes, picks)]
+        return Worlds.of(game.net.travel_matrix, weights, scale, edges,
+                         dict(zip(edge_marginals, drawn)),
+                         dict(zip(start_marginals, drawn[len(edge_marginals):])))
 
     return _decide(game, world, belief, eligible, policy, draws)
 
@@ -468,12 +493,12 @@ def srhs_decide(game: CoordinationGame, world: WorldState, belief: Belief,
 
 
 def step_world(game: CoordinationGame, world: WorldState,
-               truth: ProfileTravel, events: list[TraceEvent]) -> None:
+               truth, events: list[TraceEvent]) -> None:
     """Execute one step: committed zero-waits depart, positive waits burn one.
 
     Decision logic has already run for this step; this applies plans
-    against the ground truth's travel times, forms platoons, and advances
-    the clock.
+    against the ground truth's travel times, ``truth(edge id, entry
+    step)``, forms platoons, and advances the clock.
     """
     now = world.now
     departures: dict[int, list[int]] = {}  # same step => same entry time
@@ -584,7 +609,7 @@ def run_closed_loop(game: CoordinationGame, dist: ScenarioDistribution,
     reuse the open-loop plan instead of recomputing it; it must equal
     open_loop_anchor(...) for the same seed, or determinism breaks.
     """
-    truth_travel = ProfileTravel(game.net.edges, scenario_profiles(game, truth))
+    truth_travel = scenario_travel(game, truth)
     plans: dict[int, tuple[int, ...]]
     if policy.kind == "sp":
         plans = {vid: (0,) * len(game.fleet[vid].edge_sequence)

@@ -36,9 +36,12 @@ def round_half_away(x) -> int:
     return round_ratio(f.numerator, f.denominator)
 
 
-def round_ratio(num: int, den: int) -> int:
-    """``round_half_away(num / den)`` for a positive ``den``, in integers."""
+def round_ratio(num, den: int):
+    """``round_half_away(num / den)`` for a positive ``den``, in integers;
+    an integer array ``num`` is rounded elementwise."""
     mag = (2 * abs(num) + den) // (2 * den)
+    if isinstance(num, np.ndarray):
+        return np.where(num >= 0, mag, -mag)
     return mag if num >= 0 else -mag
 
 

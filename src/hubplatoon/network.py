@@ -8,11 +8,14 @@ keyed by entry step. Distances are kilometres.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import FormatError, InputError
 
@@ -44,25 +47,9 @@ class DelayProfile:
 
     id: int
     delay_at: Mapping[tuple[int, int], int] = field(default_factory=dict)
-    # edge id -> on_edge(edge id); filled on first use, freed with the profile
-    _by_edge: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
 
     def delay(self, edge_id: int, entry_step: int) -> int:
         return self.delay_at.get((edge_id, entry_step), 0)
-
-    def on_edge(self, edge_id: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        """The entries on one edge: sorted entry steps, their delays, and
-        the largest delay (0 when there is none), all exact integers."""
-        got = self._by_edge.get(edge_id)
-        if got is None:
-            entries = sorted((t, d) for (e, t), d in self.delay_at.items()
-                             if e == edge_id)
-            steps = tuple(t for t, _d in entries)
-            delays = tuple(d for _t, d in entries)
-            got = (steps, delays, max(delays, default=0))
-            self._by_edge[edge_id] = got
-        return got
 
 
 @dataclass
@@ -85,6 +72,61 @@ class RoadNetwork:
 
     def out_edges(self, hub_id: int) -> tuple[int, ...]:
         return self.adjacency.get(hub_id, ())
+
+    @functools.cached_property
+    def travel_matrix(self) -> TravelMatrix:
+        """The delays of every (edge, admissible profile) pair, built on
+        first use; an edge that lists no profile admits any with entries."""
+        pairs = {(eid, pid) for eid, e in self.edges.items()
+                 for pid in e.delay_profile_ids if pid in self.delay_profiles}
+        rows: dict[tuple[int, int], dict[int, int]] = {}
+        for pid, prof in self.delay_profiles.items():
+            for (eid, t), d in prof.delay_at.items():
+                rows.setdefault((eid, pid), {})[t] = d
+        rows = {key: got for key, got in rows.items() if key in pairs or (
+            key[0] in self.edges and not self.edges[key[0]].delay_profile_ids)}
+        index = {key: row for row, key in enumerate(sorted(pairs | rows.keys()), 1)}
+        steps = [t for got in rows.values() for t in got] or [0]
+        values = [d for got in rows.values() for d in got.values()] or [0]
+        dtype = next((kind for kind, bits in ((np.int32, 31), (np.int64, 63))
+                      if -2 ** bits <= min(values) and max(values) < 2 ** bits), object)
+        delays = np.zeros((len(index) + 1, max(steps) - min(steps) + 2), dtype=dtype)
+        for key, got in rows.items():
+            delays[index[key], np.subtract(list(got), min(steps))] = list(got.values())
+        return TravelMatrix(min(steps), delays, index)
+
+
+class TravelMatrix:
+    """Delay rows over one span of entry steps, read by index.
+
+    Column ``c`` holds the delay of an entry at step ``lo + c``, and one
+    trailing zero column every step outside the span, where travel is the
+    edge's base time. Row 0 is the zero row of an edge without a profile.
+    ``delays`` is int32 when every delay fits, else exact wider integers.
+    Per row: ``top``, the largest delay (0 at least; 0 for a wide row),
+    ``negative`` and ``wide``, a delay beyond int32. ``index`` maps a
+    network's (edge id, profile id) pairs to rows.
+    """
+
+    def __init__(self, lo: int, values: np.ndarray,
+                 index: Mapping[tuple[int, int], int] | None = None):
+        self.lo, self.span, self.index = lo, values.shape[1] - 1, index or {}
+        self.wide = np.asarray(((values < -2 ** 31) | (values >= 2 ** 31)).any(axis=1),
+                               dtype=bool)
+        self.negative = np.asarray((values < 0).any(axis=1), dtype=bool)
+        self.top = np.where(self.wide, 0, values.max(axis=1)).astype(np.int64)
+        self.delays = values if self.wide.any() else values.astype(np.int32, copy=False)
+
+    def columns(self, steps) -> np.ndarray:
+        """The column of each entry step in ``steps``."""
+        cols = np.asarray(steps, dtype=np.int64) - self.lo
+        cols[(cols < 0) | (cols >= self.span)] = self.span
+        return cols
+
+    def delay(self, row: int, t: int) -> int:
+        """Row ``row``'s delay at entry step ``t``, as an exact int."""
+        c = t - self.lo
+        return int(self.delays[row, c]) if 0 <= c < self.span else 0
 
 
 def validate_network(net: RoadNetwork) -> list[str]:

@@ -11,8 +11,8 @@ the iteration terminates.
 
 from __future__ import annotations
 
+import functools
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -22,7 +22,7 @@ import numpy as np
 from .dense import EntryTable, TableLimitError
 from .errors import InputError, NonConvergenceError
 from .game import CoordinationGame, Scenario, scaled_weights
-from .network import DelayProfile, Edge
+from .network import Edge, RoadNetwork, TravelMatrix
 
 DEFAULT_ROUND_CAP = 10_000
 
@@ -90,114 +90,119 @@ def horizon_departure_times(view: HorizonView, waits: Sequence[int], avail: int,
     return tuple(entries)
 
 
-def scenario_profiles(game: CoordinationGame,
-                      scenario: Scenario) -> dict[int, DelayProfile]:
-    """A scenario's delay profile per edge.
-
-    The one place a scenario is resolved: every edge must exist, and every
-    profile must exist and be admissible on its edge.
-    """
-    profiles: dict[int, DelayProfile] = {}
-    for eid, pid in scenario.profile_assignment.items():
-        edge = game.net.edges.get(eid)
-        if edge is None:
-            raise InputError(f"scenario assigns a profile to unknown edge {eid}")
-        prof = game.net.delay_profiles.get(pid)
-        if prof is None:
-            raise InputError(f"scenario references unknown delay profile {pid}")
-        if edge.delay_profile_ids and prof.id not in edge.delay_profile_ids:
-            raise InputError(f"profile {prof.id} is not admissible on edge {eid}")
-        profiles[eid] = prof
-    return profiles
-
-
-class ProfileTravel:
-    """Travel times under one delay profile per edge; an edge without one
-    travels at free flow. Every world of every game is read through it."""
-
-    def __init__(self, edges: Mapping[int, Edge],
-                 profiles: Mapping[int, DelayProfile]):
-        self._edges = edges
-        self._profiles = profiles
-
-    def __call__(self, eid: int, t: int) -> int:
-        prof = self._profiles.get(eid)
-        base = self._edges[eid].base_travel_steps
-        return base if prof is None else base + prof.delay(eid, t)
-
-    def row_token(self, eid: int):
-        prof = self._profiles.get(eid)
-        return eid, None if prof is None else id(prof)
-
-    def max_extra(self, eid: int) -> int:
-        prof = self._profiles.get(eid)
-        return 0 if prof is None else prof.on_edge(eid)[2]
-
-    def dense_row(self, eid: int, t0: int, t1: int):
-        """Travel steps for entries over [t0, t1); a negative delay in the
-        window is refused, so the caller keeps its reference loop."""
-        row = np.full(t1 - t0, self._edges[eid].base_travel_steps, dtype=np.int32)
-        prof = self._profiles.get(eid)
-        if prof is not None:
-            steps, delays, _top = prof.on_edge(eid)
-            lo, hi = bisect_left(steps, t0), bisect_left(steps, t1)
-            if lo < hi:
-                window = delays[lo:hi]
-                if min(window) < 0:
-                    raise TableLimitError(f"negative delay on edge {eid}")
-                row[np.subtract(steps[lo:hi], t0)] += window
+def profile_row(net: RoadNetwork, eid: int, pid: int) -> int:
+    """The travel-matrix row of profile ``pid`` on edge ``eid``; the one
+    check that the edge and profile exist and the profile is admissible."""
+    row = net.travel_matrix.index.get((eid, pid))
+    if row is not None:
         return row
+    edge = net.edges.get(eid)
+    if edge is None:
+        raise InputError(f"scenario assigns a profile to unknown edge {eid}")
+    if pid not in net.delay_profiles:
+        raise InputError(f"scenario references unknown delay profile {pid}")
+    if edge.delay_profile_ids:
+        raise InputError(f"profile {pid} is not admissible on edge {eid}")
+    return 0   # admits any profile; this one has no entry on the edge
+
+
+@dataclass(frozen=True)
+class Worlds:
+    """W weighted worlds as index arrays over one travel matrix.
+
+    World k has probability ``weights[k] / scale``, travels ``edges[j]``
+    with ``matrix`` row ``rows[k, j]`` and starts vehicle ``vids[i]`` at
+    ``starts[k, i]``. ``edges`` lists every edge a game reads, ascending.
+    """
+
+    matrix: TravelMatrix
+    weights: Sequence[int]
+    scale: int
+    edges: tuple[int, ...]
+    rows: np.ndarray
+    vids: tuple[int, ...]
+    starts: np.ndarray
+
+    @classmethod
+    def of(cls, matrix: TravelMatrix, weights: Sequence[int], scale: int,
+           edges: Sequence[int], drawn: Mapping, starts: Mapping) -> Worlds:
+        """``drawn`` gives an edge its matrix row in each world, and other
+        edges keep row 0, free flow; ``starts`` gives a vehicle its start
+        step in each world."""
+        rows = np.zeros((len(weights), len(edges)), dtype=np.intp)
+        for j, eid in enumerate(edges):
+            if eid in drawn:
+                rows[:, j] = drawn[eid]
+        steps = np.array(list(starts.values()), dtype=np.int64)
+        return cls(matrix, weights, scale, tuple(edges), rows, tuple(starts),
+                   steps.reshape(len(starts), len(weights)).T)
+
+    def travel(self, k: int, edges: Mapping[int, Edge]):
+        """World ``k``'s travel steps as ``travel(edge id, entry step)``."""
+        rows = dict(zip(self.edges, self.rows[k].tolist()))
+        return lambda eid, t: (edges[eid].base_travel_steps
+                               + self.matrix.delay(rows[eid], t))
 
 
 def scenario_game(game: CoordinationGame,
                   weighted: Sequence[tuple[Scenario, Fraction]]):
-    """Views and worlds of the static game over weighted scenarios.
-
-    Every vehicle is a player over its full route, and each scenario is a
-    world that starts each vehicle at its scenario start step.
-    """
+    """Views, worlds and availability of the static game over weighted
+    scenarios: every vehicle is a player over its full route, and each
+    scenario is a world that starts each vehicle at its scenario start."""
     views = [HorizonView(vid=v.id, kind="pending",
                          span_nodes=tuple(range(len(v.edge_sequence))),
                          window_edges=v.edge_sequence,
                          committed=(0,) * len(v.edge_sequence),
                          budget_left=v.waiting_budget_steps, player=True)
              for v in game.fleet.values()]
-    worlds = [(prob, {vid: game.start_of(vid, scenario) for vid in game.vehicle_ids},
-               ProfileTravel(game.net.edges, scenario_profiles(game, scenario)))
-              for scenario, prob in weighted]
-    return views, worlds
+    rows = [{eid: profile_row(game.net, eid, pid)
+             for eid, pid in scenario.profile_assignment.items()}
+            for scenario, _p in weighted]
+    edges = sorted({eid for v in views for eid in v.window_edges})
+    worlds = Worlds.of(game.net.travel_matrix,
+                       *scaled_weights([p for _s, p in weighted]), edges,
+                       {eid: [r.get(eid, 0) for r in rows] for eid in edges},
+                       {v.vid: [game.start_of(v.vid, s) for s, _p in weighted]
+                        for v in views})
+    return views, worlds, worlds.starts.T
+
+
+def scenario_travel(game: CoordinationGame, scenario: Scenario):
+    """One scenario's travel steps on the fleet's routes, as
+    ``travel(edge id, entry step)``; the simulated truth is read so."""
+    _views, worlds, _avail = scenario_game(game, [(scenario, Fraction(1))])
+    return worlds.travel(0, game.net.edges)
 
 
 class WorldsOracle:
-    """Expected utilities of a game over a list of weighted worlds.
+    """Expected utilities of a game over a set of weighted worlds.
 
-    A world is (probability, avail map, travel model): when each vehicle
-    can first leave its span's first node, and the travel steps in force.
-    Rewards count only a vehicle's own window edges; waiting cost covers
-    its span. Scaled values come from the dense table when it fits,
-    otherwise from ``_scaled_by_loop``, the reference the table is checked
-    against.
+    ``avail[i, k]`` is when the vehicle of ``views[i]`` can first leave
+    its span's first node in world k. Rewards count only a vehicle's own
+    window edges; waiting cost covers its span. Scaled values come from
+    the dense table when it fits, otherwise from ``_scaled_by_loop``, the
+    reference the table is checked against.
     """
 
     approximate = False
     integral = False    # True: values in whole centi-SEK, else Fractions
 
     def __init__(self, game: CoordinationGame, views: Sequence[HorizonView],
-                 worlds: Sequence[tuple[Fraction, Mapping[int, int], object]]):
+                 worlds: Worlds, avail: np.ndarray):
         self.game = game
         self.views = {v.vid: v for v in views}
         self.players = tuple(sorted(v.vid for v in views if v.player))
-        self.worlds = list(worlds)
-        self._weights, self._scale = scaled_weights([p for p, _a, _t in self.worlds])
+        self.worlds = worlds
+        self.avail = avail
         self._table = None
         self._no_table = False
 
     def _typed(self, totals) -> list:
-        """Values from totals weighted by ``_weights``; the one place their
-        type is chosen."""
+        """Values from totals weighted by the worlds' weights; the one
+        place their type is chosen."""
         if self.integral:     # one world of weight 1, so the scale is 1
             return [int(v) for v in totals]
-        return [Fraction(int(v), self._scale) for v in totals]
+        return [Fraction(int(v), self.worlds.scale) for v in totals]
 
     def _waits(self, vid: int, profile: Mapping[int, Sequence[int]]):
         view = self.views[vid]
@@ -207,9 +212,8 @@ class WorldsOracle:
         if self._table is None and not self._no_table:
             try:
                 self._table = EntryTable(
-                    self.game, list(self.views.values()), self.worlds,
-                    {vid: self._waits(vid, profile) for vid in self.views},
-                    self._weights, self._scale)
+                    self.game, list(self.views.values()), self.worlds, self.avail,
+                    {vid: self._waits(vid, profile) for vid in self.views})
             except TableLimitError:
                 self._no_table = True
         return self._table
@@ -219,22 +223,35 @@ class WorldsOracle:
         return self._typed(self.scaled_values(vid, actions, profile))
 
     def scaled_values(self, vid: int, actions: Sequence[Sequence[int]],
-                      profile: Mapping[int, Sequence[int]]):
+                      profile: Mapping[int, Sequence[int]],
+                      moved: Sequence[int] | None = None):
         """``action_values`` times the lcm of the world probabilities'
-        denominators: exact integers in the same order, cheap to compare."""
+        denominators: exact integers in the same order, cheap to compare.
+
+        ``moved`` names the players whose waits may differ from the last
+        call's ``profile``; None means any player may have moved.
+        """
         table = self._dense(profile)
         if table is not None:
             try:
-                table.sync({v: profile[v] for v in self.players})
+                table.sync(profile, self.players if moved is None else moved)
                 return table.scaled_values(vid, actions)
             except TableLimitError:
                 self._table, self._no_table = None, True
         return self._scaled_by_loop(vid, actions, profile)
 
+    @functools.cached_property
+    def _loop_worlds(self) -> list:
+        """(weight, avail map, travel) per world, as the loops read them."""
+        edges = self.game.net.edges
+        return [(weight, dict(zip(self.views, self.avail[:, k].tolist())),
+                 self.worlds.travel(k, edges))
+                for k, weight in enumerate(self.worlds.weights)]
+
     def _counts(self, world, profile, skip: int | None = None
                 ) -> dict[tuple[int, int], int]:
         """Vehicles per (edge id, entry step) in one world, ``skip`` left out."""
-        _p, avail, travel = world
+        _w, avail, travel = world
         counts: dict[tuple[int, int], int] = {}
         for vid, view in self.views.items():
             if vid == skip:
@@ -251,12 +268,12 @@ class WorldsOracle:
         reward = self.game.reward_model.reward
         edges = self.game.net.edges
         step_cost = self.game.cost_model.step_cost_centi
-        per_world = [self._counts(world, profile, skip=vid) for world in self.worlds]
+        per_world = [self._counts(world, profile, skip=vid)
+                     for world in self._loop_worlds]
         totals = []
         for waits in actions:
             total = 0
-            for weight, (_p, avail, travel), counts in zip(
-                    self._weights, self.worlds, per_world):
+            for (weight, avail, travel), counts in zip(self._loop_worlds, per_world):
                 entries = horizon_departure_times(view, waits, avail[vid], travel)
                 u = -step_cost * sum(waits)
                 for eid, t in zip(view.window_edges, entries):
@@ -275,9 +292,9 @@ class WorldsOracle:
         cost = self.game.cost_model.step_cost_centi * sum(
             sum(self._waits(vid, profile)) for vid in self.views)
         total = 0
-        for weight, world in zip(self._weights, self.worlds):
+        for world in self._loop_worlds:
             groups = self._counts(world, profile)
-            total += weight * (sum(reward_cum(n, edges[eid])
+            total += world[0] * (sum(reward_cum(n, edges[eid])
                                    for (eid, _t), n in groups.items()) - cost)
         return self._typed([total])[0]
 
@@ -288,20 +305,21 @@ class DeterministicOracle(WorldsOracle):
     integral = True
 
     def __init__(self, game: CoordinationGame, scenario: Scenario):
-        self.scenario = scenario
         super().__init__(game, *scenario_game(game, [(scenario, Fraction(1))]))
 
 
 def best_response(oracle, vid: int, actions: Sequence[tuple[int, ...]],
-                  profile: Mapping[int, Sequence[int]]) -> tuple[tuple[int, ...], int]:
+                  profile: Mapping[int, Sequence[int]],
+                  moved: Sequence[int] | None = None) -> tuple[tuple[int, ...], int]:
     """Best wait vector for ``vid`` against the rest of ``profile``.
 
     Returns (waits, candidates evaluated). Ties keep the current action if
     it attains the maximum, otherwise the lexicographically smallest
     maximizer wins; ``actions`` must already be in lex order. Values are
-    the oracle's ``scaled_values``, integers in the order of utilities.
+    the oracle's ``scaled_values``, integers in the order of utilities;
+    ``moved`` is passed on to it.
     """
-    values = np.asarray(oracle.scaled_values(vid, actions, profile))
+    values = np.asarray(oracle.scaled_values(vid, actions, profile, moved))
     best = np.flatnonzero(values == values.max())
     current = tuple(profile[vid])
     for i in best:
@@ -362,6 +380,7 @@ def nash_seek(oracle, spaces: Mapping[int, Sequence[tuple[int, ...]]],
         trajectory = [oracle.potential(profile)]
     rounds = 0
     evaluations = 0
+    moved = None   # the oracle has not seen this profile yet
     changed = True
     while changed:
         rounds += 1
@@ -369,10 +388,12 @@ def nash_seek(oracle, spaces: Mapping[int, Sequence[tuple[int, ...]]],
             raise NonConvergenceError(f"no equilibrium after {round_cap} rounds")
         changed = False
         for vid in ids:
-            waits, n_eval = best_response(oracle, vid, spaces[vid], profile)
+            waits, n_eval = best_response(oracle, vid, spaces[vid], profile, moved)
             evaluations += n_eval
+            moved = ()
             if waits != profile[vid]:
                 profile[vid] = waits
+                moved = (vid,)
                 changed = True
                 if trajectory is not None:
                     trajectory.append(oracle.potential(profile))

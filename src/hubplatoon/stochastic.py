@@ -24,6 +24,7 @@ from .network import ARRAY, INTEGER, check_fields, load_json
 from .solver import WorldsOracle, scenario_game
 
 DEFAULT_SUPPORT_CAP = 4096
+DEFAULT_DRAWS = 16   # sample size above the cap
 
 
 @dataclass(frozen=True)
@@ -67,9 +68,6 @@ class ScenarioDistribution:
         for pairs in self.start_steps.values():
             n *= len(pairs)
         return n
-
-    def is_degenerate(self) -> bool:
-        return self.support_size() == 1
 
 
 def degenerate_distribution(scenario: Scenario) -> ScenarioDistribution:
@@ -146,37 +144,35 @@ def sample_scenarios(dist: ScenarioDistribution, draws: int,
     marginals stays random. Same cost as independent draws, lower
     variance for effects that decompose per marginal.
     """
-    cols: list[tuple[str, int, list[int]]] = []
-    for eid in sorted(dist.edge_profiles):
-        cols.append(("edge", eid, _systematic(dist.edge_profiles[eid], draws, rng)))
-    for vid in sorted(dist.start_steps):
-        cols.append(("start", vid, _systematic(dist.start_steps[vid], draws, rng)))
-    out = []
-    for k in range(draws):
-        assignment = {eid: col[k] for kind, eid, col in cols if kind == "edge"}
-        starts = {vid: col[k] for kind, vid, col in cols if kind == "start"}
-        out.append(Scenario(profile_assignment=assignment, start_steps=starts))
-    return out
+    def column(pairs):
+        return [pairs[i][0] for i in systematic([float(p) for _v, p in pairs],
+                                                  draws, rng)]
+
+    edges = {eid: column(dist.edge_profiles[eid]) for eid in sorted(dist.edge_profiles)}
+    starts = {vid: column(dist.start_steps[vid]) for vid in sorted(dist.start_steps)}
+    return [Scenario(profile_assignment={eid: col[k] for eid, col in edges.items()},
+                     start_steps={vid: col[k] for vid, col in starts.items()})
+            for k in range(draws)]
 
 
-def _systematic(pairs: Sequence[tuple[int, Fraction]], draws: int,
-                rng: random.Random) -> list[int]:
-    if len(pairs) == 1:
-        return [pairs[0][0]] * draws
+def systematic(probs: Sequence[float], draws: int,
+               rng: random.Random) -> list[int]:
+    """``draws`` indices into one marginal's ``probs``, on an evenly spaced
+    grid with one random offset, then shuffled."""
+    if len(probs) == 1:
+        return [0] * draws
     u = rng.random()
     out = []
-    it = iter(pairs)
-    value, p = next(it)
-    acc = float(p)
+    i = 0
+    acc = probs[0]
     for k in range(draws):
         x = (u + k) / draws
         while x >= acc:
-            nxt = next(it, None)
-            if nxt is None:
+            if i + 1 == len(probs):
                 break  # float round-off at the tail of the CDF
-            value, p = nxt
-            acc += float(p)
-        out.append(value)
+            i += 1
+            acc += probs[i]
+        out.append(i)
     rng.shuffle(out)
     return out
 
@@ -223,7 +219,7 @@ class SampledUtilityOracle(WorldsOracle):
 
 
 def stochastic_oracle(game: CoordinationGame, dist: ScenarioDistribution,
-                      cap: int = DEFAULT_SUPPORT_CAP, draws: int = 16,
+                      cap: int = DEFAULT_SUPPORT_CAP, draws: int = DEFAULT_DRAWS,
                       seed: int = 0):
     """Exact oracle when the support fits under the cap, else sampled."""
     if dist.support_size() <= cap:

@@ -45,6 +45,40 @@ def test_summarise_counts_wins_quartiles_and_operations():
         "change": {"attempted": 36, "failed": 0, "correct": True}}
 
 
+def test_gain_shown_needs_nine_in_ten_wins_and_a_gap_beyond_the_iqr():
+    """Parent ops 1.0..1.9 (q1 1.225, q3 1.675, IQR 0.45); lower RSS is better."""
+    def ten(change_ops, change_rss):
+        return [{"seed": i, "first": "parent", "parent": run(1.0 + i / 10, 50.0),
+                 "change": run(change_ops(i), change_rss)} for i in range(10)]
+
+    shown = bench_pairs.summarise(ten(lambda i: 2.0 + i / 10, 49.0), METRICS)
+    assert shown["ops_per_s"]["change_wins"] == 10
+    assert shown["ops_per_s"]["gain_shown"] is True      # gap 1.0 > 0.45
+    assert shown["peak_rss_mb"]["gain_shown"] is True    # 1 MB lower, IQR 0
+    small = bench_pairs.summarise(ten(lambda i: 1.3 + i / 10, 50.0), METRICS)
+    assert small["ops_per_s"]["change_wins"] == 10
+    assert small["ops_per_s"]["gain_shown"] is False     # gap 0.3 < 0.45
+    lost = bench_pairs.summarise(ten(lambda i: 2.0 + i / 10 if i else 0.5, 50.0),
+                                 METRICS)
+    assert lost["ops_per_s"]["change_wins"] == 9
+    assert lost["ops_per_s"]["gain_shown"] is True       # 9 of 10 is enough
+    assert small["peak_rss_mb"]["gain_shown"] is False   # ties win nothing
+
+
+def test_beyond_bound_compares_the_median_with_the_metric_bound():
+    within = bench_pairs.summarise(
+        [{"seed": 1, "first": "parent", "parent": run(1.0, 50.0),
+          "change": run(0.76, 54.9)}], METRICS)
+    assert within["ops_per_s"]["beyond_bound"] is False    # 24% slower, bound 25%
+    assert within["peak_rss_mb"]["beyond_bound"] is False  # 9.8% more, bound 10%
+    beyond = bench_pairs.summarise(
+        [{"seed": 1, "first": "parent", "parent": run(1.0, 50.0),
+          "change": run(0.74, 55.1)}], METRICS)
+    assert beyond["ops_per_s"]["beyond_bound"] is True
+    assert beyond["peak_rss_mb"]["beyond_bound"] is True
+    assert within["ops_per_s"]["gain_shown"] is False
+
+
 def doc_with(parent_run, change_run):
     pair = {"seed": 1, "first": "parent", "parent": parent_run, "change": change_run}
     return {"workloads": {"corridor-mc": {
@@ -83,3 +117,21 @@ def test_main_writes_the_file_then_exits_1_on_a_failed_run(tmp_path, monkeypatch
         {"attempted": 20, "failed": 2, "correct": True}
     results["change"] = run(1.1, 50.0)
     assert bench_pairs.main(argv) == 0
+
+
+def test_main_prints_both_verdicts_on_stderr(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "end_to_end": METRICS}), encoding="utf-8")
+    monkeypatch.setattr(bench_pairs, "label", lambda checkout: checkout.name)
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda checkout, workload, seed, seconds:
+                        run(1.0, 50.0) if checkout.name == "p" else run(2.0, 60.0))
+    (tmp_path / "p").mkdir()
+    assert bench_pairs.main(["--parent", str(tmp_path / "p"), "--change", str(tmp_path),
+                             "--pr", "t", "--pairs", "exact-plan=1", "--seed", "5",
+                             "--out-dir", str(tmp_path)]) == 0
+    err = capsys.readouterr().err
+    assert "exact-plan ops_per_s: 1/1 won, median 1 -> 2, gain_shown True, " \
+        "beyond_bound False" in err
+    assert "exact-plan peak_rss_mb: 0/1 won, median 50 -> 60, gain_shown False, " \
+        "beyond_bound True" in err

@@ -8,10 +8,8 @@ from conftest import make_game, make_net, reference_inputs
 from hubplatoon.dense import EntryTable, TableLimitError
 from hubplatoon.feedback import PolicySpec, run_closed_loop
 from hubplatoon.game import Scenario, scaled_weights
-from hubplatoon.network import DelayProfile
 from hubplatoon.solver import (DeterministicOracle, HorizonView,
-                               ProfileTravel, WorldsOracle, enumerate_actions,
-                               scenario_game, scenario_profiles,
+                               WorldsOracle, enumerate_actions, scenario_game,
                                spaces_for_fleet)
 from hubplatoon.stochastic import (ExpectedUtilityOracle,
                                    SampledUtilityOracle,
@@ -46,10 +44,16 @@ def random_profile(rng, spaces):
     return {vid: rng.choice(space) for vid, space in spaces.items()}
 
 
-def entry_table(game, views, worlds, waits):
-    """The table ``WorldsOracle`` builds, weighted as the oracle weights."""
-    return EntryTable(game, views, worlds, waits,
-                      *scaled_weights([p for p, _a, _t in worlds]))
+def static_worlds(game, weighted):
+    """The worlds of weighted scenarios, as the static game builds them."""
+    _views, worlds, _avail = scenario_game(game, weighted)
+    return worlds
+
+
+def avail_of(views, per_world):
+    """The (view, world) availability array of per-world avail maps."""
+    return np.array([[avail[v.vid] for avail in per_world] for v in views],
+                    dtype=np.int64)
 
 
 class TestScaledWeights:
@@ -71,33 +75,56 @@ class TestScaledWeights:
         weights, scale = scaled_weights([eps, 1 - eps])
         assert weights == [1, 2 ** 70 - 1] and scale == 2 ** 70
         game = make_game(make_net([(0, 0, 1, 100, 3)]), [(0, (0,), 0, 1)])
-        views, worlds = scenario_game(game, [(Scenario({}, {}), eps),
-                                             (Scenario({}, {}), 1 - eps)])
+        views, worlds, avail = scenario_game(game, [(Scenario({}, {}), eps),
+                                                    (Scenario({}, {}), 1 - eps)])
+        assert list(worlds.weights) == weights and worlds.scale == scale
         with pytest.raises(TableLimitError, match="weight scale"):
-            EntryTable(game, views, worlds, {0: (0,)}, weights, scale)
+            EntryTable(game, views, worlds, avail, {0: (0,)})
+
+
+def one_track_table(net, pid, start, budget):
+    """The table of one truck on edge ``min(net.edges)`` under profile
+    ``pid``, leaving at ``start`` with ``budget`` waits."""
+    eid = min(net.edges)
+    game = make_game(net, [(0, (eid,), start, budget)])
+    views, worlds, avail = scenario_game(game, [(Scenario({eid: pid}, {}), Fraction(1))])
+    return EntryTable(game, views, worlds, avail, {0: (0,)})
 
 
 class TestDenseRows:
+    """Tables read the network's travel matrix, which holds each
+    (edge, admissible profile) row of delays once."""
+
     def test_delay_row_matches_profile_lookup(self):
-        edges = make_net([(5, 0, 1, 100, 4), (6, 1, 2, 100, 2)]).edges
-        prof = DelayProfile(id=0, delay_at={(5, 2): 3, (5, 4): 1, (5, 9): 7,
-                                            (5, -1): 2, (6, 3): 5})
-        travel = ProfileTravel(edges, {5: prof})
-        for t0, t1 in ((0, 6), (2, 3), (3, 4), (-3, 12), (10, 14)):
-            row = travel.dense_row(5, t0, t1)
-            assert row.tolist() == [travel(5, t) for t in range(t0, t1)]
-        assert travel.dense_row(6, 0, 5).tolist() == [2] * 5  # free flow
-        assert travel.max_extra(5) == 7 and travel.max_extra(6) == 0
+        prof = {(5, 2): 3, (5, 4): 1, (5, 9): 7, (5, -1): 2, (6, 3): 5}
+        net = make_net([(5, 0, 1, 100, 4, (0,)), (6, 1, 2, 100, 2, (1,))],
+                       profiles={0: prof, 1: {}})
+        matrix = net.travel_matrix
+        row = matrix.index[(5, 0)]
+        for t in range(-4, 14):
+            assert matrix.delay(row, t) == prof.get((5, t), 0), t
+            assert matrix.delay(0, t) == 0   # the zero row: free flow
+        assert (5, 0) in matrix.index and (6, 1) in matrix.index
+        assert (6, 0) not in matrix.index   # not admissible on edge 6
+        assert matrix.top[row] == 7 and matrix.top[matrix.index[(6, 1)]] == 0
+        for start, budget in ((-1, 0), (0, 2), (3, 0), (9, 4)):
+            table = one_track_table(net, 0, start, budget)
+            assert table.travel[0, 0].tolist() == [
+                4 + prof.get((5, t), 0)
+                for t in range(table.t0, table.t0 + table.steps)]
 
     def test_negative_delay_rejected(self):
-        edges = make_net([(1, 0, 1, 100, 3)]).edges
-        prof = DelayProfile(id=0, delay_at={(1, 0): -2, (1, 4): 1})
-        travel = ProfileTravel(edges, {1: prof})
-        with pytest.raises(TableLimitError):
-            travel.dense_row(1, 0, 3)
+        net = make_net([(1, 0, 1, 100, 3, (0,))],
+                       profiles={0: {(1, 0): -2, (1, 4): 1}})
+        matrix = net.travel_matrix
+        assert matrix.negative[matrix.index[(1, 0)]]
+        assert matrix.top[matrix.index[(1, 0)]] == 1
+        with pytest.raises(TableLimitError, match="negative delay"):
+            one_track_table(net, 0, 0, 2)
         # outside the window the negative entry is not read
-        assert travel.dense_row(1, 1, 6).tolist() == [3, 3, 3, 4, 3]
-        assert travel.max_extra(1) == 1
+        table = one_track_table(net, 0, 1, 1)
+        assert (table.t0, table.steps) == (1, 6)
+        assert table.travel[0, 0].tolist() == [3, 3, 3, 4, 3, 3]
 
 
 class TestDeterministicEquivalence:
@@ -148,7 +175,7 @@ def mixed_length_game(rng):
     """Six tracks on a 3-edge line, two per window length (3, 2 and 1):
     one player and one environment track of each length, over the 8
     worlds of two profiles per edge. Returns the game, views, worlds,
-    each world's reference travel and a start profile."""
+    availability, each world's reference travel and a start profile."""
     profiles = {pid: {(k, t): rng.randint(0, 3) for k in range(3)
                       for t in range(24) if rng.random() < 0.4}
                 for pid in range(2)}
@@ -170,22 +197,22 @@ def mixed_length_game(rng):
                                  budget_left=budget, player=player))
     rng.shuffle(views)
     dist = uniform_profile_distribution(net, game.fleet.values())
-    worlds, ref_travel = [], []
-    for scenario, prob in enumerate_support(dist):
-        travel = ProfileTravel(net.edges, scenario_profiles(game, scenario))
-        worlds.append((prob, {vid: rng.randint(0, 4) for vid in range(6)}, travel))
-        ref_travel.append(reference_inputs(game, scenario)[1])
-    return game, views, worlds, ref_travel, waits
+    weighted = enumerate_support(dist)
+    per_world = [{vid: rng.randint(0, 4) for vid in range(6)} for _s in weighted]
+    ref_travel = [reference_inputs(game, scenario)[1] for scenario, _p in weighted]
+    return (game, views, static_worlds(game, weighted), avail_of(views, per_world),
+            ref_travel, waits)
 
 
 class TestBatchedBuild:
     """``EntryTable`` construction against per-world references."""
 
     @staticmethod
-    def reference_counts(table, views, worlds, ref_travel, waits):
+    def reference_counts(table, views, avail, ref_travel, waits):
         want = np.zeros_like(table.counts)
-        for w, ((_p, avail, _t), travel) in enumerate(zip(worlds, ref_travel)):
-            vehicles = {v.vid: (avail[v.vid], v.window_edges) for v in views}
+        for w, travel in enumerate(ref_travel):
+            vehicles = {v.vid: (int(avail[i, w]), v.window_edges)
+                        for i, v in enumerate(views)}
             for (eid, t), members in ref_platoons(vehicles, waits, travel).items():
                 want[w, table.col[eid], t - table.t0] += len(members)
         return want
@@ -193,16 +220,16 @@ class TestBatchedBuild:
     def test_mixed_window_lengths_match_per_world_references(self):
         rng = random.Random(8080)
         for _case in range(10):
-            game, views, worlds, ref_travel, waits = mixed_length_game(rng)
-            table = entry_table(game, views, worlds, waits)
+            game, views, worlds, avail, ref_travel, waits = mixed_length_game(rng)
+            table = EntryTable(game, views, worlds, avail, waits)
             assert sorted({len(v.window_edges) for v in views}) == [1, 2, 3]
-            for w, (_p, _a, travel) in enumerate(worlds):
+            steps = range(table.t0, table.t0 + table.steps)
+            for w, travel in enumerate(ref_travel):
                 for eid, c in table.col.items():
-                    assert table.travel[w, c].tolist() == travel.dense_row(
-                        eid, table.t0, table.t0 + table.steps).tolist()
+                    assert table.travel[w, c].tolist() == [travel(eid, t) for t in steps]
             assert np.array_equal(
                 table.counts,
-                self.reference_counts(table, views, worlds, ref_travel, waits))
+                self.reference_counts(table, views, avail, ref_travel, waits))
             # a commit retraces one track through the same tracer
             player = next(v for v in views if v.player and len(v.span_nodes) > 1)
             moved = dict(waits)
@@ -211,7 +238,7 @@ class TestBatchedBuild:
             table.commit(player.vid, moved[player.vid])
             assert np.array_equal(
                 table.counts,
-                self.reference_counts(table, views, worlds, ref_travel, moved))
+                self.reference_counts(table, views, avail, ref_travel, moved))
 
     def test_negative_delay_in_the_second_profile_is_refused(self):
         """Both worlds share edge 0; only the second one's profile has a
@@ -219,11 +246,8 @@ class TestBatchedBuild:
         net = make_net([(0, 0, 1, 100, 3, (0, 1))],
                        profiles={0: {(0, 5): 1}, 1: {(0, 1): -1}})
         game = make_game(net, [(0, (0,), 0, 2), (1, (0,), 0, 2)])
-        views, _worlds = scenario_game(game, [])
-        worlds = [(Fraction(1, 2), {0: 0, 1: 0},
-                   ProfileTravel(net.edges, {0: net.delay_profiles[pid]}))
-                  for pid in (0, 1)]
-        oracle = WorldsOracle(game, views, worlds)
+        oracle = WorldsOracle(game, *scenario_game(
+            game, [(Scenario({0: pid}, {}), Fraction(1, 2)) for pid in (0, 1)]))
         profile = {0: (0,), 1: (1,)}
         space = enumerate_actions(1, 2)
         assert list(oracle.scaled_values(0, space, profile)) == \
@@ -240,11 +264,11 @@ class TestBatchedBuild:
                              budget_left=budget, player=vid < 2)
                  for vid, waits, budget in ((0, (0, 0), 2), (1, (0, 0), 2),
                                             (2, (0, 9), 0))]
-        worlds = [(Fraction(1), {0: 0, 1: 1, 2: 0},
-                   ProfileTravel(net.edges, {}))]
+        worlds = static_worlds(game, [(Scenario({}, {}), Fraction(1))])
+        avail = avail_of(views, [{0: 0, 1: 1, 2: 0}])
         with pytest.raises(TableLimitError, match="outside the tabulated window"):
-            entry_table(game, views, worlds, {0: (0, 0), 1: (0, 0), 2: (0, 9)})
-        oracle = WorldsOracle(game, views, worlds)
+            EntryTable(game, views, worlds, avail, {0: (0, 0), 1: (0, 0), 2: (0, 9)})
+        oracle = WorldsOracle(game, views, worlds, avail)
         profile = {0: (0, 0), 1: (1, 0)}
         space = enumerate_actions(2, 2)
         assert list(oracle.scaled_values(0, space, profile)) == \
@@ -351,12 +375,13 @@ def horizon_game(rng):
                          window_edges=(0, 1, 2), committed=env_waits,
                          budget_left=budget[2], player=False)]
     dist = uniform_profile_distribution(net, game.fleet.values())
-    worlds = []
-    for scenario, prob in enumerate_support(dist):
-        travel = ProfileTravel(net.edges, scenario_profiles(game, scenario))
-        avail = {0: rng.randint(0, 3), 1: travel(0, 0), 2: rng.randint(0, 3)}
-        worlds.append((prob, avail, travel))
-    return game, WorldsOracle(game, views, worlds)
+    weighted = enumerate_support(dist)
+    per_world = []
+    for scenario, _p in weighted:
+        travel = reference_inputs(game, scenario)[1]
+        per_world.append({0: rng.randint(0, 3), 1: travel(0, 0), 2: rng.randint(0, 3)})
+    return game, WorldsOracle(game, views, static_worlds(game, weighted),
+                              avail_of(views, per_world))
 
 
 def full_route_oracle(kind, rng, case):

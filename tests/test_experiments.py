@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 
@@ -14,9 +15,11 @@ from hubplatoon.experiments import (STEPS_PER_DAY, ExperimentConfig,
                                     trace_metrics, write_followers_csv,
                                     write_metrics_json, write_platoon_hist_csv,
                                     write_raw_csv)
-from hubplatoon.feedback import SimulationTrace, TraceEvent
+from hubplatoon.cli import build_parser
+from hubplatoon.feedback import POLICY_KINDS, PolicySpec, SimulationTrace, TraceEvent
 from hubplatoon.game import VehicleSpec
 from hubplatoon.network import validate_network
+from hubplatoon.stochastic import DEFAULT_DRAWS, stochastic_oracle
 
 
 def corridor_net(hubs=None):
@@ -63,6 +66,16 @@ class TestConfig:
             ("srhs", 3, 15)
         assert (policy.support_cap, policy.oracle_draws,
                 policy.open_loop_cap) == (64, 8, 99)
+
+    def test_policy_defaults_have_one_definition(self):
+        for kind in POLICY_KINDS:
+            assert ExperimentConfig().policy_spec(kind) == PolicySpec(kind)
+        # solve-static and the static oracles sample as many draws
+        assert PolicySpec("srhs").oracle_draws == DEFAULT_DRAWS == \
+            build_parser().parse_args(["solve-static", "--network", "n",
+                                       "--fleet", "f"]).draws
+        assert inspect.signature(stochastic_oracle).parameters["draws"].default \
+            == DEFAULT_DRAWS
 
 
 class TestProfileGeneration:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from conftest import make_game, make_net, random_corridor
@@ -10,16 +11,18 @@ from hubplatoon.errors import (InputError, ModelInconsistencyError,
                                NonConvergenceError)
 from hubplatoon.experiments import (ExperimentConfig, prepare_network,
                                     run_sample)
-from hubplatoon.feedback import (Belief, PolicySpec, SimulationTrace,
-                                 TraceEvent, VehicleState, WorldState,
-                                 _mean_profile, build_views,
+from hubplatoon.feedback import (Belief, Marginal, PolicySpec,
+                                 SimulationTrace, TraceEvent, VehicleState,
+                                 WorldState, _avail, _rounded_mean, build_views,
                                  conditional_distribution,
                                  detect_decision_instance, gating_steps,
                                  run_closed_loop, step_world)
-from hubplatoon.game import Scenario, deterministic_scenario
-from hubplatoon.network import load_network
-from hubplatoon.solver import ProfileTravel, horizon_departure_times
-from hubplatoon.stochastic import (ScenarioDistribution,
+from hubplatoon.game import Scenario, deterministic_scenario, scaled_weights
+from hubplatoon.network import TravelMatrix, load_network
+from hubplatoon.solver import (HorizonView, Worlds, horizon_departure_times,
+                               profile_row)
+from hubplatoon.stochastic import (ScenarioDistribution, enumerate_support,
+                                   sample_scenarios,
                                    uniform_profile_distribution)
 from oracles import ref_round_half_away
 
@@ -195,16 +198,109 @@ def visible_reference(posterior, views):
     edges = {eid for v in views for eid in v.window_edges}
     edges |= {v.current_edge for v in views if v.current_edge is not None}
     vids = {v.vid for v in views if v.kind == "pending"}
-    return ([(eid, pairs) for eid, pairs in posterior.edge_profiles.items()
-             if eid in edges],
-            [(vid, pairs) for vid, pairs in posterior.start_steps.items()
-             if vid in vids])
+    return (sorted((eid, pairs) for eid, pairs in posterior.edge_profiles.items()
+                   if eid in edges),
+            sorted((vid, pairs) for vid, pairs in posterior.start_steps.items()
+                   if vid in vids))
 
 
 def bundled(name):
     with resources.as_file(resources.files("hubplatoon") / "data"
                            / f"{name}.json") as path:
         return prepare_network(load_network(path), ExperimentConfig())
+
+
+class TestAvail:
+    def test_each_kind_of_view_against_its_scalar_rule(self):
+        """At a node: now. Pending: the world's drawn start, or the fleet's
+        start without a marginal. Moving: now plus what is left of the
+        world's travel on the current edge, never below now."""
+        net = make_net([(0, 0, 1, 100, 3, (0, 1)), (1, 1, 2, 100, 2, (0, 1))],
+                       profiles={0: {}, 1: {(0, 4): 5, (1, 2): 1}})
+        game = make_game(net, [(vid, (0, 1), 3 + vid, 2) for vid in range(5)])
+        views = [HorizonView(vid=0, kind="at_node", span_nodes=(1,), window_edges=(1,),
+                             committed=(0,), budget_left=2, player=True),
+                 HorizonView(vid=1, kind="pending", span_nodes=(0, 1),
+                             window_edges=(0, 1), committed=(0, 0), budget_left=2,
+                             player=False),
+                 HorizonView(vid=2, kind="pending", span_nodes=(0, 1),
+                             window_edges=(0, 1), committed=(0, 0), budget_left=2,
+                             player=False)]
+        views += [HorizonView(vid=vid, kind="on_edge", span_nodes=(1,),
+                              window_edges=(1,), committed=(0,), budget_left=2,
+                              player=True, current_edge=0, entered_at=entered)
+                  for vid, entered in ((3, 4), (4, 1))]
+        matrix = net.travel_matrix
+        rows = [matrix.index[(0, 0)], matrix.index[(0, 1)]]
+        worlds = Worlds.of(matrix, (1, 1), 2, (0, 1), {0: rows}, {1: [9, 8]})
+        now = 6
+        got = _avail(game, now, views, worlds)
+        for k, row in enumerate(rows):
+            left = {vid: 3 + matrix.delay(row, entered) - (now - entered)
+                    for vid, entered in ((3, 4), (4, 1))}
+            assert got[:, k].tolist() == [now, [9, 8][k], 5,
+                                          now + max(left[3], 0), now + max(left[4], 0)]
+        assert got[3].tolist() == [7, 12] and got[4].tolist() == [6, 6]
+
+
+class TestSrhsWorlds:
+    """srhs draws its worlds straight into index arrays. They must be the
+    worlds ``enumerate_support`` and ``sample_scenarios`` give for the
+    same visible marginals, in the same order and from the same seed."""
+
+    CAP = 512
+
+    def test_worlds_equal_enumerated_and_sampled_scenarios(self, monkeypatch):
+        original_visible, original_avail = Belief.visible, feedback._avail
+        original_srhs = feedback.srhs_decide
+        state, seen = {}, []
+
+        def visible(belief, views, now):
+            state["visible"] = original_visible(belief, views, now)
+            return state["visible"]
+
+        def avail(game, now, views, worlds):
+            seen.append((game.net, state["seed"], state["visible"], worlds))
+            return original_avail(game, now, views, worlds)
+
+        def srhs(*args, seed=0, **kw):
+            state["seed"] = seed
+            return original_srhs(*args, seed=seed, **kw)
+
+        monkeypatch.setattr(Belief, "visible", visible)
+        monkeypatch.setattr(feedback, "_avail", avail)
+        monkeypatch.setattr(feedback, "srhs_decide", srhs)
+        config = ExperimentConfig(vehicle_count=20, samples=1, master_seed=31,
+                                  policies=("srhs",), support_cap=self.CAP)
+        run_sample(bundled("synthetic10"), config, 0)
+        rng = random.Random(606)
+        for case in range(12):   # small supports, mostly enumerated
+            game = random_corridor(rng, n_profiles=3, max_vehicles=5)
+            dist = uniform_profile_distribution(game.net, game.fleet.values())
+            truth = sample_scenarios(dist, 1, rng)[0]
+            run_closed_loop(game, dist, truth, config.policy_spec("srhs"), seed=case)
+        kinds = []
+        for net, seed, (edges, edge_m, start_m), worlds in seen:
+            dist = ScenarioDistribution(
+                edge_profiles={eid: normalised(m) for eid, m in edge_m.items()},
+                start_steps={vid: normalised(m) for vid, m in start_m.items()})
+            if dist.support_size() <= self.CAP:
+                weighted = enumerate_support(dist, self.CAP)
+            else:
+                draws = config.oracle_draws
+                weighted = [(scenario, Fraction(1, draws)) for scenario in
+                            sample_scenarios(dist, draws, random.Random(seed))]
+            kinds.append(dist.support_size() <= self.CAP)
+            assert worlds.edges == edges
+            assert (list(worlds.weights), worlds.scale) == \
+                scaled_weights([p for _s, p in weighted])
+            for k, (scenario, _p) in enumerate(weighted):
+                assert worlds.rows[k].tolist() == [
+                    profile_row(net, eid, scenario.profile_assignment[eid])
+                    if eid in scenario.profile_assignment else 0 for eid in edges]
+                assert dict(zip(worlds.vids, worlds.starts[k].tolist())) == \
+                    scenario.start_steps
+        assert kinds.count(True) >= 3 and kinds.count(False) >= 3
 
 
 class TestBelief:
@@ -223,12 +319,12 @@ class TestBelief:
             posterior = conditional_distribution(belief.prior, world, game)
             views = build_views(game, world, eligible, policy.horizon)
             edges, starts = visible_reference(posterior, views)
-            visible = belief.visible(views, world.now)
-            assert list(visible.edge_profiles.items()) == edges
-            assert list(visible.start_steps.items()) == starts
+            _edges, edge_marginals, start_marginals = belief.visible(views, world.now)
+            assert [(eid, normalised(m)) for eid, m in edge_marginals.items()] == edges
+            assert [(vid, normalised(m)) for vid, m in start_marginals.items()] == starts
             for eid, pairs in edges:
-                assert belief.mean_profile(eid) == _mean_profile(game, eid, pairs), \
-                    (world.now, eid)
+                assert np.array_equal(belief.mean_row(eid),
+                                      mean_row(game, eid, pairs)), (world.now, eid)
             checked.append(world.now)
             return solved
 
@@ -411,9 +507,27 @@ class TestHorizonViews:
             horizon_departure_times(view, (1, 0), 4, travel)
 
 
-def mean_profiles(game, posterior):
-    return {eid: _mean_profile(game, eid, pairs)
+def normalised(marginal):
+    """A marginal's pairs with its weights' probabilities, which sum to one."""
+    assert sum(marginal.weights) == marginal.scale
+    return tuple((value, Fraction(w, marginal.scale))
+                 for (value, _p), w in zip(marginal.pairs, marginal.weights))
+
+
+def mean_row(game, eid, pairs):
+    """The rounded mean delays of one edge's (profile, probability) pairs
+    at every column of the network's travel matrix."""
+    m = Marginal.of(pairs, [profile_row(game.net, eid, pid) for pid, _p in pairs])
+    return _rounded_mean(m, game.net.travel_matrix.delays[m.values])
+
+
+def mean_travel(game, posterior):
+    """The drhs world's ``travel(edge id, t)``, read off the mean rows."""
+    matrix = game.net.travel_matrix
+    rows = {eid: mean_row(game, eid, pairs)
             for eid, pairs in posterior.edge_profiles.items()}
+    return lambda eid, t: (game.net.edges[eid].base_travel_steps
+                           + int(rows[eid][matrix.columns([t])[0]]))
 
 
 class TestMeanProfile:
@@ -429,7 +543,7 @@ class TestMeanProfile:
             sum(p * profiles[pid].delay(eid, t) for pid, p in pairs))
 
     def check(self, game, posterior):
-        travel = ProfileTravel(game.net.edges, mean_profiles(game, posterior))
+        travel = mean_travel(game, posterior)
         for eid, pairs in posterior.edge_profiles.items():
             for t in self.WINDOW:
                 assert travel(eid, t) == self.reference(game, pairs, eid, t), \
@@ -467,13 +581,13 @@ class TestMeanProfile:
         game = make_game(net, [(0, (0, 1), 0, 2)])
         posterior = ScenarioDistribution(
             edge_profiles={0: ((0, HALF), (1, HALF))}, start_steps={})
-        travel = ProfileTravel(net.edges, mean_profiles(game, posterior))
+        travel = mean_travel(game, posterior)
         assert [travel(0, t) for t in range(5)] == [6, 2, 5, 3, 4]
         self.check(game, posterior)
         # a profile whose entries all lie on another edge adds nothing
         posterior = ScenarioDistribution(
             edge_profiles={0: ((1, HALF), (2, HALF))}, start_steps={})
-        travel = ProfileTravel(net.edges, mean_profiles(game, posterior))
+        travel = mean_travel(game, posterior)
         assert [travel(0, t) for t in range(4)] == [5, 3, 5, 3]
         self.check(game, posterior)
 
@@ -485,11 +599,43 @@ class TestMeanProfile:
         game = make_game(net, [(0, (0,), 0, 2)])
         posterior = ScenarioDistribution(
             edge_profiles={0: ((0, HALF), (1, HALF))}, start_steps={})
-        travel = ProfileTravel(net.edges, mean_profiles(game, posterior))
+        travel = mean_travel(game, posterior)
         assert [travel(0, t) for t in range(3)] == \
             [4 + big + 1, 4 + 2 ** 63 + 1, 4]
-        assert travel.max_extra(0) == 2 ** 63 + 1
+        row = mean_row(game, 0, posterior.edge_profiles[0])
+        assert max(row.tolist()) == 2 ** 63 + 1
+        # a drhs world over this row is refused by the table, not wrapped
+        means = TravelMatrix(net.travel_matrix.lo, np.stack([row]))
+        assert means.wide.tolist() == [True]
         self.check(game, posterior)
+
+    def test_scale_beyond_int64_sums_python_ints(self):
+        """Weights over 2^70 could overflow an int64 sum, so the mean is
+        summed in Python ints; it equals the Fraction rounding."""
+        profiles = {0: {(0, t): t - 2 for t in range(6)},
+                    1: {(0, t): 3 for t in range(6)},
+                    2: {(0, 0): 2 ** 69, (0, 1): -2 ** 69}, 3: {}}
+        net = make_net([(0, 0, 1, 100, 4, (0, 1, 2, 3))], profiles=profiles)
+        game = make_game(net, [(0, (0,), 0, 2)])
+        eps = Fraction(1, 2 ** 70)
+        for pids, probs in (((0, 1), (eps, 1 - eps)),
+                            ((0, 1), (HALF - eps, HALF + eps)),
+                            ((0, 1), (HALF, HALF)),
+                            ((2, 3), (HALF + eps, HALF - eps))):
+            pairs = tuple(zip(pids, probs))
+            row = mean_row(game, 0, pairs)
+            assert row.dtype == (np.int64 if probs == (HALF, HALF) else object)
+            self.check(game, ScenarioDistribution(edge_profiles={0: pairs},
+                                                  start_steps={}))
+        # means of exactly 2^68 + 1/2 and its negative round away from zero
+        assert [mean_travel(game, ScenarioDistribution(
+            edge_profiles={0: pairs}, start_steps={}))(0, t)
+            for t in range(3)] == [4 + 2 ** 68 + 1, 4 - 2 ** 68 - 1, 4]
+
+
+def free_flow(net):
+    """Travel at every edge's base time: the truth of a day without delays."""
+    return lambda eid, t: net.edges[eid].base_travel_steps
 
 
 class TestStepWorld:
@@ -502,7 +648,7 @@ class TestStepWorld:
                           budget_left=4, planned_waits=[0])
         world = world_with(game, [s0, s1], now=0)
         events = []
-        step_world(game, world, ProfileTravel(net.edges, {}), events)
+        step_world(game, world, free_flow(net), events)
         assert world.now == 1
         assert s0.waited_steps == 1 and s0.budget_left == 3
         assert s0.planned_waits == [0]
@@ -520,7 +666,7 @@ class TestStepWorld:
                           budget_left=4, planned_waits=[0])
         world = world_with(game, [s0, s1], now=5)
         events = []
-        step_world(game, world, ProfileTravel(net.edges, {}), events)
+        step_world(game, world, free_flow(net), events)
         assert s0.reward_centi == s1.reward_centi == 8500
         platoons = [e for e in events if e.kind == "platoon"]
         assert len(platoons) == 1
@@ -533,7 +679,7 @@ class TestStepWorld:
                           budget_left=0, planned_waits=[2])
         world = world_with(game, [s0], now=0)
         with pytest.raises(InputError, match="no budget"):
-            step_world(game, world, ProfileTravel(net.edges, {}), [])
+            step_world(game, world, free_flow(net), [])
 
 
 def separation_setup():
@@ -584,7 +730,7 @@ class TestClosedLoop:
     def test_point_mass_collapse_and_sp_difference(self, line_net):
         game = make_game(line_net, [(0, (0, 1, 2), 0, 4), (1, (0, 1, 2), 1, 4)])
         dist = uniform_profile_distribution(line_net, game.fleet.values())
-        assert dist.is_degenerate()
+        assert dist.support_size() == 1
         truth = deterministic_scenario(line_net, game.fleet.values())
         traces = {kind: run_closed_loop(game, dist, truth, spec(kind), seed=2)
                   for kind in ("sp", "ip", "ktt", "drhs", "srhs")}

@@ -15,7 +15,7 @@ from hubplatoon.game import (CoordinationGame, RewardModel, Scenario,
                              round_half_away, save_fleet, scenario_from_dict,
                              scenario_to_dict, zero_profile)
 from hubplatoon.solver import (DeterministicOracle, horizon_departure_times,
-                               scenario_game, scenario_profiles)
+                               profile_row, scenario_game)
 
 
 @pytest.mark.parametrize("x, want", [
@@ -132,9 +132,10 @@ def test_waiting_cost_is_linear(line_net):
 def entries(game, vid, waits, scenario):
     """Entry step onto each route edge, through the static game's view of
     ``vid`` and the scenario's travel model."""
-    views, [(_p, avail, travel)] = scenario_game(game, [(scenario, Fraction(1))])
-    [view] = [v for v in views if v.vid == vid]
-    return horizon_departure_times(view, waits, avail[vid], travel)
+    views, worlds, avail = scenario_game(game, [(scenario, Fraction(1))])
+    [i] = [i for i, v in enumerate(views) if v.vid == vid]
+    return horizon_departure_times(views[i], waits, int(avail[i, 0]),
+                                   worlds.travel(0, game.net.edges))
 
 
 class TestDepartureTimes:
@@ -283,12 +284,11 @@ class TestGameConstruction:
 
     def test_scenario_profile_resolution(self, delay_net):
         game = make_game(delay_net, [(0, (0,), 0, 4)])
-        got = scenario_profiles(game, Scenario({0: 1}, {}))
-        assert got[0].id == 1
+        assert profile_row(game.net, 0, 1) == game.net.travel_matrix.index[(0, 1)]
         with pytest.raises(InputError, match="unknown edge 7"):
-            scenario_profiles(game, Scenario({7: 1}, {}))
+            scenario_game(game, [(Scenario({7: 1}, {}), Fraction(1))])
         with pytest.raises(InputError, match="unknown delay profile 9"):
-            scenario_profiles(game, Scenario({0: 9}, {}))
+            scenario_game(game, [(Scenario({0: 9}, {}), Fraction(1))])
 
 
 class TestSerialization:

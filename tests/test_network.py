@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from conftest import make_game, make_net
@@ -11,37 +12,37 @@ from hubplatoon.network import (UNREACHABLE, DelayProfile, Edge, Hub,
                                 network_to_dict, replace_profiles,
                                 save_network, shortest_path, shortest_path_km,
                                 validate_network)
-from hubplatoon.solver import ProfileTravel, scenario_profiles
+from hubplatoon.experiments import ExperimentConfig, prepare_network
+from hubplatoon.solver import profile_row, scenario_travel
 
 
-def scenario_travel(net, assignment):
+def travel_of(net, assignment):
     """The travel model of one scenario on a one-truck game over edge 0."""
     game = make_game(net, [(0, (0,), 0, 0)])
-    return ProfileTravel(net.edges, scenario_profiles(
-        game, Scenario(profile_assignment=assignment, start_steps={})))
+    return scenario_travel(game, Scenario(profile_assignment=assignment, start_steps={}))
 
 
 def test_travel_time_adds_profile_delay():
     net = make_net([(0, 0, 1, 100, 3, (1,))],
                    profiles={1: {(0, 2): 2}})
-    travel = scenario_travel(net, {0: 1})
+    travel = travel_of(net, {0: 1})
     # base 3, delay 2 at entry step 2 only
     assert travel(0, 2) == 5
     assert travel(0, 1) == 3
     assert travel(0, 3) == 3
     # edge absent from the assignment: free flow
-    assert scenario_travel(net, {})(0, 2) == 3
+    assert travel_of(net, {})(0, 2) == 3
 
 
 def test_travel_time_rejects_inadmissible_profile():
     net = make_net([(0, 0, 1, 100, 3, (1,))], profiles={1: {}, 2: {}})
     with pytest.raises(InputError, match="profile 2 is not admissible on edge 0"):
-        scenario_travel(net, {0: 2})
+        travel_of(net, {0: 2})
 
 
 def test_travel_time_allows_any_profile_when_edge_lists_none():
     net = make_net([(0, 0, 1, 100, 3)], profiles={7: {(0, 1): 4}})
-    assert scenario_travel(net, {0: 7})(0, 1) == 7
+    assert travel_of(net, {0: 7})(0, 1) == 7
 
 
 def test_validate_clean_network(line_net):
@@ -184,3 +185,54 @@ def test_bundled_networks_are_valid():
         assert validate_network(net) == []
         assert len(net.hubs) == hubs
         assert len(net.edges) == edges
+
+
+@pytest.mark.parametrize("name", ["synthetic10", "sweden"])
+def test_travel_matrix_reads_every_admissible_profile(name):
+    """Every (edge, admissible profile) row, read as a table reads it,
+    from 2 steps before the profiles' span to 2 steps after it."""
+    from importlib import resources
+
+    with resources.as_file(resources.files("hubplatoon") / "data"
+                           / f"{name}.json") as p:
+        net = prepare_network(load_network(p), ExperimentConfig())
+    matrix = net.travel_matrix
+    steps = [t for prof in net.delay_profiles.values() for _e, t in prof.delay_at]
+    assert (matrix.lo, matrix.span) == (min(steps), max(steps) - min(steps) + 1)
+    window = range(matrix.lo - 2, matrix.lo + matrix.span + 2)
+    cols = matrix.columns(window)
+    read = 0
+    for eid, edge in net.edges.items():
+        for pid in edge.delay_profile_ids:
+            prof = net.delay_profiles[pid]
+            got = edge.base_travel_steps + matrix.delays[profile_row(net, eid, pid), cols]
+            assert got.tolist() == [edge.base_travel_steps + prof.delay(eid, t)
+                                    for t in window], (eid, pid)
+            read += 1
+    assert read == len(matrix.index) == 10 * len(net.edges)
+    assert matrix.delays.dtype == np.int32 and not matrix.negative.any()
+
+
+def test_travel_matrix_rows_of_open_edges_and_wide_delays():
+    """An edge that lists no profile admits any: a profile with entries on
+    it has a row, one without reads the zero row. Delays beyond 32 bits
+    stay exact and flag their row."""
+    net = make_net([(0, 0, 1, 100, 3), (1, 1, 2, 100, 3, (8,))],
+                   profiles={7: {(0, 1): 4}, 8: {(1, 2): 2 ** 31},
+                             9: {(1, 3): 2 ** 64}})
+    matrix = net.travel_matrix
+    assert sorted(matrix.index) == [(0, 7), (1, 8)]
+    assert profile_row(net, 0, 7) == matrix.index[(0, 7)]
+    assert profile_row(net, 0, 8) == 0
+    assert matrix.delay(profile_row(net, 1, 8), 2) == 2 ** 31
+    assert matrix.wide.tolist() == [False, False, True]
+    assert matrix.delays.dtype == np.int64
+    with pytest.raises(InputError, match="profile 9 is not admissible on edge 1"):
+        profile_row(net, 1, 9)
+    with pytest.raises(InputError, match="unknown delay profile 6"):
+        profile_row(net, 0, 6)
+    with pytest.raises(InputError, match="unknown edge 5"):
+        profile_row(net, 5, 7)
+    big = make_net([(0, 0, 1, 100, 3, (9,))], profiles={9: {(0, 3): 2 ** 64}})
+    assert big.travel_matrix.delays.dtype == object
+    assert big.travel_matrix.delay(1, 3) == 2 ** 64

@@ -52,14 +52,14 @@ class _FixedOracle:
     def __init__(self, table):
         self.table = table
 
-    def scaled_values(self, vid, actions, profile):
+    def scaled_values(self, vid, actions, profile, moved=None):
         return [self.table[tuple(a)] for a in actions]
 
 
 class _CycleOracle:
     """Two players, no potential: 0 wants to match 1, 1 wants to differ."""
 
-    def scaled_values(self, vid, actions, profile):
+    def scaled_values(self, vid, actions, profile, moved=None):
         other = profile[1 if vid == 0 else 0][0]
         vals = []
         for (a,) in actions:

@@ -35,12 +35,11 @@ class TestDistribution:
         assert dist.start_steps == {0: ((0, Fraction(1)),),
                                     1: ((3, Fraction(1)),)}
         assert dist.support_size() == 2
-        assert not dist.is_degenerate()
 
     def test_degenerate_distribution(self):
         s = Scenario(profile_assignment={0: 1}, start_steps={0: 5})
         dist = degenerate_distribution(s)
-        assert dist.is_degenerate()
+        assert dist.support_size() == 1
         [(only, prob)] = enumerate_support(dist)
         assert prob == 1
         assert only.profile_assignment == {0: 1}

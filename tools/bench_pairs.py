@@ -15,11 +15,16 @@ seed, for BENCHMARK.json's ``run_seconds``, one after the other; the
 order flips from one pair to the next, so a drift of the machine's speed
 hits both sides alike. Pair ``i`` uses seed ``--seed + i``.
 ``BENCH_<pr>.json`` gets, per workload and end-to-end metric, the median
-and quartiles of each side and the number of pairs the change won, and
-per workload and side the operations attempted and failed and whether
-every run checked correct. It is rewritten after every pair, so an
-interrupted comparison keeps the pairs it finished. The exit status is 1
-when any run failed an operation or a check, else 0.
+and quartiles of each side, the number of pairs the change won and two
+verdicts: ``gain_shown``, when the change won at least 0.9 of the pairs
+and its median beats the parent's by more than the parent's q3 - q1,
+and ``beyond_bound``, when the change's median is worse than the
+parent's by more than the metric's bound in BENCHMARK.json (a share of
+the parent's median). Per workload and side it gets the operations
+attempted and failed and whether every run checked correct. The file is
+rewritten after every pair, so an interrupted comparison keeps the pairs
+it finished; both verdicts are printed on stderr at the end. The exit
+status is 1 when any run failed an operation or a check, else 0.
 """
 
 from __future__ import annotations
@@ -58,7 +63,8 @@ def spread(values: list[float]) -> dict:
 
 
 def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: each side's median and quartiles, and the change's wins.
+    """Per metric: each side's median and quartiles, the change's wins and
+    the ``gain_shown`` and ``beyond_bound`` verdicts.
 
     Under ``operations``, per side: the operations attempted and failed
     over all runs, and whether every run reported ``correct``.
@@ -73,9 +79,15 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
         higher = metric["better"] == "higher"
         wins = sum((c > p) if higher else (c < p)
                    for p, c in zip(got["parent"], got["change"]))
+        parent, change = spread(got["parent"]), spread(got["change"])
+        # how far the change's median is better than the parent's
+        gap = (change["median"] - parent["median"]) * (1 if higher else -1)
         out[name] = {"better": metric["better"], "bound": metric["bound"],
-                     "parent": spread(got["parent"]), "change": spread(got["change"]),
-                     "change_wins": wins, "pairs": len(pairs)}
+                     "parent": parent, "change": change,
+                     "change_wins": wins, "pairs": len(pairs),
+                     "gain_shown": wins >= 0.9 * len(pairs)
+                     and gap > parent["q3"] - parent["q1"],
+                     "beyond_bound": -gap > metric["bound"] * abs(parent["median"])}
     return out
 
 
@@ -87,6 +99,19 @@ def failures(doc: dict) -> list[str]:
             if ops["failed"] or not ops["correct"]:
                 out.append(f"{workload} {side}: {ops['failed']} of {ops['attempted']} "
                            f"operations failed, all correct: {ops['correct']}")
+    return out
+
+
+def verdicts(doc: dict) -> list[str]:
+    """One line per workload and metric: wins, medians and both verdicts."""
+    out = []
+    for workload, got in doc["workloads"].items():
+        for name, s in got["summary"].items():
+            if name != "operations":
+                out.append(f"{workload} {name}: {s['change_wins']}/{s['pairs']} won, "
+                           f"median {s['parent']['median']:.4g} -> "
+                           f"{s['change']['median']:.4g}, gain_shown {s['gain_shown']}, "
+                           f"beyond_bound {s['beyond_bound']}")
     return out
 
 
@@ -137,6 +162,8 @@ def main(argv=None) -> int:
             ops = {side: pair[side]["metrics"]["ops_per_s"]["value"] for side in SIDES}
             print(f"{workload} seed {seed}: ops_per_s parent {ops['parent']:.3f}, "
                   f"change {ops['change']:.3f}", file=sys.stderr)
+    for line in verdicts(doc):
+        print(line, file=sys.stderr)
     bad = failures(doc)
     for line in bad:
         print(f"FAILED: {line}", file=sys.stderr)
