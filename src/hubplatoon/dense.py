@@ -106,7 +106,9 @@ class EntryTable:
         for group in by_len.values():
             cols = np.asarray([[self.col[e] for e in v.window_edges]
                                for v, _i in group], dtype=np.int64)
-            starts = avail[[i for _v, i in group]].astype(np.int64) - t0
+            # C order: a track's availability row is walked at every valuation
+            starts = np.ascontiguousarray(avail[[i for _v, i in group]],
+                                          dtype=np.int64) - t0
             first = [tuple(waits[v.vid]) for v, _i in group]
             got = self._trace(cols, starts, np.asarray(first, dtype=np.int64))
             traced.append(got.reshape(-1))

@@ -88,12 +88,13 @@ class RoadNetwork:
         index = {key: row for row, key in enumerate(sorted(pairs | rows.keys()), 1)}
         steps = [t for got in rows.values() for t in got] or [0]
         values = [d for got in rows.values() for d in got.values()] or [0]
+        lo, least, most = min(steps), min(values), max(values)
         dtype = next((kind for kind, bits in ((np.int32, 31), (np.int64, 63))
-                      if -2 ** bits <= min(values) and max(values) < 2 ** bits), object)
-        delays = np.zeros((len(index) + 1, max(steps) - min(steps) + 2), dtype=dtype)
+                      if -2 ** bits <= least and most < 2 ** bits), object)
+        delays = np.zeros((len(index) + 1, max(steps) - lo + 2), dtype=dtype)
         for key, got in rows.items():
-            delays[index[key], np.subtract(list(got), min(steps))] = list(got.values())
-        return TravelMatrix(min(steps), delays, index)
+            delays[index[key], np.subtract(list(got), lo)] = list(got.values())
+        return TravelMatrix(lo, delays, index)
 
 
 class TravelMatrix:
