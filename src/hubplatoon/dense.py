@@ -30,6 +30,8 @@ import numpy as np
 # beyond these, fall back to the reference evaluation path
 MAX_TABLE_CELLS = 32_000_000
 MAX_VALUE_BOUND = 2 ** 62
+# (track, action, world) cells valued at once by ``round_values``
+BATCH_CELLS = 1 << 16
 
 
 class TableLimitError(Exception):
@@ -96,7 +98,7 @@ class EntryTable:
         self._avail: dict[int, np.ndarray] = {}
         self._waits: dict[int, tuple[int, ...]] = {}
         self._cells: dict[int, np.ndarray] = {}
-        self._acts: dict[int, tuple] = {}
+        self._acts: dict[int, tuple] = {}     # id(actions) -> matrix, sums
         # tracks of one length are traced together; every count goes in
         # with one scatter
         by_len: dict[int, list] = {}
@@ -119,14 +121,16 @@ class EntryTable:
                 self._cells[v.vid] = got[i]
         np.add.at(self._flat_counts, np.concatenate(traced), 1)
 
-    def _walk(self, cols, avail: np.ndarray, waits):
+    def _walk(self, cols, avail: np.ndarray, waits, fits=None):
         """Yield the flat cell of each entry, window edge by window edge.
 
         ``avail`` is when a track can first leave (relative to t0), with
         the worlds on its last axis; ``cols[k]`` and ``waits[k]``, the
         column and wait of the k-th window edge, broadcast against it.
-        An entry outside the tabulated window is refused before its travel
-        is read.
+        Where ``fits`` is False the entry is moved to step 0 and never
+        read, so a wait vector beyond a track's budget cannot leave the
+        window. An entry outside the tabulated window is refused before
+        its travel is read.
         """
         t = avail
         cell = None
@@ -134,6 +138,8 @@ class EntryTable:
             if cell is not None:
                 t = t + self._flat_travel[cell]
             t = t + wait
+            if fits is not None:
+                t = np.where(fits, t, 0)
             if t.max() >= self.steps or t.min() < 0:
                 raise TableLimitError("entry outside the tabulated window")
             cell = self._w_cell + c * self.steps + t
@@ -166,20 +172,21 @@ class EntryTable:
             if waits != self._waits[vid]:
                 self.commit(vid, waits)
 
-    def action_matrix(self, vid: int, actions: Sequence[Sequence[int]]
-                      ) -> np.ndarray:
-        cached = self._acts.get(vid)
-        if cached is not None and cached[0] is actions:
-            return cached[1]
-        got = np.asarray(actions, dtype=np.int64)
-        self._acts[vid] = (actions, got)   # keep the list alive with its array
-        return got
+    def action_matrix(self, actions: Sequence[Sequence[int]]
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """``actions`` as an int64 matrix and its row sums, kept per
+        action list (with the list, so its id stays its own)."""
+        cached = self._acts.get(id(actions))
+        if cached is None:
+            got = np.asarray(actions, dtype=np.int64)
+            cached = self._acts[id(actions)] = (actions, got, got.sum(axis=1))
+        return cached[1], cached[2]
 
     def scaled_values(self, vid: int,
                       actions: Sequence[Sequence[int]]) -> np.ndarray:
         """scale * expected utility for each action, as int64."""
         cols = self._cols[vid]
-        acts = self.action_matrix(vid, actions)
+        acts, sums = self.action_matrix(actions)
         own = self._cells[vid]
         np.subtract.at(self._flat_counts, own, 1)
         try:
@@ -189,5 +196,42 @@ class EntryTable:
                 rewards += self._rt[c][self._flat_counts[cell] + 1]
         finally:
             np.add.at(self._flat_counts, own, 1)
-        totals = rewards - self.step_cost * acts.sum(axis=1)[:, None]
+        totals = rewards - self.step_cost * sums[:, None]
         return totals @ self.weights
+
+    def round_values(self, vids: Sequence[int], actions: Sequence[Sequence[int]],
+                     budgets: Sequence[int]) -> list[np.ndarray]:
+        """``scaled_values`` of each track of ``vids``, all of one window
+        length, over the rows of ``actions`` whose wait sum is within the
+        track's budget, in their order; the tracks are valued together,
+        ``BATCH_CELLS`` (track, action, world) cells at a time.
+
+        A track's own entries are not taken out of the counts: a cell it
+        enters is compared with each of its committed cells on the same
+        column instead, which leaves the counts untouched.
+        """
+        acts, sums = self.action_matrix(actions)
+        fits = sums[None, :] <= np.asarray(budgets, dtype=np.int64)[:, None]
+        per = max(1, BATCH_CELLS // (len(acts) * self.w))
+        out = []
+        for lo in range(0, len(vids), per):
+            part = vids[lo:lo + per]
+            cols = np.stack([self._cols[vid] for vid in part])
+            own = np.stack([self._cells[vid] for vid in part])
+            avail = np.stack([self._avail[vid] for vid in part])[:, None, :]
+            mask = fits[lo:lo + per]
+            # window positions k, j whose columns agree on some track
+            same = (cols[:, :, None] == cols[:, None, :]).any(axis=0).tolist()
+            rewards = np.zeros((len(part), len(acts), self.w), dtype=np.int64)
+            cells = self._walk(cols.T[:, :, None, None], avail,
+                               acts.T[:, None, :, None],
+                               None if mask.all() else mask[:, :, None])
+            for k, cell in enumerate(cells):
+                count = self._flat_counts[cell]
+                for j, shared in enumerate(same[k]):
+                    if shared:
+                        count = count - (cell == own[:, j, None, :])
+                rewards += self._rt[cols[:, k, None, None], count + 1]
+            totals = (rewards - self.step_cost * sums[:, None]) @ self.weights
+            out += [row[ok] for row, ok in zip(totals, mask)]
+        return out

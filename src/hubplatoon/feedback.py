@@ -20,7 +20,6 @@ game and the solve terminating.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -37,8 +36,8 @@ from .game import (CoordinationGame, Scenario, round_ratio, scaled_weights,
 from .network import TravelMatrix
 from .seeding import derive_seed
 from .solver import (DeterministicOracle, HorizonView, Worlds, WorldsOracle,
-                     enumerate_actions, nash_seek, profile_row,
-                     scenario_travel, spaces_for_fleet)
+                     action_space, nash_seek, profile_row, scenario_travel,
+                     spaces_for_fleet)
 from .stochastic import (DEFAULT_DRAWS, ScenarioDistribution, stochastic_oracle,
                          systematic)
 
@@ -351,15 +350,13 @@ def build_views(game: CoordinationGame, world: WorldState,
             entered_at = None
         if first > last:
             continue  # nothing left to decide; final edge underway
-        span = tuple(range(first, last + 1))
         # waits already committed beyond the window still count against
         # the budget, so the window may only allocate what they leave
-        beyond = sum(state.planned_waits[k]
-                     for k in range(last + 1, last_wait_node + 1))
+        beyond = sum(state.planned_waits[last + 1:last_wait_node + 1])
         views.append(HorizonView(
-            vid=vid, kind=state.status, span_nodes=span,
-            window_edges=tuple(seq[k] for k in span),
-            committed=tuple(state.planned_waits[k] for k in span),
+            vid=vid, kind=state.status, span_nodes=tuple(range(first, last + 1)),
+            window_edges=tuple(seq[first:last + 1]),
+            committed=tuple(state.planned_waits[first:last + 1]),
             budget_left=state.budget_left - beyond,
             player=(vid in eligible) and state.status != "pending",
             current_edge=current_edge, entered_at=entered_at))
@@ -389,13 +386,6 @@ def _avail(game: CoordinationGame, now: int, views: Sequence[HorizonView],
     return avail
 
 
-@functools.lru_cache(maxsize=64)
-def _horizon_actions(length: int, budget: int) -> tuple[tuple[int, ...], ...]:
-    """``enumerate_actions``, built once per pair: a horizon game's spans
-    and budgets take only a few values, met again at every decision."""
-    return tuple(enumerate_actions(length, budget))
-
-
 def _rounded_mean(marginal: Marginal, values: np.ndarray):
     """The marginal's mean of ``values``, one entry (or row) per pair,
     rounded by ``round_ratio``. The sums are int64 when none can overflow,
@@ -420,8 +410,8 @@ def _decide(game: CoordinationGame, world: WorldState, belief: Belief,
     views = build_views(game, world, eligible, policy.horizon)
     worlds = draws(*belief.visible(views, world.now))
     oracle = WorldsOracle(game, views, worlds, _avail(game, world.now, views, worlds))
-    spaces = {vid: _horizon_actions(len(oracle.views[vid].span_nodes),
-                                    oracle.views[vid].budget_left)
+    spaces = {vid: action_space(len(oracle.views[vid].span_nodes),
+                                oracle.views[vid].budget_left)
               for vid in oracle.players}
     if not spaces:
         return {}

@@ -77,7 +77,8 @@ class RewardModel:
     splits total savings equally, so each of n members gets
     km_rate * length * (n-1)/n, rounded half away from zero. A custom
     table maps (n, edge id) to centi-SEK directly; platoon sizes missing
-    from the table are an error.
+    from the table are an error. The default R(n, e) is computed in one
+    place, the edge's reward row, and read from it.
     """
 
     def __init__(self, km_rate_centi: int = DEFAULT_KM_REWARD_CENTI,
@@ -88,7 +89,6 @@ class RewardModel:
             raise InputError("custom reward table must be nonnegative")
         self.km_rate_centi = km_rate_centi
         self.table = dict(table) if table is not None else None
-        self._reward_cache: dict[tuple[int, int], int] = {}
         self._cumulative_cache: dict[tuple[int, int], int] = {}
         self._rows: dict[int, np.ndarray] = {}
 
@@ -97,37 +97,40 @@ class RewardModel:
         if n < 1:
             raise InputError(f"platoon size must be >= 1, got {n}")
         if self.table is not None:
-            try:
-                return self.table[(n, edge.id)]
-            except KeyError:
-                raise InputError(
-                    f"reward table has no entry for size {n} on edge {edge.id}") from None
-        key = (n, edge.id)
-        got = self._reward_cache.get(key)
-        if got is None:
-            # str() first: 0.3 km means 3/10, not the binary float near it
-            got = round_half_away(
-                Fraction(self.km_rate_centi) * Fraction(str(edge.length_km))
-                * Fraction(n - 1, n))
-            self._reward_cache[key] = got
-        return got
+            return self._listed(n, edge)
+        return int(self.reward_row(edge, n)[n])
 
     def reward_row(self, edge, n: int) -> np.ndarray:
         """``[0, reward(1, edge), ..., reward(n, edge)]`` as read-only int64.
 
         One row per edge is kept and extended when a larger ``n`` is asked
-        for; sizes beyond the largest asked are never looked up.
+        for; sizes beyond the largest asked are never looked up. With
+        p / q the edge length (``str`` first: 0.3 km means 3/10, not the
+        binary float near it), the default reward is
+        km_rate * p * (k - 1) / (q * k), rounded in integers.
         """
         row = self._rows.get(edge.id)
         have = 0 if row is None else len(row) - 1
         if row is None or have < n:
-            more = np.array([self.reward(k, edge) for k in range(have + 1, n + 1)],
-                            dtype=np.int64)
+            sizes = range(have + 1, n + 1)
+            if self.table is not None:
+                more = [self._listed(k, edge) for k in sizes]
+            else:
+                length = Fraction(str(edge.length_km))
+                num = self.km_rate_centi * length.numerator
+                more = [round_ratio(num * (k - 1), length.denominator * k) for k in sizes]
             row = np.concatenate((np.zeros(1, dtype=np.int64) if row is None
-                                  else row, more))
+                                  else row, np.array(more, dtype=np.int64)))
             row.flags.writeable = False
             self._rows[edge.id] = row
         return row[:n + 1]
+
+    def _listed(self, n: int, edge) -> int:
+        try:
+            return self.table[(n, edge.id)]
+        except KeyError:
+            raise InputError(
+                f"reward table has no entry for size {n} on edge {edge.id}") from None
 
     def cumulative(self, n: int, edge) -> int:
         """r(n, e) = sum of reward(j, e) for j = 1..n; the potential's edge term."""

@@ -46,9 +46,17 @@ def enumerate_actions(length: int, budget: int) -> list[tuple[int, ...]]:
     return out
 
 
-def spaces_for_fleet(fleet) -> dict[int, list[tuple[int, ...]]]:
+@functools.lru_cache(maxsize=256)
+def action_space(length: int, budget: int) -> tuple[tuple[int, ...], ...]:
+    """``enumerate_actions`` as a tuple, built once per (length, budget):
+    routes, spans and budgets take few values, met again at every solve.
+    For a smaller budget the space is this one's rows within it, in order."""
+    return tuple(enumerate_actions(length, budget))
+
+
+def spaces_for_fleet(fleet) -> dict[int, tuple[tuple[int, ...], ...]]:
     """Per-vehicle action space keyed by id; fleet is any VehicleSpec iterable."""
-    return {v.id: enumerate_actions(len(v.edge_sequence), v.waiting_budget_steps)
+    return {v.id: action_space(len(v.edge_sequence), v.waiting_budget_steps)
             for v in fleet}
 
 
@@ -181,7 +189,9 @@ class WorldsOracle:
     its span's first node in world k. Rewards count only a vehicle's own
     window edges; waiting cost covers its span. Scaled values come from
     the dense table when it fits, otherwise from ``_scaled_by_loop``, the
-    reference the table is checked against.
+    reference the table is checked against. The table holds the players
+    and only the environment tracks that share a window edge with one:
+    no player reads the counts of the others.
     """
 
     approximate = False
@@ -192,6 +202,7 @@ class WorldsOracle:
         self.game = game
         self.views = {v.vid: v for v in views}
         self.players = tuple(sorted(v.vid for v in views if v.player))
+        self.has_environment = len(self.players) < len(self.views)
         self.worlds = worlds
         self.avail = avail
         self._table = None
@@ -210,10 +221,15 @@ class WorldsOracle:
 
     def _dense(self, profile):
         if self._table is None and not self._no_table:
+            views = list(self.views.values())
+            read = {eid for v in views if v.player for eid in v.window_edges}
+            kept = [i for i, v in enumerate(views)
+                    if v.player or not read.isdisjoint(v.window_edges)]
             try:
                 self._table = EntryTable(
-                    self.game, list(self.views.values()), self.worlds, self.avail,
-                    {vid: self._waits(vid, profile) for vid in self.views})
+                    self.game, [views[i] for i in kept], self.worlds,
+                    self.avail[kept] if len(kept) < len(views) else self.avail,
+                    {views[i].vid: self._waits(views[i].vid, profile) for i in kept})
             except TableLimitError:
                 self._no_table = True
         return self._table
@@ -239,6 +255,40 @@ class WorldsOracle:
             except TableLimitError:
                 self._table, self._no_table = None, True
         return self._scaled_by_loop(vid, actions, profile)
+
+    def round_values(self, spaces: Mapping[int, Sequence[tuple[int, ...]]],
+                     profile: Mapping[int, Sequence[int]],
+                     moved: Sequence[int] | None = None) -> dict | None:
+        """Each player's ``scaled_values`` against ``profile``, keyed by id,
+        from one table pass per window length.
+
+        Only a game with environment tracks (a horizon game) is valued so:
+        a static game's early rounds move so many players that most batch
+        values would go unread. Only a player whose space is
+        ``action_space`` of its span and budget is valued. None when the
+        game is static or has no table; ``moved`` is as for
+        ``scaled_values``.
+        """
+        table = self._dense(profile) if self.has_environment else None
+        if table is None:
+            return None
+        groups: dict[int, list[int]] = {}
+        for vid, space in spaces.items():
+            view = self.views[vid]
+            if view.player and space is action_space(len(view.span_nodes),
+                                                     view.budget_left):
+                groups.setdefault(len(view.span_nodes), []).append(vid)
+        try:
+            table.sync(profile, self.players if moved is None else moved)
+            out = {}
+            for length, vids in groups.items():
+                budgets = [self.views[vid].budget_left for vid in vids]
+                out.update(zip(vids, table.round_values(
+                    vids, action_space(length, max(budgets)), budgets)))
+            return out
+        except TableLimitError:
+            self._table, self._no_table = None, True
+            return None
 
     @functools.cached_property
     def _loop_worlds(self) -> list:
@@ -319,13 +369,20 @@ def best_response(oracle, vid: int, actions: Sequence[tuple[int, ...]],
     the oracle's ``scaled_values``, integers in the order of utilities;
     ``moved`` is passed on to it.
     """
-    values = np.asarray(oracle.scaled_values(vid, actions, profile, moved))
-    best = np.flatnonzero(values == values.max())
-    current = tuple(profile[vid])
-    for i in best:
-        if tuple(actions[i]) == current:
-            return current, len(actions)
-    return tuple(actions[best[0]]), len(actions)
+    values = oracle.scaled_values(vid, actions, profile, moved)
+    return _best_of(values, actions, profile[vid]), len(actions)
+
+
+def _best_of(values, actions: Sequence[tuple[int, ...]],
+             current: Sequence[int]) -> tuple[int, ...]:
+    """``best_response``'s choice among ``actions`` given their values."""
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    top = max(values)
+    current = tuple(current)
+    for value, action in zip(values, actions):
+        if value == top and tuple(action) == current:
+            return current
+    return tuple(actions[values.index(top)])
 
 
 @dataclass
@@ -364,6 +421,12 @@ def nash_seek(oracle, spaces: Mapping[int, Sequence[tuple[int, ...]]],
     start is the first (all-zero) action of every space; the default
     update order is ascending id. ``rounds`` counts full passes including
     the final confirming one.
+
+    An oracle with ``round_values`` (a horizon game's) values its players
+    against each round's start profile in one pass. A player takes those
+    values unless a player sharing one of its window edges has moved in
+    the round; then it is valued alone against the current profile. The
+    values, and so every choice, are those of valuing each player alone.
     """
     ids = tuple(order) if order is not None else tuple(sorted(spaces))
     if set(ids) != set(spaces) or len(ids) != len(spaces):
@@ -381,19 +444,29 @@ def nash_seek(oracle, spaces: Mapping[int, Sequence[tuple[int, ...]]],
     rounds = 0
     evaluations = 0
     moved = None   # the oracle has not seen this profile yet
+    batched = getattr(oracle, "round_values", None)
     changed = True
     while changed:
         rounds += 1
         if rounds > round_cap:
             raise NonConvergenceError(f"no equilibrium after {round_cap} rounds")
         changed = False
-        for vid in ids:
-            waits, n_eval = best_response(oracle, vid, spaces[vid], profile, moved)
-            evaluations += n_eval
+        batch = batched(spaces, profile, moved) if batched else None
+        if batch is not None:
             moved = ()
+        stale: set[int] = set()   # window edges of the players moved since
+        for vid in ids:
+            values = batch.get(vid) if batch else None
+            if values is None or not stale.isdisjoint(oracle.views[vid].window_edges):
+                values = oracle.scaled_values(vid, spaces[vid], profile, moved)
+                moved = ()
+            waits = _best_of(values, spaces[vid], profile[vid])
+            evaluations += len(spaces[vid])
             if waits != profile[vid]:
                 profile[vid] = waits
-                moved = (vid,)
+                moved = (*moved, vid)
+                if batch:
+                    stale.update(oracle.views[vid].window_edges)
                 changed = True
                 if trajectory is not None:
                     trajectory.append(oracle.potential(profile))

@@ -8,9 +8,9 @@ from conftest import make_game, make_net, reference_inputs
 from hubplatoon.dense import EntryTable, TableLimitError
 from hubplatoon.feedback import PolicySpec, run_closed_loop
 from hubplatoon.game import Scenario, scaled_weights
-from hubplatoon.solver import (DeterministicOracle, HorizonView,
-                               WorldsOracle, enumerate_actions, scenario_game,
-                               spaces_for_fleet)
+from hubplatoon.solver import (DeterministicOracle, HorizonView, Worlds,
+                               WorldsOracle, action_space, enumerate_actions,
+                               scenario_game, spaces_for_fleet)
 from hubplatoon.stochastic import (ExpectedUtilityOracle,
                                    SampledUtilityOracle,
                                    ScenarioDistribution, enumerate_support,
@@ -382,6 +382,105 @@ def horizon_game(rng):
         per_world.append({0: rng.randint(0, 3), 1: travel(0, 0), 2: rng.randint(0, 3)})
     return game, WorldsOracle(game, views, static_worlds(game, weighted),
                               avail_of(views, per_world))
+
+
+# routes over hubs 0-1-2-3 and edge 3 back from hub 1 to hub 0: the second
+# enters edge 0 twice
+LOOP_ROUTES = ((0, 1, 2), (0, 3, 0, 1, 2), (1, 2), (3, 0, 1))
+
+
+def random_horizon_game(rng, w):
+    """A seeded horizon game over ``w`` weighted worlds of two profiles per
+    edge. Players 0 and 1 share a window length with budgets 1 and 4,
+    player 2's window enters edge 0 twice and the last track is an
+    environment track; the others are drawn. Returns the oracle, the
+    players' spaces and a profile in them."""
+    profiles = {pid: {(k, t): rng.randint(0, 3) for k in range(4)
+                      for t in range(30) if rng.random() < 0.4}
+                for pid in range(2)}
+    net = make_net([(eid, tail, head, rng.choice((50, 100, 150)),
+                     rng.randint(1, 3), (0, 1))
+                    for eid, tail, head in ((0, 0, 1), (1, 1, 2), (2, 2, 3),
+                                            (3, 1, 0))], profiles=profiles)
+    tracks = [(LOOP_ROUTES[0], 0, 2, 1, True), (LOOP_ROUTES[2], 0, 2, 4, True),
+              (LOOP_ROUTES[1], 0, 3, rng.randint(0, 4), True)]
+    for _k in range(rng.randint(2, 6)):
+        seq = rng.choice(LOOP_ROUTES)
+        first = rng.randrange(len(seq))
+        tracks.append((seq, first, rng.randint(1, min(3, len(seq) - first)),
+                       rng.randint(0, 4), rng.random() < 0.5))
+    tracks.append((LOOP_ROUTES[1], 1, 3, rng.randint(0, 4), False))
+    views = []
+    for vid, (seq, first, length, budget, player) in enumerate(tracks):
+        span = tuple(range(first, first + length))
+        views.append(HorizonView(vid=vid, kind="at_node", span_nodes=span,
+                                 window_edges=tuple(seq[k] for k in span),
+                                 committed=rng.choice(action_space(length, budget)),
+                                 budget_left=budget, player=player))
+    game = make_game(net, [(vid, seq, 0, budget)
+                           for vid, (seq, _f, _n, budget, _p) in enumerate(tracks)])
+    matrix, edges = net.travel_matrix, sorted(net.edges)
+    weights = [rng.randint(1, 5) for _k in range(w)]
+    worlds = Worlds.of(matrix, weights, sum(weights), edges,
+                       {eid: [matrix.index[(eid, rng.randrange(2))] for _k in range(w)]
+                        for eid in edges}, {})
+    avail = np.array([[rng.randint(0, 6) for _k in range(w)] for _v in views],
+                     dtype=np.int64)
+    oracle = WorldsOracle(game, views, worlds, avail)
+    spaces = {vid: action_space(len(oracle.views[vid].span_nodes),
+                                oracle.views[vid].budget_left)
+              for vid in oracle.players}
+    return oracle, spaces, {vid: v.committed for vid, v in oracle.views.items()
+                            if v.player}
+
+
+class TestBatchedValues:
+    """A horizon round's one pass per window length against each player
+    valued alone, and both against the reference loop."""
+
+    @pytest.mark.parametrize("w", [1, 16])
+    def test_batched_values_equal_single_and_loop(self, w):
+        rng = random.Random(f"batched:{w}")
+        checked = 0
+        for _case in range(12):
+            oracle, spaces, profile = random_horizon_game(rng, w)
+            for _trial in range(2):
+                batch = oracle.round_values(spaces, profile)
+                assert batch is not None and sorted(batch) == list(oracle.players)
+                for vid, values in batch.items():
+                    single = oracle.scaled_values(vid, spaces[vid], profile)
+                    assert values.tolist() == single.tolist() == \
+                        oracle._scaled_by_loop(vid, spaces[vid], profile)
+                    checked += len(values)
+                profile = random_profile(rng, spaces)
+            assert oracle._table is not None
+        assert checked > 1000
+
+    def test_small_budget_player_at_the_window_end_is_not_refused(self):
+        """Players 0 and 1 share a window length. Player 1 leaves last and
+        has no budget, so the window ends at its one entry (step 9 plus 3
+        steps of travel). The pass reads player 0's space, with waits up
+        to 4; the rows beyond player 1's budget would leave the window,
+        and are never walked."""
+        net = make_net([(0, 0, 1, 100, 3)])
+        game = make_game(net, [(0, (0,), 0, 4), (1, (0,), 0, 0), (2, (0,), 0, 0)])
+        views = [HorizonView(vid=vid, kind="at_node", span_nodes=(0,),
+                             window_edges=(0,), committed=(0,), budget_left=budget,
+                             player=vid < 2)
+                 for vid, budget in ((0, 4), (1, 0), (2, 0))]
+        worlds = static_worlds(game, [(Scenario({}, {}), Fraction(1))])
+        oracle = WorldsOracle(game, views, worlds, avail_of(views, [{0: 0, 1: 9, 2: 2}]))
+        spaces = {0: action_space(1, 4), 1: action_space(1, 0)}
+        profile = {0: (0,), 1: (0,)}
+        batch = oracle.round_values(spaces, profile)
+        table = oracle._table
+        assert (table.t0, table.steps) == (0, 13)
+        with pytest.raises(TableLimitError, match="outside the tabulated window"):
+            table.round_values([1], spaces[0], [4])
+        assert batch is not None and not oracle._no_table
+        for vid in (0, 1):
+            assert batch[vid].tolist() == \
+                oracle._scaled_by_loop(vid, spaces[vid], profile)
 
 
 def full_route_oracle(kind, rng, case):

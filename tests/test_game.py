@@ -90,6 +90,21 @@ class TestRewardModel:
             assert row.dtype == np.int64
             assert row.tolist() == [0] + [rm.reward(n, e) for n in range(1, 13)]
 
+    def test_integer_rows_equal_the_fraction_form(self):
+        """Rows are computed in integers; each entry equals the Fraction
+        form round_half_away(km_rate * length * (n - 1) / n), whether the
+        row is asked for whole or grown one ``reward`` call at a time."""
+        edges = make_net([(0, 0, 1, 0.3, 1), (1, 1, 2, 0.05, 1),
+                          (2, 2, 3, 12.5, 1)]).edges
+        for rate in (170, 93):
+            whole, grown = RewardModel(km_rate_centi=rate), RewardModel(km_rate_centi=rate)
+            for e in edges.values():
+                want = [0] + [round_half_away(Fraction(rate) * Fraction(str(e.length_km))
+                                              * Fraction(n - 1, n))
+                              for n in range(1, 201)]
+                assert whole.reward_row(e, 200).tolist() == want
+                assert [grown.reward(n, e) for n in range(1, 201)] == want[1:]
+
     def test_reward_row_grows_when_a_larger_size_is_asked(self, line_net):
         rm = RewardModel()
         e = line_net.edges[0]

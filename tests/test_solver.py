@@ -1,12 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 
 from conftest import make_game, make_net, reference_inputs
 from oracles import all_actions, ref_is_nash
 from hubplatoon.errors import InputError, NonConvergenceError
 from hubplatoon.game import Scenario, deterministic_scenario
-from hubplatoon.solver import (DeterministicOracle, best_response,
+from hubplatoon.solver import (DeterministicOracle, HorizonView, Worlds,
+                               WorldsOracle, action_space, best_response,
                                enumerate_actions, nash_seek,
                                solve_deterministic, spaces_for_fleet,
                                verify_ne)
@@ -43,7 +45,10 @@ class TestEnumerateActions:
         game = make_game(line_net, [(0, (0, 1), 0, 2), (1, (2,), 0, 1)])
         spaces = spaces_for_fleet(game.fleet.values())
         assert len(spaces[0]) == 6
-        assert spaces[1] == [(0,), (1,)]
+        assert spaces[1] == ((0,), (1,))
+        # one cached enumeration per (length, budget), shared by every caller
+        assert spaces[0] is action_space(2, 2)
+        assert action_space(2, 2) == tuple(enumerate_actions(2, 2))
 
 
 class _FixedOracle:
@@ -188,3 +193,74 @@ def test_random_instances_reach_reference_nash():
         report = solve_deterministic(game, s)
         assert ref_is_nash_wrapper(game, s, report.profile), \
             f"case {_case}: {report.profile} is not a Nash equilibrium"
+
+
+def horizon_oracle(extra=(), players=(0, 1, 2)):
+    """A one-world horizon game on edges 0 (hub 0 to 1) and 3 (hub 4 to 5).
+
+    Players 0 and 1 leave hub 0 at steps 0 and 1, environment track 3 at
+    step 2; all plan no wait. Player 0 gains most by waiting one step to
+    join player 1. Player 1 would wait one step to join track 3, unless
+    player 0 joins it first. Track 2 reads only edge 3; it is a player
+    when ``players`` names it. ``extra`` adds (vid, committed, budget,
+    avail) environment tracks on edge 3."""
+    net = make_net([(0, 0, 1, 100, 3), (3, 4, 5, 100, 3)])
+    tracks = [(0, (0,), (0,), 2, 0), (1, (0,), (0,), 2, 1), (2, (3,), (0,), 2, 0),
+              (3, (0,), (0,), 0, 2), *((vid, (3,), *rest) for vid, *rest in extra)]
+    game = make_game(net, [(vid, route, 0, budget)
+                           for vid, route, _w, budget, _a in tracks])
+    views = [HorizonView(vid=vid, kind="at_node", span_nodes=(0,), window_edges=route,
+                         committed=waits, budget_left=budget, player=vid in players)
+             for vid, route, waits, budget, _a in tracks]
+    worlds = Worlds.of(net.travel_matrix, (1,), 1, (0, 3), {}, {})
+    avail = np.array([[a] for *_r, a in tracks], dtype=np.int64)
+    oracle = WorldsOracle(game, views, worlds, avail)
+    spaces = {vid: action_space(1, oracle.views[vid].budget_left)
+              for vid in oracle.players}
+    return oracle, spaces
+
+
+class TestHorizonRound:
+    def test_a_move_revalues_only_the_players_sharing_its_edges(self):
+        oracle, spaces = horizon_oracle()
+        alone = []
+        single = oracle.scaled_values
+
+        def record(vid, actions, profile, moved=None):
+            alone.append(vid)
+            return single(vid, actions, profile, moved)
+
+        oracle.scaled_values = record
+        initial = {vid: (0,) for vid in spaces}
+        report = nash_seek(oracle, spaces, initial=initial)
+        # round 1: player 0 moves to join player 1, so player 1 (edge 0) is
+        # valued again and stays; player 2 (edge 3) keeps its batch values.
+        # On its batch values player 1 would have moved to join track 3.
+        assert report.profile == {0: (1,), 1: (0,), 2: (0,)}
+        assert alone == [1]
+        loop, _spaces = horizon_oracle()
+        loop._no_table = True
+        want = nash_seek(loop, spaces, initial=initial)
+        assert (report.profile, report.rounds, report.evaluations) == \
+            (want.profile, want.rounds, want.evaluations) == (report.profile, 2, 18)
+
+    def test_tracks_sharing_no_player_edge_leave_the_table(self):
+        """Track 4 shares edge 3 with player 2, so the table keeps it. With
+        track 2 in the environment, no player reads edge 3: the table drops
+        tracks 2, 4 and 5. Track 5's committed wait of 9 is beyond its
+        budget and the window, which would refuse a table that kept it."""
+        shared, _spaces = horizon_oracle(extra=[(4, (0,), 1, 0)])
+        profile = {0: (1,), 1: (0,), 2: (0,)}
+        assert sorted(shared._dense(profile)._cols) == [0, 1, 2, 3, 4]
+        plain, spaces = horizon_oracle(players=(0, 1))
+        crowded, _spaces = horizon_oracle(extra=[(4, (0,), 1, 0), (5, (9,), 0, 0)],
+                                          players=(0, 1))
+        profile = {0: (1,), 1: (0,)}
+        batch = crowded.round_values(spaces, profile)
+        assert sorted(crowded._table._cols) == [0, 1, 3]
+        assert not crowded._no_table
+        want = plain.round_values(spaces, profile)
+        for vid in (0, 1):
+            assert batch[vid].tolist() == want[vid].tolist() == \
+                crowded.scaled_values(vid, spaces[vid], profile).tolist() == \
+                crowded._scaled_by_loop(vid, spaces[vid], profile)

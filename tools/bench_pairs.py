@@ -23,8 +23,10 @@ parent's by more than the metric's bound in BENCHMARK.json (a share of
 the parent's median). Per workload and side it gets the operations
 attempted and failed and whether every run checked correct. The file is
 rewritten after every pair, so an interrupted comparison keeps the pairs
-it finished; both verdicts are printed on stderr at the end. The exit
-status is 1 when any run failed an operation or a check, else 0.
+it finished. As each pair finishes, stderr gets its ``ops_per_s``,
+``decide_ms_p50`` and ``decide_ms_p90`` on both sides; both verdicts
+are printed on stderr at the end. The exit status is 1 when any run
+failed an operation or a check, else 0.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# the metrics of each pair's line on stderr, where both runs report them
+PAIR_LINE = ("ops_per_s", "decide_ms_p50", "decide_ms_p90")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -115,6 +119,15 @@ def verdicts(doc: dict) -> list[str]:
     return out
 
 
+def pair_line(workload: str, pair: dict) -> str:
+    """One pair's ``PAIR_LINE`` metrics, parent and change side by side."""
+    shown = [name for name in PAIR_LINE
+             if all(name in pair[side]["metrics"] for side in SIDES)]
+    return f"{workload} seed {pair['seed']}: " + "; ".join(
+        f"{name} parent {pair['parent']['metrics'][name]['value']:.3f}, "
+        f"change {pair['change']['metrics'][name]['value']:.3f}" for name in shown)
+
+
 def parse_pairs(text: str) -> dict[str, int]:
     counts = {}
     for item in text.split(","):
@@ -159,9 +172,7 @@ def main(argv=None) -> int:
                 "summary": summarise(pairs, bench["end_to_end"]), "pairs": pairs}
             out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                            encoding="utf-8")
-            ops = {side: pair[side]["metrics"]["ops_per_s"]["value"] for side in SIDES}
-            print(f"{workload} seed {seed}: ops_per_s parent {ops['parent']:.3f}, "
-                  f"change {ops['change']:.3f}", file=sys.stderr)
+            print(pair_line(workload, pair), file=sys.stderr)
     for line in verdicts(doc):
         print(line, file=sys.stderr)
     bad = failures(doc)
