@@ -13,7 +13,9 @@ of every (world, edge, step) cell. Tracks of the same length are traced
 together, and their entry counts go in with one scatter. Rewards come
 from the reward model's per-edge rows ``[0, R(1, e), ..., R(n, e)]``,
 which it keeps between tables. One walk, ``_walk``, turns waits into
-entry cells for the build, for ``commit`` and for ``scaled_values``.
+entry cells for the build, for ``commit``, for ``scaled_values`` (one
+track) and for ``round_values`` (every player of one window length at
+once, as a horizon game's best-response round asks).
 
 Everything stays exact: probabilities enter as lcm-scaled integer
 weights, so a value here equals the reference Fraction times the scale.
