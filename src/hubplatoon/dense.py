@@ -121,7 +121,8 @@ class EntryTable:
                 self._avail[v.vid] = starts[i]
                 self._waits[v.vid] = first[i]
                 self._cells[v.vid] = got[i]
-        np.add.at(self._flat_counts, np.concatenate(traced), 1)
+        self._flat_counts[:] = np.bincount(np.concatenate(traced),
+                                           minlength=self._flat_counts.size)
 
     def _walk(self, cols, avail: np.ndarray, waits, fits=None):
         """Yield the flat cell of each entry, window edge by window edge.
@@ -167,12 +168,13 @@ class EntryTable:
         np.add.at(self._flat_counts, cells, 1)
 
     def sync(self, profile: Mapping[int, Sequence[int]],
-             vids: Sequence[int]) -> None:
-        """Commit each track of ``vids`` whose waits differ from ``profile``."""
-        for vid in vids:
-            waits = tuple(profile[vid])
-            if waits != self._waits[vid]:
-                self.commit(vid, waits)
+             vids: Sequence[int]) -> list[int]:
+        """Commit each track of ``vids`` whose waits differ from ``profile``;
+        the ids committed."""
+        moved = [vid for vid in vids if tuple(profile[vid]) != self._waits[vid]]
+        for vid in moved:
+            self.commit(vid, profile[vid])
+        return moved
 
     def action_matrix(self, actions: Sequence[Sequence[int]]
                       ) -> tuple[np.ndarray, np.ndarray]:

@@ -19,9 +19,11 @@ from typing import Mapping, Sequence
 
 from .errors import (FormatError, InputError, ModelInconsistencyError,
                      NonConvergenceError)
-from .feedback import POLICY_KINDS, PolicySpec, SimulationTrace, run_policies
-from .game import (CoordinationGame, RewardModel, Scenario, VehicleSpec,
-                   WaitingCostModel)
+from .feedback import (DEFAULT_MAX_STEPS, POLICY_KINDS, PolicySpec, SimulationTrace,
+                       run_policies)
+from .game import (DEFAULT_KM_REWARD_CENTI, DEFAULT_STEP_COST_CENTI,
+                   DEFAULT_WAIT_BUDGET_STEPS, CoordinationGame, RewardModel,
+                   Scenario, VehicleSpec, WaitingCostModel)
 from .network import (INTEGER, INTEGERS, NUMBER, STRINGS, DelayProfile,
                       RoadNetwork, check_fields, load_json, replace_profiles,
                       shortest_path)
@@ -39,9 +41,9 @@ class ExperimentConfig:
     policies: tuple[str, ...] = POLICY_KINDS
     injection_start_step: int = 78      # 06:30
     injection_end_step: int = 102       # 08:30, inclusive
-    waiting_budget_steps: int = 4
-    km_rate_centi: int = 170
-    step_cost_centi: int = 2200
+    waiting_budget_steps: int = DEFAULT_WAIT_BUDGET_STEPS
+    km_rate_centi: int = DEFAULT_KM_REWARD_CENTI
+    step_cost_centi: int = DEFAULT_STEP_COST_CENTI
     horizon: int = PolicySpec.horizon
     gating_minutes: int = PolicySpec.gating_minutes
     min_km: float = 300.0
@@ -55,7 +57,7 @@ class ExperimentConfig:
     support_cap: int = PolicySpec.support_cap
     oracle_draws: int = PolicySpec.oracle_draws
     open_loop_cap: int = PolicySpec.open_loop_cap
-    max_steps: int = 20_000
+    max_steps: int = DEFAULT_MAX_STEPS
 
     def __post_init__(self):
         if self.vehicle_count < 1:

@@ -38,10 +38,11 @@ from .seeding import derive_seed
 from .solver import (DeterministicOracle, HorizonView, Worlds, WorldsOracle,
                      action_space, nash_seek, profile_row, scenario_travel,
                      spaces_for_fleet)
-from .stochastic import (DEFAULT_DRAWS, ScenarioDistribution, stochastic_oracle,
-                         systematic)
+from .stochastic import (DEFAULT_DRAWS, DEFAULT_SUPPORT_CAP, ScenarioDistribution,
+                         stochastic_oracle, systematic)
 
 POLICY_KINDS = ("sp", "ip", "ktt", "drhs", "srhs")
+DEFAULT_MAX_STEPS = 20_000   # a closed-loop run longer than this fails
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class PolicySpec:
     gating_minutes: int = 20
     support_cap: int = 128        # horizon-game posterior enumeration cap
     oracle_draws: int = DEFAULT_DRAWS   # sample count above either cap
-    open_loop_cap: int = 4096     # IP one-shot enumeration cap
+    open_loop_cap: int = DEFAULT_SUPPORT_CAP   # IP one-shot enumeration cap
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
@@ -590,7 +591,7 @@ def clairvoyant_plan(game: CoordinationGame, truth: Scenario,
 
 def run_closed_loop(game: CoordinationGame, dist: ScenarioDistribution,
                     truth: Scenario, policy: PolicySpec, seed: int = 0,
-                    max_steps: int = 20_000,
+                    max_steps: int = DEFAULT_MAX_STEPS,
                     anchor: Mapping[int, tuple[int, ...]] | None = None
                     ) -> SimulationTrace:
     """Simulate one realized day under a policy; returns the full trace.
@@ -667,7 +668,7 @@ def run_closed_loop(game: CoordinationGame, dist: ScenarioDistribution,
 
 def run_policies(game: CoordinationGame, dist: ScenarioDistribution,
                  truth: Scenario, policies: Sequence[PolicySpec], seed: int = 0,
-                 max_steps: int = 20_000) -> dict[str, SimulationTrace]:
+                 max_steps: int = DEFAULT_MAX_STEPS) -> dict[str, SimulationTrace]:
     """Every policy on one realized day, each under the same seed.
 
     The open-loop anchor is solved once, with the first planning policy's

@@ -207,6 +207,8 @@ class WorldsOracle:
         self.avail = avail
         self._table = None
         self._no_table = False
+        self._batch: dict[int, np.ndarray] = {}   # unread values of the last pass
+        self._stale: set[int] = set()   # window edges of players moved since
 
     def _typed(self, totals) -> list:
         """Values from totals weighted by the worlds' weights; the one
@@ -239,56 +241,50 @@ class WorldsOracle:
         return self._typed(self.scaled_values(vid, actions, profile))
 
     def scaled_values(self, vid: int, actions: Sequence[Sequence[int]],
-                      profile: Mapping[int, Sequence[int]],
-                      moved: Sequence[int] | None = None):
+                      profile: Mapping[int, Sequence[int]]):
         """``action_values`` times the lcm of the world probabilities'
         denominators: exact integers in the same order, cheap to compare.
 
-        ``moved`` names the players whose waits may differ from the last
-        call's ``profile``; None means any player may have moved.
+        A horizon game (one with environment tracks) batches a round. A
+        player asking for its ``action_space`` reads the value the last
+        pass gave it, once, unless a player sharing one of its window
+        edges has moved since; then it is valued alone. Once its value is
+        read, its next question starts a new pass over every player. A
+        static game is not batched: its early rounds move so many players
+        that most values of a pass would go unread.
         """
         table = self._dense(profile)
         if table is not None:
             try:
-                table.sync(profile, self.players if moved is None else moved)
+                for moved in table.sync(profile, self.players):
+                    self._stale.update(self.views[moved].window_edges)
+                view = self.views[vid]
+                if self.has_environment and actions is action_space(
+                        len(view.span_nodes), view.budget_left):
+                    if vid not in self._batch:
+                        self._batch = self._round_values(table)
+                        self._stale.clear()
+                    values = self._batch.pop(vid)
+                    if self._stale.isdisjoint(view.window_edges):
+                        return values
                 return table.scaled_values(vid, actions)
             except TableLimitError:
                 self._table, self._no_table = None, True
         return self._scaled_by_loop(vid, actions, profile)
 
-    def round_values(self, spaces: Mapping[int, Sequence[tuple[int, ...]]],
-                     profile: Mapping[int, Sequence[int]],
-                     moved: Sequence[int] | None = None) -> dict | None:
-        """Each player's ``scaled_values`` against ``profile``, keyed by id,
-        from one table pass per window length.
-
-        Only a game with environment tracks (a horizon game) is valued so:
-        a static game's early rounds move so many players that most batch
-        values would go unread. Only a player whose space is
-        ``action_space`` of its span and budget is valued. None when the
-        game is static or has no table; ``moved`` is as for
-        ``scaled_values``.
-        """
-        table = self._dense(profile) if self.has_environment else None
-        if table is None:
-            return None
+    def _round_values(self, table: EntryTable) -> dict:
+        """Every player's values over its ``action_space`` against the
+        table's committed waits, keyed by id, from one
+        ``EntryTable.round_values`` pass per window length."""
         groups: dict[int, list[int]] = {}
-        for vid, space in spaces.items():
-            view = self.views[vid]
-            if view.player and space is action_space(len(view.span_nodes),
-                                                     view.budget_left):
-                groups.setdefault(len(view.span_nodes), []).append(vid)
-        try:
-            table.sync(profile, self.players if moved is None else moved)
-            out = {}
-            for length, vids in groups.items():
-                budgets = [self.views[vid].budget_left for vid in vids]
-                out.update(zip(vids, table.round_values(
-                    vids, action_space(length, max(budgets)), budgets)))
-            return out
-        except TableLimitError:
-            self._table, self._no_table = None, True
-            return None
+        for vid in self.players:
+            groups.setdefault(len(self.views[vid].span_nodes), []).append(vid)
+        out = {}
+        for length, vids in groups.items():
+            budgets = [self.views[vid].budget_left for vid in vids]
+            out.update(zip(vids, table.round_values(
+                vids, action_space(length, max(budgets)), budgets)))
+        return out
 
     @functools.cached_property
     def _loop_worlds(self) -> list:
@@ -359,30 +355,22 @@ class DeterministicOracle(WorldsOracle):
 
 
 def best_response(oracle, vid: int, actions: Sequence[tuple[int, ...]],
-                  profile: Mapping[int, Sequence[int]],
-                  moved: Sequence[int] | None = None) -> tuple[tuple[int, ...], int]:
+                  profile: Mapping[int, Sequence[int]]) -> tuple[tuple[int, ...], int]:
     """Best wait vector for ``vid`` against the rest of ``profile``.
 
     Returns (waits, candidates evaluated). Ties keep the current action if
     it attains the maximum, otherwise the lexicographically smallest
     maximizer wins; ``actions`` must already be in lex order. Values are
-    the oracle's ``scaled_values``, integers in the order of utilities;
-    ``moved`` is passed on to it.
+    the oracle's ``scaled_values``, integers in the order of utilities.
     """
-    values = oracle.scaled_values(vid, actions, profile, moved)
-    return _best_of(values, actions, profile[vid]), len(actions)
-
-
-def _best_of(values, actions: Sequence[tuple[int, ...]],
-             current: Sequence[int]) -> tuple[int, ...]:
-    """``best_response``'s choice among ``actions`` given their values."""
+    values = oracle.scaled_values(vid, actions, profile)
     values = values.tolist() if isinstance(values, np.ndarray) else list(values)
     top = max(values)
-    current = tuple(current)
+    current = tuple(profile[vid])
     for value, action in zip(values, actions):
         if value == top and tuple(action) == current:
-            return current
-    return tuple(actions[values.index(top)])
+            return current, len(actions)
+    return tuple(actions[values.index(top)]), len(actions)
 
 
 @dataclass
@@ -421,12 +409,6 @@ def nash_seek(oracle, spaces: Mapping[int, Sequence[tuple[int, ...]]],
     start is the first (all-zero) action of every space; the default
     update order is ascending id. ``rounds`` counts full passes including
     the final confirming one.
-
-    An oracle with ``round_values`` (a horizon game's) values its players
-    against each round's start profile in one pass. A player takes those
-    values unless a player sharing one of its window edges has moved in
-    the round; then it is valued alone against the current profile. The
-    values, and so every choice, are those of valuing each player alone.
     """
     ids = tuple(order) if order is not None else tuple(sorted(spaces))
     if set(ids) != set(spaces) or len(ids) != len(spaces):
@@ -443,30 +425,17 @@ def nash_seek(oracle, spaces: Mapping[int, Sequence[tuple[int, ...]]],
         trajectory = [oracle.potential(profile)]
     rounds = 0
     evaluations = 0
-    moved = None   # the oracle has not seen this profile yet
-    batched = getattr(oracle, "round_values", None)
     changed = True
     while changed:
         rounds += 1
         if rounds > round_cap:
             raise NonConvergenceError(f"no equilibrium after {round_cap} rounds")
         changed = False
-        batch = batched(spaces, profile, moved) if batched else None
-        if batch is not None:
-            moved = ()
-        stale: set[int] = set()   # window edges of the players moved since
         for vid in ids:
-            values = batch.get(vid) if batch else None
-            if values is None or not stale.isdisjoint(oracle.views[vid].window_edges):
-                values = oracle.scaled_values(vid, spaces[vid], profile, moved)
-                moved = ()
-            waits = _best_of(values, spaces[vid], profile[vid])
-            evaluations += len(spaces[vid])
+            waits, n_eval = best_response(oracle, vid, spaces[vid], profile)
+            evaluations += n_eval
             if waits != profile[vid]:
                 profile[vid] = waits
-                moved = (*moved, vid)
-                if batch:
-                    stale.update(oracle.views[vid].window_edges)
                 changed = True
                 if trajectory is not None:
                     trajectory.append(oracle.potential(profile))

@@ -445,16 +445,45 @@ class TestBatchedValues:
         for _case in range(12):
             oracle, spaces, profile = random_horizon_game(rng, w)
             for _trial in range(2):
-                batch = oracle.round_values(spaces, profile)
-                assert batch is not None and sorted(batch) == list(oracle.players)
+                table = oracle._dense(profile)
+                table.sync(profile, oracle.players)
+                batch = oracle._round_values(table)
+                assert sorted(batch) == list(oracle.players)
                 for vid, values in batch.items():
-                    single = oracle.scaled_values(vid, spaces[vid], profile)
+                    single = table.scaled_values(vid, spaces[vid])
                     assert values.tolist() == single.tolist() == \
                         oracle._scaled_by_loop(vid, spaces[vid], profile)
                     checked += len(values)
                 profile = random_profile(rng, spaces)
             assert oracle._table is not None
         assert checked > 1000
+
+    @pytest.mark.parametrize("w", [1, 16])
+    def test_any_call_order_gives_the_loop_values(self, w):
+        """Players ask in random order, and random players move between
+        questions, so a value is read from a pass, valued alone because a
+        player on one of its edges moved, or starts a new pass."""
+        rng = random.Random(f"call-order:{w}")
+        passes = checked = 0
+        for _case in range(12):
+            oracle, spaces, profile = random_horizon_game(rng, w)
+            single = oracle._round_values
+
+            def counted(table):
+                nonlocal passes
+                passes += 1
+                return single(table)
+
+            oracle._round_values = counted
+            for _call in range(3 * len(spaces)):
+                for vid in rng.sample(sorted(spaces), rng.randint(0, 2)):
+                    profile[vid] = rng.choice(spaces[vid])
+                vid = rng.choice(sorted(spaces))
+                assert oracle.scaled_values(vid, spaces[vid], profile).tolist() == \
+                    oracle._scaled_by_loop(vid, spaces[vid], profile)
+                checked += 1
+            assert oracle._table is not None
+        assert passes >= 1 and checked > 100
 
     def test_small_budget_player_at_the_window_end_is_not_refused(self):
         """Players 0 and 1 share a window length. Player 1 leaves last and
@@ -472,12 +501,15 @@ class TestBatchedValues:
         oracle = WorldsOracle(game, views, worlds, avail_of(views, [{0: 0, 1: 9, 2: 2}]))
         spaces = {0: action_space(1, 4), 1: action_space(1, 0)}
         profile = {0: (0,), 1: (0,)}
-        batch = oracle.round_values(spaces, profile)
+        # player 0's question starts the pass, which leaves player 1's value
+        batch = {0: oracle.scaled_values(0, spaces[0], profile)}
+        assert list(oracle._batch) == [1]
+        batch[1] = oracle.scaled_values(1, spaces[1], profile)
         table = oracle._table
         assert (table.t0, table.steps) == (0, 13)
         with pytest.raises(TableLimitError, match="outside the tabulated window"):
             table.round_values([1], spaces[0], [4])
-        assert batch is not None and not oracle._no_table
+        assert not oracle._no_table
         for vid in (0, 1):
             assert batch[vid].tolist() == \
                 oracle._scaled_by_loop(vid, spaces[vid], profile)

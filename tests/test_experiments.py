@@ -16,10 +16,12 @@ from hubplatoon.experiments import (STEPS_PER_DAY, ExperimentConfig,
                                     write_metrics_json, write_platoon_hist_csv,
                                     write_raw_csv)
 from hubplatoon.cli import build_parser
-from hubplatoon.feedback import POLICY_KINDS, PolicySpec, SimulationTrace, TraceEvent
-from hubplatoon.game import VehicleSpec
+from hubplatoon.feedback import (DEFAULT_MAX_STEPS, POLICY_KINDS, PolicySpec,
+                                 SimulationTrace, TraceEvent, run_closed_loop,
+                                 run_policies)
+from hubplatoon.game import RewardModel, VehicleSpec, WaitingCostModel
 from hubplatoon.network import validate_network
-from hubplatoon.stochastic import DEFAULT_DRAWS, stochastic_oracle
+from hubplatoon.stochastic import DEFAULT_DRAWS, DEFAULT_SUPPORT_CAP, stochastic_oracle
 
 
 def corridor_net(hubs=None):
@@ -76,6 +78,19 @@ class TestConfig:
                                        "--fleet", "f"]).draws
         assert inspect.signature(stochastic_oracle).parameters["draws"].default \
             == DEFAULT_DRAWS
+        # the open-loop cap is the static oracles' cap
+        assert PolicySpec("ip").open_loop_cap == DEFAULT_SUPPORT_CAP == \
+            inspect.signature(stochastic_oracle).parameters["cap"].default
+        # one step limit for a config and for both closed-loop entry points
+        assert ExperimentConfig().max_steps == DEFAULT_MAX_STEPS == \
+            inspect.signature(run_closed_loop).parameters["max_steps"].default == \
+            inspect.signature(run_policies).parameters["max_steps"].default
+        # the game's cost and budget defaults are the models' and vehicles'
+        config = ExperimentConfig()
+        assert (config.waiting_budget_steps, config.km_rate_centi,
+                config.step_cost_centi) == \
+            (VehicleSpec(0, (0,), 0).waiting_budget_steps,
+             RewardModel().km_rate_centi, WaitingCostModel().step_cost_centi)
 
 
 class TestProfileGeneration:

@@ -57,14 +57,14 @@ class _FixedOracle:
     def __init__(self, table):
         self.table = table
 
-    def scaled_values(self, vid, actions, profile, moved=None):
+    def scaled_values(self, vid, actions, profile):
         return [self.table[tuple(a)] for a in actions]
 
 
 class _CycleOracle:
     """Two players, no potential: 0 wants to match 1, 1 wants to differ."""
 
-    def scaled_values(self, vid, actions, profile, moved=None):
+    def scaled_values(self, vid, actions, profile):
         other = profile[1 if vid == 0 else 0][0]
         vals = []
         for (a,) in actions:
@@ -223,15 +223,16 @@ def horizon_oracle(extra=(), players=(0, 1, 2)):
 class TestHorizonRound:
     def test_a_move_revalues_only_the_players_sharing_its_edges(self):
         oracle, spaces = horizon_oracle()
-        alone = []
-        single = oracle.scaled_values
-
-        def record(vid, actions, profile, moved=None):
-            alone.append(vid)
-            return single(vid, actions, profile, moved)
-
-        oracle.scaled_values = record
         initial = {vid: (0,) for vid in spaces}
+        table = oracle._dense(initial)
+        alone = []
+        single = table.scaled_values
+
+        def record(vid, actions):
+            alone.append(vid)
+            return single(vid, actions)
+
+        table.scaled_values = record
         report = nash_seek(oracle, spaces, initial=initial)
         # round 1: player 0 moves to join player 1, so player 1 (edge 0) is
         # valued again and stays; player 2 (edge 3) keeps its batch values.
@@ -256,11 +257,12 @@ class TestHorizonRound:
         crowded, _spaces = horizon_oracle(extra=[(4, (0,), 1, 0), (5, (9,), 0, 0)],
                                           players=(0, 1))
         profile = {0: (1,), 1: (0,)}
-        batch = crowded.round_values(spaces, profile)
+        # the first question starts a pass, and both players read from it
+        batch = [crowded.scaled_values(vid, spaces[vid], profile) for vid in (0, 1)]
         assert sorted(crowded._table._cols) == [0, 1, 3]
-        assert not crowded._no_table
-        want = plain.round_values(spaces, profile)
+        assert not crowded._no_table and crowded._batch == {}
+        want = [plain.scaled_values(vid, spaces[vid], profile) for vid in (0, 1)]
         for vid in (0, 1):
             assert batch[vid].tolist() == want[vid].tolist() == \
-                crowded.scaled_values(vid, spaces[vid], profile).tolist() == \
+                crowded._table.scaled_values(vid, spaces[vid]).tolist() == \
                 crowded._scaled_by_loop(vid, spaces[vid], profile)
