@@ -209,6 +209,7 @@ class WorldsOracle:
         self._no_table = False
         self._batch: dict[int, np.ndarray] = {}   # unread values of the last pass
         self._stale: set[int] = set()   # window edges of players moved since
+        self._synced: dict = {}   # the profile the table was last synced to
 
     def _typed(self, totals) -> list:
         """Values from totals weighted by the worlds' weights; the one
@@ -256,8 +257,10 @@ class WorldsOracle:
         table = self._dense(profile)
         if table is not None:
             try:
-                for moved in table.sync(profile, self.players):
-                    self._stale.update(self.views[moved].window_edges)
+                if profile != self._synced:
+                    for moved in table.sync(profile, self.players):
+                        self._stale.update(self.views[moved].window_edges)
+                    self._synced = {vid: tuple(w) for vid, w in profile.items()}
                 view = self.views[vid]
                 if self.has_environment and actions is action_space(
                         len(view.span_nodes), view.budget_left):
