@@ -121,8 +121,10 @@ class EntryTable:
                 self._avail[v.vid] = starts[i]
                 self._waits[v.vid] = first[i]
                 self._cells[v.vid] = got[i]
-        self._flat_counts[:] = np.bincount(np.concatenate(traced),
-                                           minlength=self._flat_counts.size)
+        # counted by np.unique, whose memory follows the traced cells;
+        # a bincount would allocate an int64 array the table's size
+        cells, counts = np.unique(np.concatenate(traced), return_counts=True)
+        self._flat_counts[cells] = counts
 
     def _walk(self, cols, avail: np.ndarray, waits, fits=None):
         """Yield the flat cell of each entry, window edge by window edge.

@@ -246,6 +246,8 @@ class WorldsOracle:
         """``action_values`` times the lcm of the world probabilities'
         denominators: exact integers in the same order, cheap to compare.
 
+        The table first commits the players whose waits differ from
+        ``profile``, unless it equals the profile of the last such sync.
         A horizon game (one with environment tracks) batches a round. A
         player asking for its ``action_space`` reads the value the last
         pass gave it, once, unless a player sharing one of its window
