@@ -264,7 +264,7 @@ class WorldsOracle:
                         self._stale.update(self.views[moved].window_edges)
                     self._synced = {vid: tuple(w) for vid, w in profile.items()}
                 view = self.views[vid]
-                if self.has_environment and actions is action_space(
+                if view.player and self.has_environment and actions is action_space(
                         len(view.span_nodes), view.budget_left):
                     if vid not in self._batch:
                         self._batch = self._round_values(table)

@@ -253,6 +253,9 @@ class TestHorizonRound:
         shared, _spaces = horizon_oracle(extra=[(4, (0,), 1, 0)])
         profile = {0: (1,), 1: (0,), 2: (0,)}
         assert sorted(shared._dense(profile)._cols) == [0, 1, 2, 3, 4]
+        # an environment track is valued alone, never from a pass
+        assert shared.scaled_values(3, action_space(1, 0), profile).tolist() == \
+            shared._scaled_by_loop(3, action_space(1, 0), profile)
         plain, spaces = horizon_oracle(players=(0, 1))
         crowded, _spaces = horizon_oracle(extra=[(4, (0,), 1, 0), (5, (9,), 0, 0)],
                                           players=(0, 1))
