@@ -15,7 +15,11 @@ from the reward model's per-edge rows ``[0, R(1, e), ..., R(n, e)]``,
 which it keeps between tables. One walk, ``_walk``, turns waits into
 entry cells for the build, for ``commit``, for ``scaled_values`` (one
 track) and for ``round_values`` (every player of one window length at
-once, as a horizon game's best-response round asks).
+once, as a horizon game's best-response round asks). ``scaled_values``
+walks the prefix tree of its action list: level k holds the distinct
+prefixes of k+1 waits, each leaving from its parent's exit one level up,
+so a level costs its prefixes, not every action; the others walk every
+row at every level.
 
 Everything stays exact: probabilities enter as lcm-scaled integer
 weights, so a value here equals the reference Fraction times the scale.
@@ -81,6 +85,8 @@ class EntryTable:
         self.steps = horizon
         self.step_cost = game.cost_model.step_cost_centi
         self.weights = np.asarray(worlds.weights, dtype=np.int64)
+        # waiting cost of one step, summed over the weighted worlds
+        self._step_cost_scaled = self.step_cost * int(self.weights.sum())
         self.col = {eid: i for i, eid in enumerate(edge_ids)}
         self.travel = np.ascontiguousarray(delays, dtype=np.int32)
         self.travel += base.astype(np.int32)[:, None]
@@ -101,6 +107,7 @@ class EntryTable:
         self._waits: dict[int, tuple[int, ...]] = {}
         self._cells: dict[int, np.ndarray] = {}
         self._acts: dict[int, tuple] = {}     # id(actions) -> matrix, sums
+        self._trees: dict[int, tuple] = {}    # id(actions) -> prefix tree
         # tracks of one length are traced together; every count goes in
         # with one scatter
         by_len: dict[int, list] = {}
@@ -126,26 +133,32 @@ class EntryTable:
         cells, counts = np.unique(np.concatenate(traced), return_counts=True)
         self._flat_counts[cells] = counts
 
-    def _walk(self, cols, avail: np.ndarray, waits, fits=None):
+    def _walk(self, cols, avail: np.ndarray, waits, fits=None, parents=None):
         """Yield the flat cell of each entry, window edge by window edge.
 
         ``avail`` is when a track can first leave (relative to t0), with
         the worlds on its last axis; ``cols[k]`` and ``waits[k]``, the
         column and wait of the k-th window edge, broadcast against it.
-        Where ``fits`` is False the entry is moved to step 0 and never
-        read, so a wait vector beyond a track's budget cannot leave the
-        window. An entry outside the tabulated window is refused before
-        its travel is read.
+        With ``parents``, the k-th level's rows leave from the rows
+        ``parents[k]`` of the level before (a prefix tree; ``parents[0]``
+        is not read). Where ``fits`` is False the entry is moved to step
+        0 and never read, so a wait vector beyond a track's budget cannot
+        leave the window. An entry outside the tabulated window is
+        refused before its travel is read.
         """
         t = avail
         cell = None
-        for c, wait in zip(cols, waits):
+        for k, (c, wait) in enumerate(zip(cols, waits)):
             if cell is not None:
                 t = t + self._flat_travel[cell]
+                if parents is not None:
+                    t = t[parents[k]]
             t = t + wait
             if fits is not None:
                 t = np.where(fits, t, 0)
-            if t.max() >= self.steps or t.min() < 0:
+            # entry steps are int64: a negative one viewed as unsigned is
+            # huge, so one max checks both ends of the window
+            if t.view(np.uint64).max() >= self.steps:
                 raise TableLimitError("entry outside the tabulated window")
             cell = self._w_cell + c * self.steps + t
             yield cell
@@ -188,22 +201,56 @@ class EntryTable:
             cached = self._acts[id(actions)] = (actions, got, got.sum(axis=1))
         return cached[1], cached[2]
 
+    def prefix_tree(self, actions: Sequence[Sequence[int]]
+                    ) -> tuple[list, list[np.ndarray]]:
+        """The prefix tree of ``actions``, kept per action list, as
+        ``(parents, waits)`` by window position. Level k holds the
+        distinct prefixes ``waits[:k+1]``: ``parents[k]`` indexes each
+        one's parent at level k-1 (``parents[0]`` is None) and
+        ``waits[k]`` is its last wait, as a column. Equal prefixes are
+        merged where they are adjacent, as in a lex-ordered list; the
+        last level is ``actions`` itself, in its order."""
+        got = self._trees.get(id(actions))
+        if got is None:
+            acts, _sums = self.action_matrix(actions)   # keeps the list alive
+            n, length = acts.shape
+            # new[i, k]: row i's prefix waits[:k+1] differs from row i-1's
+            new = np.ones((n, length), dtype=bool)
+            np.logical_or.accumulate(acts[1:] != acts[:-1], axis=1, out=new[1:])
+            new[:, -1] = True
+            ids = np.cumsum(new, axis=0) - 1
+            got = self._trees[id(actions)] = ([None], [])
+            for k in range(length):
+                first = np.flatnonzero(new[:, k])
+                if k:
+                    got[0].append(ids[first, k - 1])
+                got[1].append(acts[first, k, None])
+        return got
+
     def scaled_values(self, vid: int,
                       actions: Sequence[Sequence[int]]) -> np.ndarray:
-        """scale * expected utility for each action, as int64."""
-        cols = self._cols[vid]
-        acts, sums = self.action_matrix(actions)
+        """scale * expected utility for each action, as int64.
+
+        The actions are walked over their ``prefix_tree``: each level
+        enters its edge once per distinct prefix, and a prefix's weighted
+        reward adds to its parent's. A reward is read at the count of the
+        other tracks plus one: the table's count, less the track's own
+        entries, matched cell by cell on the positions whose columns
+        agree (as in ``round_values``), so the counts are left untouched.
+        """
+        cols = self._cols[vid].tolist()
         own = self._cells[vid]
-        np.subtract.at(self._flat_counts, own, 1)
-        try:
-            rewards = np.zeros((len(acts), self.w), dtype=np.int64)
-            for c, cell in zip(cols, self._walk(cols, self._avail[vid],
-                                                acts.T[:, :, None])):
-                rewards += self._rt[c][self._flat_counts[cell] + 1]
-        finally:
-            np.add.at(self._flat_counts, own, 1)
-        totals = rewards - self.step_cost * sums[:, None]
-        return totals @ self.weights
+        parents, waits = self.prefix_tree(actions)
+        cells = self._walk(cols, self._avail[vid], waits, parents=parents)
+        acc = 0
+        for k, (parent, c, cell) in enumerate(zip(parents, cols, cells)):
+            index = self._flat_counts[cell] + (cell != own[k])
+            for j, other in enumerate(cols):
+                if other == c and j != k:
+                    index -= cell == own[j]
+            value = self._rt[c, index] @ self.weights
+            acc = value if parent is None else acc[parent] + value
+        return acc - self._step_cost_scaled * self.action_matrix(actions)[1]
 
     def round_values(self, vids: Sequence[int], actions: Sequence[Sequence[int]],
                      budgets: Sequence[int]) -> list[np.ndarray]:

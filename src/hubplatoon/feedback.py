@@ -236,7 +236,9 @@ class Belief:
 
     Per edge it keeps the prior's (profile, probability) pairs that no
     observation has ruled out. ``update`` reads each finished traversal
-    once and prunes with the trucks on an edge at that moment. Under the
+    once and prunes with the trucks on an edge at that moment, skipping a
+    truck while its elapsed time is below the least travel the kept pairs
+    give its entry step (cached per edge and entry step). Under the
     simulator's dynamics eliminations only grow: a truck's later en-route
     bound, and its arrival, each imply its earlier en-route bounds. So
     after ``update(world)`` the belief equals
@@ -257,6 +259,8 @@ class Belief:
                             for vid, pairs in prior.start_steps.items()}
         self._marginals: dict[int, Marginal] = {}
         self._means: dict[int, np.ndarray] = {}
+        # edge -> entry step -> least travel over the kept pairs
+        self._least: dict[int, dict[int, int]] = {}
 
     def _prune(self, eid: int, possible) -> None:
         kept = self._kept[eid]
@@ -266,6 +270,7 @@ class Belief:
             self._kept[eid] = left
             self._marginals.pop(eid, None)
             self._means.pop(eid, None)
+            self._least.pop(eid, None)
 
     def update(self, world: WorldState) -> None:
         """Apply what ``world`` has observed since the last update."""
@@ -278,12 +283,18 @@ class Belief:
                 fresh = done[read:]
                 self._prune(eid, lambda prof: all(
                     base + prof.delay(eid, t_in) == travel for t_in, travel in fresh))
+        profiles = self.game.net.delay_profiles
         for v in world.in_progress():
             eid = self.game.fleet[v.vid].edge_sequence[v.edge_index]
-            if eid in self._kept:
+            if self._kept.get(eid):    # an emptied edge raises below
                 base = edges[eid].base_travel_steps
                 elapsed = world.now - v.entered_at
-                self._prune(eid, lambda prof: base + prof.delay(eid, v.entered_at) > elapsed)
+                least = self._least.setdefault(eid, {})
+                if v.entered_at not in least:
+                    least[v.entered_at] = base + min(
+                        profiles[pid].delay(eid, v.entered_at) for pid, _p in self._kept[eid])
+                if least[v.entered_at] <= elapsed:
+                    self._prune(eid, lambda prof: base + prof.delay(eid, v.entered_at) > elapsed)
         for eid, kept in self._kept.items():
             if not kept:
                 raise ModelInconsistencyError(

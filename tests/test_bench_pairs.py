@@ -154,3 +154,31 @@ def test_main_prints_both_verdicts_on_stderr(tmp_path, monkeypatch, capsys):
         "beyond_bound False" in err
     assert "exact-plan peak_rss_mb: 0/1 won, median 50 -> 60, gain_shown False, " \
         "beyond_bound True" in err
+
+
+def test_a_crashed_run_is_reported_and_the_finished_pairs_kept(tmp_path, monkeypatch,
+                                                              capsys):
+    """The change's perfbench/run.py exits 3 on seed 6 after 25 lines of
+    stderr; pair 0 (seed 5) finishes, pair 1 runs the change first."""
+    result = json.dumps(run(1.0, 50.0))
+    for side, crash in (("p", ""), ("c", "\nif seed == 6:\n"
+                                         "    for k in range(25):\n"
+                                         "        print(f'line {k}', file=sys.stderr)\n"
+                                         "    sys.exit(3)")):
+        script = tmp_path / side / "perfbench" / "run.py"
+        script.parent.mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 1, "end_to_end": METRICS}), encoding="utf-8")
+        script.write_text("import sys\nseed = int(sys.argv[sys.argv.index('--seed') + 1])"
+                          f"{crash}\nprint({result!r})\n", encoding="utf-8")
+    monkeypatch.setattr(bench_pairs, "label", lambda checkout: checkout.name)
+    assert bench_pairs.main(["--parent", str(tmp_path / "p"), "--change",
+                             str(tmp_path / "c"), "--pr", "t", "--pairs",
+                             "corridor-mc=2", "--seed", "5", "--out-dir",
+                             str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    at = err.index("CRASHED: change run of corridor-mc, seed 6, exit code 3; "
+                   "the last 20 lines of its stderr:")
+    assert err[at + 1:] == [f"  line {k}" for k in range(5, 25)]
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    assert [p["seed"] for p in doc["workloads"]["corridor-mc"]["pairs"]] == [5]

@@ -515,6 +515,141 @@ class TestBatchedValues:
                 oracle._scaled_by_loop(vid, spaces[vid], profile)
 
 
+# a line of hubs 0-8 (edges 0-7) and edge 8 back from hub 2 to hub 0: the
+# first route enters edges 0 and 1 twice
+TREE_LOOP = (0, 1, 8, 0, 1, 2, 3, 4)
+
+
+def static_tree_game(rng, w):
+    """A seeded static game over ``w`` weighted worlds of two profiles per
+    edge: 5 to 8 trucks with budget 4 on routes of 5 to 8 edges, the
+    first on ``TREE_LOOP``. Returns the oracle, its spaces and a profile."""
+    profiles = {pid: {(k, t): rng.randint(0, 3) for k in range(9)
+                      for t in range(80) if rng.random() < 0.4}
+                for pid in range(2)}
+    rows = [(k, k, k + 1, rng.choice((50, 100, 150)), rng.randint(1, 3), (0, 1))
+            for k in range(8)]
+    net = make_net(rows + [(8, 2, 0, 100, rng.randint(1, 3), (0, 1))],
+                   profiles=profiles)
+    routes = [TREE_LOOP]
+    for _k in range(rng.randint(4, 7)):
+        length = rng.randint(5, 8)
+        first = rng.randint(0, 8 - length)
+        routes.append(tuple(range(first, first + length)))
+    game = make_game(net, [(vid, seq, 0, 4) for vid, seq in enumerate(routes)])
+    views, _worlds, _avail = scenario_game(game, [(Scenario({}, {}), Fraction(1))])
+    matrix, edges = net.travel_matrix, sorted(net.edges)
+    weights = [rng.randint(1, 5) for _k in range(w)]
+    worlds = Worlds.of(matrix, weights, sum(weights), edges,
+                       {eid: [matrix.index[(eid, rng.randrange(2))] for _k in range(w)]
+                        for eid in edges}, {})
+    avail = np.array([[rng.randint(0, 6) for _k in range(w)] for _v in views],
+                     dtype=np.int64)
+    spaces = spaces_for_fleet(game.fleet.values())
+    return WorldsOracle(game, views, worlds, avail), spaces, random_profile(rng, spaces)
+
+
+def flat_walk(table, vid, actions):
+    """Every action entered edge by edge, as (actions x worlds) cells."""
+    cols = table._cols[vid]
+    acts = np.asarray(actions, dtype=np.int64)
+    return table._walk(cols, table._avail[vid], acts.T[:, :, None])
+
+
+def flat_values(table, vid, actions):
+    """``scaled_values`` by the flat walk, against a copy of the counts
+    with the track's own entries taken out."""
+    acts = np.asarray(actions, dtype=np.int64)
+    counts = table.counts.reshape(-1).copy()
+    np.subtract.at(counts, table._cells[vid], 1)
+    rewards = np.zeros((len(acts), table.w), dtype=np.int64)
+    for c, cell in zip(table._cols[vid], flat_walk(table, vid, actions)):
+        rewards += table._rt[c][counts[cell] + 1]
+    return (rewards - table.step_cost * acts.sum(axis=1)[:, None]) @ table.weights
+
+
+def refused_at(walk):
+    """The window position whose entry a walk refuses, or None."""
+    k = 0
+    try:
+        for _cell in walk:
+            k += 1
+    except TableLimitError:
+        return k
+    return None
+
+
+class TestPrefixTree:
+    """``EntryTable.scaled_values`` walks the prefix tree of its action
+    list; against the flat walk and the reference loop."""
+
+    @pytest.mark.parametrize("w", [1, 16, 100])
+    def test_tree_equals_flat_walk_and_loop(self, w):
+        rng = random.Random(f"prefix-tree:{w}")
+        checked = 0
+        for _case in range(3):
+            oracle, spaces, profile = static_tree_game(rng, w)
+            table = oracle._dense(profile)
+            counts = table.counts.copy()
+            assert len(set(table._cols[0].tolist())) < len(TREE_LOOP)
+            for vid, space in spaces.items():
+                assert 5 <= len(space[0]) <= 8
+                tree = table.scaled_values(vid, space)
+                assert tree.tolist() == flat_values(table, vid, space).tolist()
+                # every 5th action keeps the loop quick over 100 worlds
+                assert tree[::5].tolist() == \
+                    oracle._scaled_by_loop(vid, space[::5], profile)
+                checked += len(space)
+            assert np.array_equal(table.counts, counts)    # left untouched
+        assert checked > 1500
+
+    def test_single_action_and_unordered_lists(self):
+        """A one-action list, as ``WorldsOracle.utility`` asks, a shuffled
+        list and one with each action twice in a row share less of the
+        tree; each action keeps its value."""
+        rng = random.Random("prefix-tree:lists")
+        for _case in range(4):
+            oracle, spaces, profile = static_tree_game(rng, 16)
+            table = oracle._dense(profile)
+            for vid, space in spaces.items():
+                lex = table.scaled_values(vid, space)
+                order = rng.sample(range(len(space)), len(space))
+                twice = [i for i in order[:30] for _k in (0, 1)]
+                for picked in (order, twice, [order[0]]):
+                    actions = [space[i] for i in picked]
+                    assert table.scaled_values(vid, actions).tolist() == \
+                        lex[picked].tolist() == flat_values(table, vid, actions).tolist()
+                assert oracle.utility(vid, profile) == Fraction(
+                    int(lex[space.index(profile[vid])]), oracle.worlds.scale)
+
+    def test_entry_beyond_the_window_is_refused_where_the_flat_walk_refuses(self):
+        """Waits beyond the budget of 4 the window was sized for, added at
+        one position of every action, reach past the window from that
+        position on; the tree refuses at the same position as the flat
+        walk, and values the lists that fit as it does."""
+        rng = random.Random("prefix-tree:window")
+        refused = []
+        for _case in range(4):
+            oracle, spaces, profile = static_tree_game(rng, 16)
+            table = oracle._dense(profile)
+            for vid, space in spaces.items():
+                k = rng.randrange(len(space[0]))
+                extra = rng.randint(0, 40)
+                actions = [a[:k] + (a[k] + extra,) + a[k + 1:] for a in space]
+                parents, waits = table.prefix_tree(actions)
+                at = refused_at(flat_walk(table, vid, actions))
+                assert refused_at(table._walk(table._cols[vid], table._avail[vid],
+                                              waits, parents=parents)) == at
+                if at is None:
+                    assert table.scaled_values(vid, actions).tolist() == \
+                        flat_values(table, vid, actions).tolist()
+                else:
+                    with pytest.raises(TableLimitError, match="outside the tabulated"):
+                        table.scaled_values(vid, actions)
+                refused.append(at)
+        assert refused.count(None) >= 3 and len(set(refused) - {None, 0}) >= 3
+
+
 def full_route_oracle(kind, rng, case):
     """A static game of the given construction plus its weighted scenarios."""
     game, n_edges = random_instance(rng)

@@ -409,6 +409,41 @@ class TestBelief:
         assert self.raises_like_reference(monkeypatch, game, prior, truth,
                                           kind) == (step, message)
 
+    def test_en_route_prunes_only_where_the_least_travel_is_reached(self):
+        """Trucks 0 and 1 stay on edge 0, entered at steps 0 and 1. Its
+        profiles take 3, 5 and 7 steps from step 0 and 3, 3 and 7 from
+        step 1, so a truck prunes only once its elapsed time reaches the
+        least travel its entry step has among the kept profiles."""
+        net = make_net([(0, 0, 1, 100, 3, (0, 1, 2))],
+                       profiles={0: {}, 1: {(0, 0): 2}, 2: {(0, 0): 4, (0, 1): 4}})
+        game = make_game(net, [(0, (0,), 0, 0), (1, (0,), 1, 0)])
+        third = Fraction(1, 3)
+        prior = ScenarioDistribution(
+            edge_profiles={0: ((0, third), (1, third), (2, third))},
+            start_steps={0: ((0, ONE),), 1: ((1, ONE),)})
+        belief = Belief(game, prior)
+        pruned = []
+        prune = belief._prune
+        belief._prune = lambda eid, possible: (pruned.append(world.now), prune(eid, possible))
+        kept = []
+        for now in range(1, 7):
+            world = world_with(game, [
+                VehicleState(vid=vid, status="on_edge", entered_at=vid,
+                             realized_start=vid) for vid in (0, 1)], now=now)
+            belief.update(world)
+            posterior = conditional_distribution(prior, world, game)
+            assert normalised(belief.edge_marginal(0)) == posterior.edge_profiles[0]
+            kept.append(tuple(pid for pid, _p in posterior.edge_profiles[0]))
+        # truck 0 rules out profile 0 at step 3, truck 1 profile 1 at step 4
+        assert kept == [(0, 1, 2)] * 2 + [(1, 2), (2,), (2,), (2,)]
+        assert pruned == [3, 4]
+        world.now = 7    # truck 0 has been out 7 steps: no profile is left
+        with pytest.raises(ModelInconsistencyError) as reference:
+            conditional_distribution(prior, world, game)
+        with pytest.raises(ModelInconsistencyError, match=str(reference.value)):
+            belief.update(world)
+        assert pruned == [3, 4, 7]
+
     @pytest.mark.parametrize("kind", ["drhs", "srhs"])
     def test_seeded_priors_that_exclude_the_truth(self, monkeypatch, kind):
         rng = random.Random(4141)

@@ -26,7 +26,10 @@ rewritten after every pair, so an interrupted comparison keeps the pairs
 it finished. As each pair finishes, stderr gets its ``ops_per_s``,
 ``decide_ms_p50`` and ``decide_ms_p90`` on both sides; both verdicts
 are printed on stderr at the end. The exit status is 1 when any run
-failed an operation or a check, else 0.
+failed an operation or a check, else 0. A run that exits non-zero stops
+the comparison: stderr gets its side, workload, seed, exit code and the
+last lines of its stderr, the file keeps the pairs finished before it,
+and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -43,10 +46,14 @@ from pathlib import Path
 SIDES = ("parent", "change")
 # the metrics of each pair's line on stderr, where both runs report them
 PAIR_LINE = ("ops_per_s", "decide_ms_p50", "decide_ms_p90")
+# stderr lines shown of a run that exits non-zero
+CRASH_LINES = 20
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run; its last line of output is the result."""
+    """One untraced perfbench run; its last line of output is the result.
+    A run that exits non-zero raises ``CalledProcessError``, with its
+    stderr."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -166,7 +173,15 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_once(checkouts[side], workload, seed, seconds)
+                try:
+                    pair[side] = run_once(checkouts[side], workload, seed, seconds)
+                except subprocess.CalledProcessError as exc:
+                    print(f"CRASHED: {side} run of {workload}, seed {seed}, exit code "
+                          f"{exc.returncode}; the last {CRASH_LINES} lines of its stderr:",
+                          file=sys.stderr)
+                    for line in exc.stderr.splitlines()[-CRASH_LINES:]:
+                        print(f"  {line}", file=sys.stderr)
+                    return 1
             pairs.append(pair)
             doc["workloads"][workload] = {
                 "summary": summarise(pairs, bench["end_to_end"]), "pairs": pairs}
