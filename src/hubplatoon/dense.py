@@ -13,13 +13,13 @@ of every (world, edge, step) cell. Tracks of the same length are traced
 together, and their entry counts go in with one scatter. Rewards come
 from the reward model's per-edge rows ``[0, R(1, e), ..., R(n, e)]``,
 which it keeps between tables. One walk, ``_walk``, turns waits into
-entry cells for the build, for ``commit``, for ``scaled_values`` (one
-track) and for ``round_values`` (every player of one window length at
-once, as a horizon game's best-response round asks). ``scaled_values``
-walks the prefix tree of its action list: level k holds the distinct
+entry cells for the build, for ``commit`` and for valuation. Valuation
+walks the prefix tree of an action list: level k holds the distinct
 prefixes of k+1 waits, each leaving from its parent's exit one level up,
-so a level costs its prefixes, not every action; the others walk every
-row at every level.
+so a level costs its prefixes, not every action. ``scaled_values``
+values one track over it; ``batch_values`` values every track of one
+window length at once, with a track axis first, as a horizon game's
+best-response round asks.
 
 Everything stays exact: probabilities enter as lcm-scaled integer
 weights, so a value here equals the reference Fraction times the scale.
@@ -36,7 +36,7 @@ import numpy as np
 # beyond these, fall back to the reference evaluation path
 MAX_TABLE_CELLS = 32_000_000
 MAX_VALUE_BOUND = 2 ** 62
-# (track, action, world) cells valued at once by ``round_values``
+# (track, action, world) cells valued at once by ``batch_values``
 BATCH_CELLS = 1 << 16
 
 
@@ -97,6 +97,8 @@ class EntryTable:
         self._w_cell = np.arange(self.w) * (len(edge_ids) * horizon)
         self._rt = np.stack([game.reward_model.reward_row(edges[eid], len(views))
                              for eid in edge_ids])
+        # flat rewards: column c's reward for n vehicles at c * width + n
+        self._flat_rt = self._rt.reshape(-1)
         bound = worlds.scale * (max(len(v.window_edges) for v in views)
                                 * int(abs(self._rt).max(initial=1))
                                 + max(v.budget_left for v in views) * self.step_cost + 1)
@@ -106,8 +108,7 @@ class EntryTable:
         self._avail: dict[int, np.ndarray] = {}
         self._waits: dict[int, tuple[int, ...]] = {}
         self._cells: dict[int, np.ndarray] = {}
-        self._acts: dict[int, tuple] = {}     # id(actions) -> matrix, sums
-        self._trees: dict[int, tuple] = {}    # id(actions) -> prefix tree
+        self._trees: dict[int, tuple] = {}    # id(actions) -> actions, tree
         # tracks of one length are traced together; every count goes in
         # with one scatter
         by_len: dict[int, list] = {}
@@ -140,11 +141,11 @@ class EntryTable:
         the worlds on its last axis; ``cols[k]`` and ``waits[k]``, the
         column and wait of the k-th window edge, broadcast against it.
         With ``parents``, the k-th level's rows leave from the rows
-        ``parents[k]`` of the level before (a prefix tree; ``parents[0]``
-        is not read). Where ``fits`` is False the entry is moved to step
-        0 and never read, so a wait vector beyond a track's budget cannot
-        leave the window. An entry outside the tabulated window is
-        refused before its travel is read.
+        ``parents[k]`` of the level before, on the second-to-last axis (a
+        prefix tree; ``parents[0]`` is not read). Where ``fits[k]`` is
+        False the k-th entry is moved to step 0 and never read, so a wait
+        vector beyond a track's budget cannot leave the window. An entry
+        outside the tabulated window is refused before its travel is read.
         """
         t = avail
         cell = None
@@ -152,10 +153,10 @@ class EntryTable:
             if cell is not None:
                 t = t + self._flat_travel[cell]
                 if parents is not None:
-                    t = t[parents[k]]
+                    t = t.take(parents[k], axis=-2)
             t = t + wait
             if fits is not None:
-                t = np.where(fits, t, 0)
+                t = np.where(fits[k], t, 0)
             # entry steps are int64: a negative one viewed as unsigned is
             # huge, so one max checks both ends of the window
             if t.view(np.uint64).max() >= self.steps:
@@ -191,100 +192,94 @@ class EntryTable:
             self.commit(vid, profile[vid])
         return moved
 
-    def action_matrix(self, actions: Sequence[Sequence[int]]
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """``actions`` as an int64 matrix and its row sums, kept per
-        action list (with the list, so its id stays its own)."""
-        cached = self._acts.get(id(actions))
-        if cached is None:
-            got = np.asarray(actions, dtype=np.int64)
-            cached = self._acts[id(actions)] = (actions, got, got.sum(axis=1))
-        return cached[1], cached[2]
-
     def prefix_tree(self, actions: Sequence[Sequence[int]]
-                    ) -> tuple[list, list[np.ndarray]]:
-        """The prefix tree of ``actions``, kept per action list, as
-        ``(parents, waits)`` by window position. Level k holds the
-        distinct prefixes ``waits[:k+1]``: ``parents[k]`` indexes each
-        one's parent at level k-1 (``parents[0]`` is None) and
-        ``waits[k]`` is its last wait, as a column. Equal prefixes are
-        merged where they are adjacent, as in a lex-ordered list; the
-        last level is ``actions`` itself, in its order."""
+                    ) -> tuple[list, list[np.ndarray], list[np.ndarray]]:
+        """The prefix tree of ``actions``, kept per action list (with the
+        list, so its id stays its own), as ``(parents, waits, sums)`` by
+        window position. Level k holds the distinct prefixes ``waits[:k+1]``,
+        merged where adjacent, as in a lex-ordered list: ``parents[k]``
+        indexes each one's parent at level k-1 (``parents[0]`` is None),
+        ``waits[k]`` is its last wait, as a column, and ``sums[k]`` its wait
+        sum. The last level is ``actions`` in its order, so ``sums[-1]``
+        holds the row sums."""
         got = self._trees.get(id(actions))
         if got is None:
-            acts, _sums = self.action_matrix(actions)   # keeps the list alive
-            n, length = acts.shape
+            acts = np.asarray(actions, dtype=np.int64)
             # new[i, k]: row i's prefix waits[:k+1] differs from row i-1's
-            new = np.ones((n, length), dtype=bool)
+            new = np.ones(acts.shape, dtype=bool)
             np.logical_or.accumulate(acts[1:] != acts[:-1], axis=1, out=new[1:])
             new[:, -1] = True
-            ids = np.cumsum(new, axis=0) - 1
-            got = self._trees[id(actions)] = ([None], [])
-            for k in range(length):
-                first = np.flatnonzero(new[:, k])
-                if k:
-                    got[0].append(ids[first, k - 1])
-                got[1].append(acts[first, k, None])
-        return got
+            ids, sums = np.cumsum(new, axis=0) - 1, np.cumsum(acts, axis=1)
+            firsts = list(enumerate(np.flatnonzero(row) for row in new.T))
+            tree = ([None] + [ids[first, k - 1] for k, first in firsts[1:]],
+                    [acts[first, k, None] for k, first in firsts],
+                    [sums[first, k] for k, first in firsts])
+            got = self._trees[id(actions)] = (actions, tree)
+        return got[1]
+
+    def _values(self, cols, shared, avail, own, tree, fits=None) -> np.ndarray:
+        """scale * expected utility of each action of ``tree``, walked over
+        ``cols``, ``avail`` and ``fits``. Each level enters its edge once
+        per distinct prefix, and a prefix's weighted reward adds to its
+        parent's. A reward is read at the count of the other tracks plus
+        one: the table's count, less one where the cell is the track's own
+        ``own[j]`` for a position j of ``shared[k]``, the positions whose
+        column may equal the k-th; the counts are left untouched."""
+        parents, waits, sums = tree
+        width = self._rt.shape[1]
+        acc = 0
+        cells = self._walk(cols, avail, waits, fits, parents)
+        for k, (parent, cell) in enumerate(zip(parents, cells)):
+            index = self._flat_counts[cell] + (cols[k] * width + 1)
+            for j in shared[k]:
+                index -= cell == own[j]
+            value = self._flat_rt[index] @ self.weights
+            acc = value if parent is None else acc.take(parent, axis=-1) + value
+        return acc - self._step_cost_scaled * sums[-1]
 
     def scaled_values(self, vid: int,
                       actions: Sequence[Sequence[int]]) -> np.ndarray:
-        """scale * expected utility for each action, as int64.
-
-        The actions are walked over their ``prefix_tree``: each level
-        enters its edge once per distinct prefix, and a prefix's weighted
-        reward adds to its parent's. A reward is read at the count of the
-        other tracks plus one: the table's count, less the track's own
-        entries, matched cell by cell on the positions whose columns
-        agree (as in ``round_values``), so the counts are left untouched.
-        """
+        """scale * expected utility for each action, as int64, walked over
+        the ``prefix_tree`` of ``actions``."""
         cols = self._cols[vid].tolist()
-        own = self._cells[vid]
-        parents, waits = self.prefix_tree(actions)
-        cells = self._walk(cols, self._avail[vid], waits, parents=parents)
-        acc = 0
-        for k, (parent, c, cell) in enumerate(zip(parents, cols, cells)):
-            index = self._flat_counts[cell] + (cell != own[k])
-            for j, other in enumerate(cols):
-                if other == c and j != k:
-                    index -= cell == own[j]
-            value = self._rt[c, index] @ self.weights
-            acc = value if parent is None else acc[parent] + value
-        return acc - self._step_cost_scaled * self.action_matrix(actions)[1]
+        shared = [[j for j, other in enumerate(cols) if other == c] for c in cols]
+        return self._values(cols, shared, self._avail[vid], self._cells[vid],
+                            self.prefix_tree(actions))
 
-    def round_values(self, vids: Sequence[int], actions: Sequence[Sequence[int]],
+    def batch_values(self, vids: Sequence[int], actions: Sequence[Sequence[int]],
                      budgets: Sequence[int]) -> list[np.ndarray]:
         """``scaled_values`` of each track of ``vids``, all of one window
         length, over the rows of ``actions`` whose wait sum is within the
-        track's budget, in their order; the tracks are valued together,
-        ``BATCH_CELLS`` (track, action, world) cells at a time.
-
-        A track's own entries are not taken out of the counts: a cell it
-        enters is compared with each of its committed cells on the same
-        column instead, which leaves the counts untouched.
+        track's budget, in their order; the tracks walk the prefix tree
+        together, ``BATCH_CELLS`` (track, action, world) cells at a time.
+        A prefix beyond a track's budget is masked at its level, so it and
+        its children never leave the window.
         """
-        acts, sums = self.action_matrix(actions)
-        fits = sums[None, :] <= np.asarray(budgets, dtype=np.int64)[:, None]
-        per = max(1, BATCH_CELLS // (len(acts) * self.w))
+        tree = self.prefix_tree(actions)
+        sums = tree[2]
+        budgets = np.asarray(budgets, dtype=np.int64)[:, None, None]
+        every = sums[-1].max() <= budgets.min()
+        per = max(1, BATCH_CELLS // (len(sums[-1]) * self.w))
         out = []
         for lo in range(0, len(vids), per):
             part = vids[lo:lo + per]
-            cols = np.stack([self._cols[vid] for vid in part])
-            own = np.stack([self._cells[vid] for vid in part])
+            cols = np.stack([self._cols[vid] for vid in part], axis=1)
+            # per position k, the positions whose column is k's on some track
+            shared = [np.flatnonzero(row).tolist()
+                      for row in (cols[:, None] == cols[None]).any(axis=2)]
+            own = np.stack([self._cells[vid] for vid in part], axis=1)[:, :, None]
             avail = np.stack([self._avail[vid] for vid in part])[:, None, :]
-            mask = fits[lo:lo + per]
-            # window positions k, j whose columns agree on some track
-            same = (cols[:, :, None] == cols[:, None, :]).any(axis=0).tolist()
-            rewards = np.zeros((len(part), len(acts), self.w), dtype=np.int64)
-            cells = self._walk(cols.T[:, :, None, None], avail,
-                               acts.T[:, None, :, None],
-                               None if mask.all() else mask[:, :, None])
-            for k, cell in enumerate(cells):
-                count = self._flat_counts[cell]
-                for j, shared in enumerate(same[k]):
-                    if shared:
-                        count = count - (cell == own[:, j, None, :])
-                rewards += self._rt[cols[:, k, None, None], count + 1]
-            totals = (rewards - self.step_cost * sums[:, None]) @ self.weights
-            out += [row[ok] for row, ok in zip(totals, mask)]
+            fits = None if every else [s[:, None] <= budgets[lo:lo + per] for s in sums]
+            values = self._values(cols[:, :, None, None], shared, avail, own, tree, fits)
+            out += list(values) if every else [
+                row[ok] for row, ok in zip(values, fits[-1][:, :, 0])]
         return out
+
+    def committed_value(self, vid: int) -> int:
+        """``scaled_values`` of the track's committed waits, read at its own
+        cells: its entry steps strictly increase, so it enters each cell
+        once and a cell's count is the other tracks' plus one."""
+        index = (self._flat_counts[self._cells[vid]]
+                 + self._cols[vid][:, None] * self._rt.shape[1])
+        return (int(self._flat_rt[index].sum(axis=0) @ self.weights)
+                - self._step_cost_scaled * sum(self._waits[vid]))

@@ -223,18 +223,24 @@ class WorldsOracle:
         return profile[vid] if view.player else view.committed
 
     def _dense(self, profile):
-        if self._table is None and not self._no_table:
-            views = list(self.views.values())
-            read = {eid for v in views if v.player for eid in v.window_edges}
-            kept = [i for i, v in enumerate(views)
-                    if v.player or not read.isdisjoint(v.window_edges)]
-            try:
+        """The table with the players whose waits differ from ``profile``
+        committed and their window edges stale; None once one is refused."""
+        try:
+            if self._table is None and not self._no_table:
+                views = list(self.views.values())
+                read = {eid for v in views if v.player for eid in v.window_edges}
+                kept = [i for i, v in enumerate(views)
+                        if v.player or not read.isdisjoint(v.window_edges)]
                 self._table = EntryTable(
                     self.game, [views[i] for i in kept], self.worlds,
                     self.avail[kept] if len(kept) < len(views) else self.avail,
                     {views[i].vid: self._waits(views[i].vid, profile) for i in kept})
-            except TableLimitError:
-                self._no_table = True
+            if self._table is not None and profile != self._synced:
+                for moved in self._table.sync(profile, self.players):
+                    self._stale.update(self.views[moved].window_edges)
+                self._synced = {vid: tuple(w) for vid, w in profile.items()}
+        except TableLimitError:
+            self._table, self._no_table = None, True
         return self._table
 
     def action_values(self, vid: int, actions: Sequence[Sequence[int]],
@@ -246,8 +252,6 @@ class WorldsOracle:
         """``action_values`` times the lcm of the world probabilities'
         denominators: exact integers in the same order, cheap to compare.
 
-        The table first commits the players whose waits differ from
-        ``profile``, unless it equals the profile of the last such sync.
         A horizon game (one with environment tracks) batches a round. A
         player asking for its ``action_space`` reads the value the last
         pass gave it, once, unless a player sharing one of its window
@@ -259,10 +263,6 @@ class WorldsOracle:
         table = self._dense(profile)
         if table is not None:
             try:
-                if profile != self._synced:
-                    for moved in table.sync(profile, self.players):
-                        self._stale.update(self.views[moved].window_edges)
-                    self._synced = {vid: tuple(w) for vid, w in profile.items()}
                 view = self.views[vid]
                 if view.player and self.has_environment and actions is action_space(
                         len(view.span_nodes), view.budget_left):
@@ -280,14 +280,14 @@ class WorldsOracle:
     def _round_values(self, table: EntryTable) -> dict:
         """Every player's values over its ``action_space`` against the
         table's committed waits, keyed by id, from one
-        ``EntryTable.round_values`` pass per window length."""
+        ``EntryTable.batch_values`` pass per window length."""
         groups: dict[int, list[int]] = {}
         for vid in self.players:
             groups.setdefault(len(self.views[vid].span_nodes), []).append(vid)
         out = {}
         for length, vids in groups.items():
             budgets = [self.views[vid].budget_left for vid in vids]
-            out.update(zip(vids, table.round_values(
+            out.update(zip(vids, table.batch_values(
                 vids, action_space(length, max(budgets)), budgets)))
         return out
 
@@ -334,6 +334,10 @@ class WorldsOracle:
         return totals
 
     def utility(self, vid: int, profile: Mapping[int, Sequence[int]]):
+        """A player's utility is read off the synced table; no tree is kept."""
+        table = self._dense(profile)
+        if table is not None and self.views[vid].player:
+            return self._typed([table.committed_value(vid)])[0]
         return self.action_values(vid, [tuple(profile[vid])], profile)[0]
 
     def potential(self, profile: Mapping[int, Sequence[int]]):

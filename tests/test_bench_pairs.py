@@ -98,6 +98,29 @@ def test_beyond_bound_compares_the_median_with_the_metric_bound():
     assert within["ops_per_s"]["gain_shown"] is False
 
 
+def test_unresolved_when_a_side_spreads_beyond_the_bound():
+    """Parent ops 0.8, 1.0, 1.2 (q1 0.9, q3 1.1): an IQR of 0.2 is within
+    the bound of 0.25 x median 1.0; RSS 40, 50, 60 (IQR 10) is beyond
+    0.1 x 50."""
+    def three(change_ops, change_rss):
+        return [{"seed": i, "first": "parent", "parent": run(0.8 + i / 5, 40.0 + 10 * i),
+                 "change": run(change_ops[i], change_rss[i])} for i in range(3)]
+
+    steady = bench_pairs.summarise(three([0.9, 1.0, 1.1], [40, 50, 60]), METRICS)
+    assert steady["ops_per_s"]["unresolved"] is False
+    assert steady["peak_rss_mb"]["unresolved"] is True     # the parent spreads
+    # the change spreads: q1 0.85, q3 1.45, IQR 0.6
+    wide = bench_pairs.summarise(three([0.7, 1.0, 1.9], [40, 50, 60]), METRICS)
+    assert wide["ops_per_s"]["unresolved"] is True
+    # every change run beats every parent run: resolved however wide
+    apart = bench_pairs.summarise(three([1.3, 2.0, 3.0], [39, 30, 20]), METRICS)
+    assert apart["ops_per_s"]["change"]["q3"] - apart["ops_per_s"]["change"]["q1"] > 0.25
+    assert apart["ops_per_s"]["unresolved"] is False
+    assert apart["peak_rss_mb"]["unresolved"] is False    # lower is better
+    # one change run ties the worst parent run: not apart
+    tied = bench_pairs.summarise(three([1.3, 2.0, 3.0], [40, 30, 20]), METRICS)
+    assert tied["peak_rss_mb"]["unresolved"] is True
+
 def doc_with(parent_run, change_run):
     pair = {"seed": 1, "first": "parent", "parent": parent_run, "change": change_run}
     return {"workloads": {"corridor-mc": {
@@ -151,9 +174,9 @@ def test_main_prints_both_verdicts_on_stderr(tmp_path, monkeypatch, capsys):
                              "--out-dir", str(tmp_path)]) == 0
     err = capsys.readouterr().err
     assert "exact-plan ops_per_s: 1/1 won, median 1 -> 2, gain_shown True, " \
-        "beyond_bound False" in err
+        "beyond_bound False, unresolved False" in err
     assert "exact-plan peak_rss_mb: 0/1 won, median 50 -> 60, gain_shown False, " \
-        "beyond_bound True" in err
+        "beyond_bound True, unresolved False" in err
 
 
 def test_a_crashed_run_is_reported_and_the_finished_pairs_kept(tmp_path, monkeypatch,

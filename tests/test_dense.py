@@ -508,11 +508,42 @@ class TestBatchedValues:
         table = oracle._table
         assert (table.t0, table.steps) == (0, 13)
         with pytest.raises(TableLimitError, match="outside the tabulated window"):
-            table.round_values([1], spaces[0], [4])
+            table.batch_values([1], spaces[0], [4])
         assert not oracle._no_table
         for vid in (0, 1):
             assert batch[vid].tolist() == \
                 oracle._scaled_by_loop(vid, spaces[vid], profile)
+
+    def test_budget_mask_holds_below_the_first_level(self):
+        """Players 0 and 1 share a window of two one-step edges. Player 1
+        leaves last, at step 9, with no budget, so the window ends at its
+        exit (step 11), as does player 0's with its budget spent. The pass
+        walks player 0's space, with waits up to 4: unmasked, a first wait
+        of 3 or more takes player 1 out of the window at level 0, and the
+        prefix (0, 2) at level 1. Masked at every level, the batch values
+        both players as they are valued alone."""
+        net = make_net([(0, 0, 1, 100, 1), (1, 1, 2, 100, 1)])
+        game = make_game(net, [(0, (0, 1), 0, 4), (1, (0, 1), 0, 0),
+                               (2, (0, 1), 0, 0)])
+        views = [HorizonView(vid=vid, kind="at_node", span_nodes=(0, 1),
+                             window_edges=(0, 1), committed=(0, 0),
+                             budget_left=budget, player=vid < 2)
+                 for vid, budget in ((0, 4), (1, 0), (2, 0))]
+        worlds = static_worlds(game, [(Scenario({}, {}), Fraction(1))])
+        oracle = WorldsOracle(game, views, worlds, avail_of(views, [{0: 5, 1: 9, 2: 9}]))
+        spaces = {0: action_space(2, 4), 1: action_space(2, 0)}
+        profile = {0: (4, 0), 1: (0, 0)}
+        table = oracle._dense(profile)
+        assert (table.t0, table.steps) == (5, 7)
+        batch = table.batch_values([0, 1], spaces[0], [4, 0])
+        for vid, values in zip((0, 1), batch):
+            assert values.tolist() == table.scaled_values(vid, spaces[vid]).tolist() \
+                == oracle._scaled_by_loop(vid, spaces[vid], profile)
+        # player 1 platoons with player 0 and the environment track
+        assert batch[1].tolist() == [2 * game.reward_model.reward(3, net.edges[0])]
+        for waits in ((3,), (0, 2)):
+            with pytest.raises(TableLimitError, match="outside the tabulated window"):
+                table.scaled_values(1, [waits + (0,) * (2 - len(waits))])
 
 
 # a line of hubs 0-8 (edges 0-7) and edge 8 back from hub 2 to hub 0: the
@@ -622,6 +653,29 @@ class TestPrefixTree:
                 assert oracle.utility(vid, profile) == Fraction(
                     int(lex[space.index(profile[vid])]), oracle.worlds.scale)
 
+    def test_utility_keeps_no_tree_and_equals_the_loop(self):
+        """``WorldsOracle.utility`` reads a player's committed waits off the
+        synced table: it values no action list, so the table keeps no new
+        tree, in static and horizon games alike."""
+        rng = random.Random("prefix-tree:utility")
+        checked = 0
+        for case in range(6):
+            if case % 2:
+                oracle, spaces, profile = random_horizon_game(rng, 16)
+            else:
+                oracle, spaces, profile = static_tree_game(rng, 16)
+            table = oracle._dense(profile)
+            for _trial in range(2):
+                kept = len(table._trees)
+                for vid in spaces:
+                    want = oracle._scaled_by_loop(vid, [profile[vid]], profile)[0]
+                    assert oracle.utility(vid, profile) == \
+                        Fraction(want, oracle.worlds.scale)
+                    checked += 1
+                assert len(table._trees) == kept and oracle._table is table
+                profile = random_profile(rng, spaces)
+        assert checked > 50
+
     def test_entry_beyond_the_window_is_refused_where_the_flat_walk_refuses(self):
         """Waits beyond the budget of 4 the window was sized for, added at
         one position of every action, reach past the window from that
@@ -636,7 +690,7 @@ class TestPrefixTree:
                 k = rng.randrange(len(space[0]))
                 extra = rng.randint(0, 40)
                 actions = [a[:k] + (a[k] + extra,) + a[k + 1:] for a in space]
-                parents, waits = table.prefix_tree(actions)
+                parents, waits, _sums = table.prefix_tree(actions)
                 at = refused_at(flat_walk(table, vid, actions))
                 assert refused_at(table._walk(table._cols[vid], table._avail[vid],
                                               waits, parents=parents)) == at

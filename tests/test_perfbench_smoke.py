@@ -1,16 +1,22 @@
-"""perfbench's traced mode still installs on the program.
+"""perfbench's traced mode still installs on the program, and runs.
 
 perfbench measures each layer by wrapping names inside ``src/``. A
 refactor that renames or removes one of them makes the wrap vanish
 quietly, so its per-layer metrics read 0. This runs perfbench's own
 install steps in a fresh interpreter from the repo root and checks that
-no name is reported gone beyond the known dead wraps.
+no name is reported gone beyond the known dead wraps. A wrap's callback
+reads the arguments or attributes it was written for (``cells`` reads
+``table.w``); a refactor that breaks one makes every traced operation
+raise, so one traced operation per workload is run as well.
 """
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,3 +50,16 @@ def test_traced_install_reports_only_the_known_dead_wraps():
     assert done.returncode == 0, done.stderr
     gone = json.loads(done.stdout.splitlines()[-1])
     assert set(gone) <= KNOWN_GONE, sorted(set(gone) - KNOWN_GONE)
+
+
+@pytest.mark.parametrize("workload", ["corridor-mc", "country-mc", "exact-plan"])
+def test_one_traced_operation_runs_without_raising(workload):
+    """``--seconds 0`` runs one operation. Its ``correct`` is not asserted:
+    a stall of the machine can push the spans' share of its wall time
+    under the check's floor."""
+    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seconds", "0", "--trace", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert not re.search(r"CHECK FAILED: operation \d+ raised", done.stderr), done.stderr
+    assert json.loads(done.stdout.splitlines()[-1])["attempted"] == 1

@@ -15,16 +15,19 @@ seed, for BENCHMARK.json's ``run_seconds``, one after the other; the
 order flips from one pair to the next, so a drift of the machine's speed
 hits both sides alike. Pair ``i`` uses seed ``--seed + i``.
 ``BENCH_<pr>.json`` gets, per workload and end-to-end metric, the median
-and quartiles of each side, the number of pairs the change won and two
+and quartiles of each side, the number of pairs the change won and three
 verdicts: ``gain_shown``, when the change won at least 0.9 of the pairs
-and its median beats the parent's by more than the parent's q3 - q1,
-and ``beyond_bound``, when the change's median is worse than the
-parent's by more than the metric's bound in BENCHMARK.json (a share of
-the parent's median). Per workload and side it gets the operations
+and its median beats the parent's by more than the parent's q3 - q1;
+``beyond_bound``, when the change's median is worse than the parent's
+by more than the metric's bound in BENCHMARK.json (a share of the
+parent's median); and ``unresolved``, when either side's q3 - q1 is
+wider than that bound, so the runs cannot tell a regression within the
+bound from noise, unless every change run beats every parent run.
+Per workload and side it gets the operations
 attempted and failed and whether every run checked correct. The file is
 rewritten after every pair, so an interrupted comparison keeps the pairs
 it finished. As each pair finishes, stderr gets its ``ops_per_s``,
-``decide_ms_p50`` and ``decide_ms_p90`` on both sides; both verdicts
+``decide_ms_p50`` and ``decide_ms_p90`` on both sides; the verdicts
 are printed on stderr at the end. The exit status is 1 when any run
 failed an operation or a check, else 0. A run that exits non-zero stops
 the comparison: stderr gets its side, workload, seed, exit code and the
@@ -75,7 +78,7 @@ def spread(values: list[float]) -> dict:
 
 def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per metric: each side's median and quartiles, the change's wins and
-    the ``gain_shown`` and ``beyond_bound`` verdicts.
+    the ``gain_shown``, ``beyond_bound`` and ``unresolved`` verdicts.
 
     Under ``operations``, per side: the operations attempted and failed
     over all runs, and whether every run reported ``correct``.
@@ -93,12 +96,18 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
         parent, change = spread(got["parent"]), spread(got["change"])
         # how far the change's median is better than the parent's
         gap = (change["median"] - parent["median"]) * (1 if higher else -1)
+        bound = metric["bound"] * abs(parent["median"])
+        # every change run beats every parent run
+        apart = (min(got["change"]) > max(got["parent"]) if higher
+                 else max(got["change"]) < min(got["parent"]))
         out[name] = {"better": metric["better"], "bound": metric["bound"],
                      "parent": parent, "change": change,
                      "change_wins": wins, "pairs": len(pairs),
                      "gain_shown": wins >= 0.9 * len(pairs)
                      and gap > parent["q3"] - parent["q1"],
-                     "beyond_bound": -gap > metric["bound"] * abs(parent["median"])}
+                     "beyond_bound": -gap > bound,
+                     "unresolved": not apart and any(
+                         s["q3"] - s["q1"] > bound for s in (parent, change))}
     return out
 
 
@@ -114,7 +123,7 @@ def failures(doc: dict) -> list[str]:
 
 
 def verdicts(doc: dict) -> list[str]:
-    """One line per workload and metric: wins, medians and both verdicts."""
+    """One line per workload and metric: wins, medians and the verdicts."""
     out = []
     for workload, got in doc["workloads"].items():
         for name, s in got["summary"].items():
@@ -122,7 +131,8 @@ def verdicts(doc: dict) -> list[str]:
                 out.append(f"{workload} {name}: {s['change_wins']}/{s['pairs']} won, "
                            f"median {s['parent']['median']:.4g} -> "
                            f"{s['change']['median']:.4g}, gain_shown {s['gain_shown']}, "
-                           f"beyond_bound {s['beyond_bound']}")
+                           f"beyond_bound {s['beyond_bound']}, "
+                           f"unresolved {s['unresolved']}")
     return out
 
 
