@@ -13,13 +13,12 @@ of every (world, edge, step) cell. Tracks of the same length are traced
 together, and their entry counts go in with one scatter. Rewards come
 from the reward model's per-edge rows ``[0, R(1, e), ..., R(n, e)]``,
 which it keeps between tables. One walk, ``_walk``, turns waits into
-entry cells for the build, for ``commit`` and for valuation. Valuation
-walks the prefix tree of an action list: level k holds the distinct
-prefixes of k+1 waits, each leaving from its parent's exit one level up,
-so a level costs its prefixes, not every action. ``scaled_values``
-values one track over it; ``batch_values`` values every track of one
-window length at once, with a track axis first, as a horizon game's
-best-response round asks.
+entry cells for the build, for ``commit`` and for valuation, which walks
+the prefix tree of an action list: level k holds the distinct prefixes
+of k+1 waits, each leaving from its parent's exit one level up, so a
+level costs its prefixes, not every action. ``scaled_values`` values one
+track; ``batch_values`` every track of one window length at once, as a
+horizon game's best-response round asks.
 
 Everything stays exact: probabilities enter as lcm-scaled integer
 weights, so a value here equals the reference Fraction times the scale.
@@ -42,6 +41,39 @@ BATCH_CELLS = 1 << 16
 
 class TableLimitError(Exception):
     """The dense representation does not fit; use the reference path."""
+
+
+# id(actions) -> (actions, prefix tree); the list is kept so its id stays
+# its own. Action lists are the shared tuples of ``solver.action_space``,
+# so one tree serves every table that walks its list.
+_trees: dict[int, tuple] = {}
+
+
+def prefix_tree(actions: Sequence[Sequence[int]]
+                ) -> tuple[list, list[np.ndarray], list[np.ndarray]]:
+    """The prefix tree of ``actions``, kept for later calls with the list,
+    as ``(parents, waits, sums)`` by window position. Level k holds the
+    distinct prefixes ``waits[:k+1]``, merged where adjacent as in a
+    lex-ordered list: ``parents[k]`` indexes each one's parent at level
+    k-1 (``parents[0]`` is None), ``waits[k]`` is its last wait, as a
+    column, and ``sums[k]`` its wait sum. The last level is ``actions``
+    in its order, so ``sums[-1]`` holds the row sums."""
+    got = _trees.get(id(actions))
+    if got is None:
+        acts = np.asarray(actions, dtype=np.int64)
+        # new[i, k]: row i's prefix waits[:k+1] differs from row i-1's
+        new = np.ones(acts.shape, dtype=bool)
+        np.logical_or.accumulate(acts[1:] != acts[:-1], axis=1, out=new[1:])
+        new[:, -1] = True
+        ids, sums = np.cumsum(new, axis=0) - 1, np.cumsum(acts, axis=1)
+        firsts = list(enumerate(np.flatnonzero(row) for row in new.T))
+        tree = ([None] + [ids[first, k - 1] for k, first in firsts[1:]],
+                [acts[first, k, None] for k, first in firsts],
+                [sums[first, k] for k, first in firsts])
+        if len(_trees) == 256:    # as many as ``solver.action_space`` keeps
+            del _trees[next(iter(_trees))]    # the oldest
+        got = _trees[id(actions)] = (actions, tree)
+    return got[1]
 
 
 class EntryTable:
@@ -108,7 +140,6 @@ class EntryTable:
         self._avail: dict[int, np.ndarray] = {}
         self._waits: dict[int, tuple[int, ...]] = {}
         self._cells: dict[int, np.ndarray] = {}
-        self._trees: dict[int, tuple] = {}    # id(actions) -> actions, tree
         # tracks of one length are traced together; every count goes in
         # with one scatter
         by_len: dict[int, list] = {}
@@ -192,39 +223,13 @@ class EntryTable:
             self.commit(vid, profile[vid])
         return moved
 
-    def prefix_tree(self, actions: Sequence[Sequence[int]]
-                    ) -> tuple[list, list[np.ndarray], list[np.ndarray]]:
-        """The prefix tree of ``actions``, kept per action list (with the
-        list, so its id stays its own), as ``(parents, waits, sums)`` by
-        window position. Level k holds the distinct prefixes ``waits[:k+1]``,
-        merged where adjacent, as in a lex-ordered list: ``parents[k]``
-        indexes each one's parent at level k-1 (``parents[0]`` is None),
-        ``waits[k]`` is its last wait, as a column, and ``sums[k]`` its wait
-        sum. The last level is ``actions`` in its order, so ``sums[-1]``
-        holds the row sums."""
-        got = self._trees.get(id(actions))
-        if got is None:
-            acts = np.asarray(actions, dtype=np.int64)
-            # new[i, k]: row i's prefix waits[:k+1] differs from row i-1's
-            new = np.ones(acts.shape, dtype=bool)
-            np.logical_or.accumulate(acts[1:] != acts[:-1], axis=1, out=new[1:])
-            new[:, -1] = True
-            ids, sums = np.cumsum(new, axis=0) - 1, np.cumsum(acts, axis=1)
-            firsts = list(enumerate(np.flatnonzero(row) for row in new.T))
-            tree = ([None] + [ids[first, k - 1] for k, first in firsts[1:]],
-                    [acts[first, k, None] for k, first in firsts],
-                    [sums[first, k] for k, first in firsts])
-            got = self._trees[id(actions)] = (actions, tree)
-        return got[1]
-
     def _values(self, cols, shared, avail, own, tree, fits=None) -> np.ndarray:
         """scale * expected utility of each action of ``tree``, walked over
-        ``cols``, ``avail`` and ``fits``. Each level enters its edge once
-        per distinct prefix, and a prefix's weighted reward adds to its
-        parent's. A reward is read at the count of the other tracks plus
+        ``cols``, ``avail`` and ``fits``; a prefix's weighted reward adds to
+        its parent's. A reward is read at the count of the other tracks plus
         one: the table's count, less one where the cell is the track's own
-        ``own[j]`` for a position j of ``shared[k]``, the positions whose
-        column may equal the k-th; the counts are left untouched."""
+        ``own[j]`` for a position j of ``shared[k]``, those whose column may
+        be the k-th's. The counts are left untouched."""
         parents, waits, sums = tree
         width = self._rt.shape[1]
         acc = 0
@@ -237,25 +242,22 @@ class EntryTable:
             acc = value if parent is None else acc.take(parent, axis=-1) + value
         return acc - self._step_cost_scaled * sums[-1]
 
-    def scaled_values(self, vid: int,
-                      actions: Sequence[Sequence[int]]) -> np.ndarray:
+    def scaled_values(self, vid: int, actions: Sequence[Sequence[int]]) -> np.ndarray:
         """scale * expected utility for each action, as int64, walked over
         the ``prefix_tree`` of ``actions``."""
         cols = self._cols[vid].tolist()
         shared = [[j for j, other in enumerate(cols) if other == c] for c in cols]
         return self._values(cols, shared, self._avail[vid], self._cells[vid],
-                            self.prefix_tree(actions))
+                            prefix_tree(actions))
 
     def batch_values(self, vids: Sequence[int], actions: Sequence[Sequence[int]],
                      budgets: Sequence[int]) -> list[np.ndarray]:
         """``scaled_values`` of each track of ``vids``, all of one window
-        length, over the rows of ``actions`` whose wait sum is within the
-        track's budget, in their order; the tracks walk the prefix tree
-        together, ``BATCH_CELLS`` (track, action, world) cells at a time.
-        A prefix beyond a track's budget is masked at its level, so it and
-        its children never leave the window.
-        """
-        tree = self.prefix_tree(actions)
+        length, over the rows of ``actions`` within the track's budget, in
+        their order, walked together ``BATCH_CELLS`` (track, action, world)
+        cells at a time. A prefix beyond a track's budget is masked at its
+        level, so neither it nor its children can leave the window."""
+        tree = prefix_tree(actions)
         sums = tree[2]
         budgets = np.asarray(budgets, dtype=np.int64)[:, None, None]
         every = sums[-1].max() <= budgets.min()
@@ -271,8 +273,7 @@ class EntryTable:
             avail = np.stack([self._avail[vid] for vid in part])[:, None, :]
             fits = None if every else [s[:, None] <= budgets[lo:lo + per] for s in sums]
             values = self._values(cols[:, :, None, None], shared, avail, own, tree, fits)
-            out += list(values) if every else [
-                row[ok] for row, ok in zip(values, fits[-1][:, :, 0])]
+            out += list(values) if every else [r[ok] for r, ok in zip(values, fits[-1][..., 0])]
         return out
 
     def committed_value(self, vid: int) -> int:

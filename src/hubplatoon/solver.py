@@ -223,8 +223,7 @@ class WorldsOracle:
         return profile[vid] if view.player else view.committed
 
     def _dense(self, profile):
-        """The table with the players whose waits differ from ``profile``
-        committed and their window edges stale; None once one is refused."""
+        """The table synced to ``profile``, or None once one is refused."""
         try:
             if self._table is None and not self._no_table:
                 views = list(self.views.values())

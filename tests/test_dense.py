@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import make_game, make_net, reference_inputs
-from hubplatoon.dense import EntryTable, TableLimitError
+from hubplatoon import dense
+from hubplatoon.dense import EntryTable, TableLimitError, prefix_tree
 from hubplatoon.feedback import PolicySpec, run_closed_loop
 from hubplatoon.game import Scenario, scaled_weights
 from hubplatoon.solver import (DeterministicOracle, HorizonView, Worlds,
@@ -655,8 +656,8 @@ class TestPrefixTree:
 
     def test_utility_keeps_no_tree_and_equals_the_loop(self):
         """``WorldsOracle.utility`` reads a player's committed waits off the
-        synced table: it values no action list, so the table keeps no new
-        tree, in static and horizon games alike."""
+        synced table: it values no action list, so no new tree is kept, in
+        static and horizon games alike."""
         rng = random.Random("prefix-tree:utility")
         checked = 0
         for case in range(6):
@@ -666,13 +667,13 @@ class TestPrefixTree:
                 oracle, spaces, profile = static_tree_game(rng, 16)
             table = oracle._dense(profile)
             for _trial in range(2):
-                kept = len(table._trees)
+                kept = set(dense._trees)
                 for vid in spaces:
                     want = oracle._scaled_by_loop(vid, [profile[vid]], profile)[0]
                     assert oracle.utility(vid, profile) == \
                         Fraction(want, oracle.worlds.scale)
                     checked += 1
-                assert len(table._trees) == kept and oracle._table is table
+                assert set(dense._trees) == kept and oracle._table is table
                 profile = random_profile(rng, spaces)
         assert checked > 50
 
@@ -690,7 +691,7 @@ class TestPrefixTree:
                 k = rng.randrange(len(space[0]))
                 extra = rng.randint(0, 40)
                 actions = [a[:k] + (a[k] + extra,) + a[k + 1:] for a in space]
-                parents, waits, _sums = table.prefix_tree(actions)
+                parents, waits, _sums = prefix_tree(actions)
                 at = refused_at(flat_walk(table, vid, actions))
                 assert refused_at(table._walk(table._cols[vid], table._avail[vid],
                                               waits, parents=parents)) == at
