@@ -181,11 +181,13 @@ class EntryTable:
         t = avail
         cell = None
         for k, (c, wait) in enumerate(zip(cols, waits)):
-            if cell is not None:
+            if cell is None:
+                t = t + wait
+            else:
                 t = t + self._flat_travel[cell]
                 if parents is not None:
                     t = t.take(parents[k], axis=-2)
-            t = t + wait
+                t += wait
             if fits is not None:
                 t = np.where(fits[k], t, 0)
             # entry steps are int64: a negative one viewed as unsigned is
@@ -231,11 +233,11 @@ class EntryTable:
         ``own[j]`` for a position j of ``shared[k]``, those whose column may
         be the k-th's. The counts are left untouched."""
         parents, waits, sums = tree
-        width = self._rt.shape[1]
         acc = 0
         cells = self._walk(cols, avail, waits, fits, parents)
         for k, (parent, cell) in enumerate(zip(parents, cells)):
-            index = self._flat_counts[cell] + (cols[k] * width + 1)
+            index = self._flat_counts[cell]
+            index += cols[k] * self._rt.shape[1] + 1
             for j in shared[k]:
                 index -= cell == own[j]
             value = self._flat_rt[index] @ self.weights
@@ -267,8 +269,7 @@ class EntryTable:
             part = vids[lo:lo + per]
             cols = np.stack([self._cols[vid] for vid in part], axis=1)
             # per position k, the positions whose column is k's on some track
-            shared = [np.flatnonzero(row).tolist()
-                      for row in (cols[:, None] == cols[None]).any(axis=2)]
+            shared = [np.flatnonzero(row) for row in (cols[:, None] == cols[None]).any(axis=2)]
             own = np.stack([self._cells[vid] for vid in part], axis=1)[:, :, None]
             avail = np.stack([self._avail[vid] for vid in part])[:, None, :]
             fits = None if every else [s[:, None] <= budgets[lo:lo + per] for s in sums]
@@ -280,7 +281,6 @@ class EntryTable:
         """``scaled_values`` of the track's committed waits, read at its own
         cells: its entry steps strictly increase, so it enters each cell
         once and a cell's count is the other tracks' plus one."""
-        index = (self._flat_counts[self._cells[vid]]
-                 + self._cols[vid][:, None] * self._rt.shape[1])
+        index = self._flat_counts[self._cells[vid]] + self._cols[vid][:, None] * self._rt.shape[1]
         return (int(self._flat_rt[index].sum(axis=0) @ self.weights)
                 - self._step_cost_scaled * sum(self._waits[vid]))
