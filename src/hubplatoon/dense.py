@@ -51,13 +51,13 @@ _trees: dict[int, tuple] = {}
 
 def prefix_tree(actions: Sequence[Sequence[int]]
                 ) -> tuple[list, list[np.ndarray], list[np.ndarray]]:
-    """The prefix tree of ``actions``, kept for later calls with the list,
-    as ``(parents, waits, sums)`` by window position. Level k holds the
-    distinct prefixes ``waits[:k+1]``, merged where adjacent as in a
-    lex-ordered list: ``parents[k]`` indexes each one's parent at level
-    k-1 (``parents[0]`` is None), ``waits[k]`` is its last wait, as a
-    column, and ``sums[k]`` its wait sum. The last level is ``actions``
-    in its order, so ``sums[-1]`` holds the row sums."""
+    """The prefix tree of ``actions`` (a list that does not change), kept
+    for later calls, as ``(parents, waits, sums)`` by window position.
+    Level k holds the distinct prefixes ``waits[:k+1]``, merged where
+    adjacent as in a lex-ordered list: ``parents[k]`` indexes each one's
+    parent at level k-1 (``parents[0]`` is None), ``waits[k]`` is its last
+    wait, as a column, and ``sums[k]`` its wait sum. The last level is
+    ``actions`` in its order, so ``sums[-1]`` holds the row sums."""
     got = _trees.get(id(actions))
     if got is None:
         acts = np.asarray(actions, dtype=np.int64)
