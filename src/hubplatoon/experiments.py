@@ -70,6 +70,8 @@ class ExperimentConfig:
             raise InputError("peak heights must be nonnegative")
         if not self.injection_start_step <= self.injection_end_step:
             raise InputError("injection window is empty")
+        if not self.policies:
+            raise InputError("policies must name at least one policy")
         unknown = [p for p in self.policies if p not in POLICY_KINDS]
         if unknown:
             raise InputError(f"unknown policies: {', '.join(unknown)}")

@@ -20,9 +20,7 @@ game and the solve terminating.
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,15 +29,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InputError, ModelInconsistencyError, NonConvergenceError
-from .game import (CoordinationGame, Scenario, round_ratio, scaled_weights,
-                   zero_profile)
+from .game import CoordinationGame, Scenario, round_ratio, zero_profile
 from .network import TravelMatrix
 from .seeding import derive_seed
 from .solver import (DeterministicOracle, HorizonView, Worlds, WorldsOracle,
                      action_space, nash_seek, profile_row, scenario_travel,
                      spaces_for_fleet)
-from .stochastic import (DEFAULT_DRAWS, DEFAULT_SUPPORT_CAP, ScenarioDistribution,
-                         stochastic_oracle, systematic)
+from .stochastic import (DEFAULT_DRAWS, DEFAULT_SUPPORT_CAP, Marginal,
+                         ScenarioDistribution, draw, stochastic_oracle)
 
 POLICY_KINDS = ("sp", "ip", "ktt", "drhs", "srhs")
 DEFAULT_MAX_STEPS = 20_000   # a closed-loop run longer than this fails
@@ -209,28 +206,6 @@ def _renormalised(pairs):
     return tuple((value, p / total) for value, p in pairs)
 
 
-@dataclass(frozen=True)
-class Marginal:
-    """One visible marginal: the (value, probability) pairs it is cut from,
-    the values as an array (matrix rows or start steps) and the
-    probabilities, renormalised, as integer weights over ``scale``."""
-
-    pairs: tuple[tuple[int, Fraction], ...]
-    values: np.ndarray
-    weights: tuple[int, ...]
-    scale: int
-
-    @classmethod
-    def of(cls, pairs, values) -> Marginal:
-        # over their gcd with their sum, the weights of the pairs are those
-        # ``scaled_weights`` gives the renormalised probabilities
-        weights = scaled_weights([p for _v, p in pairs])[0]
-        total = sum(weights)
-        common = math.gcd(total, *weights)
-        return cls(pairs, np.asarray(values, dtype=np.int64),
-                   tuple(w // common for w in weights), total // common)
-
-
 class Belief:
     """The posterior of one closed-loop run, brought up to date in place.
 
@@ -332,7 +307,7 @@ class Belief:
         for vid in sorted({v.vid for v in views if v.kind == "pending"}
                           & self.prior.start_steps.keys()):
             pairs = tuple((t, p) for t, p in self.prior.start_steps[vid] if t > now)
-            starts[vid] = Marginal.of(pairs, [t for t, _p in pairs])
+            starts[vid] = Marginal.of(pairs)
         return (tuple(sorted(edges)),
                 {eid: self.edge_marginal(eid) for eid in sorted(edges & self._kept.keys())},
                 starts)
@@ -460,30 +435,14 @@ def srhs_decide(game: CoordinationGame, world: WorldState, belief: Belief,
                 seed: int = 0) -> dict[int, dict[int, int]]:
     """Stochastic receding-horizon step: expectation over the posterior.
 
-    The visible marginals' joint support is enumerated exactly under the
-    policy cap, in ``enumerate_support``'s order, and sampled above it
-    with ``sample_scenarios``'s seeded stratified draw. Returns each
-    player's new waits keyed by path node index.
+    The visible marginals' joint worlds come from ``stochastic.draw``:
+    enumerated exactly under the policy cap, sampled from the seed above
+    it. Returns each player's new waits keyed by path node index.
     """
     def draws(edges, edge_marginals, start_marginals):
-        axes = [*edge_marginals.values(), *start_marginals.values()]
-        size = math.prod(len(m.pairs) for m in axes)
-        if size <= policy.support_cap:
-            combos = list(itertools.product(*(range(len(m.pairs)) for m in axes)))
-            picks = np.array(combos, dtype=np.intp).reshape(size, len(axes)).T
-            # a marginal's weights sum to its scale and share no factor
-            # with it, so no prime of the product scale divides every
-            # world's weight: these are the weights ``scaled_weights``
-            # gives the worlds' probabilities
-            weights = [math.prod(m.weights[i] for m, i in zip(axes, c)) for c in combos]
-            scale = math.prod(m.scale for m in axes)
-        else:
-            rng = random.Random(seed)
-            # w / scale is float(p), both correctly rounded
-            picks = [systematic([w / m.scale for w in m.weights], policy.oracle_draws,
-                                rng) for m in axes]
-            weights, scale = [1] * policy.oracle_draws, policy.oracle_draws
-        drawn = [m.values[pick] for m, pick in zip(axes, picks)]
+        drawn, weights, scale = draw([*edge_marginals.values(), *start_marginals.values()],
+                                     policy.support_cap, policy.oracle_draws,
+                                     random.Random(seed))
         return Worlds.of(game.net.travel_matrix, weights, scale, edges,
                          dict(zip(edge_marginals, drawn)),
                          dict(zip(start_marginals, drawn[len(edge_marginals):])))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import FormatError, InputError
 from .network import (INTEGER, INTEGERS, OBJECT, RoadNetwork, check_fields,
-                      load_json)
+                      field_error, load_json)
 
 DEFAULT_KM_REWARD_CENTI = 170     # 1.70 SEK saved per platooned km
 DEFAULT_STEP_COST_CENTI = 2200    # 22 SEK per waited 5-minute step
@@ -239,9 +239,19 @@ def save_fleet(fleet: Sequence[VehicleSpec], path) -> None:
 
 def scenario_from_dict(doc: dict) -> Scenario:
     check_fields(doc, _SCENARIO_FIELDS, "scenario")
-    return Scenario(
-        profile_assignment={int(k): int(v) for k, v in doc["profile_assignment"].items()},
-        start_steps={int(k): int(v) for k, v in doc["start_steps"].items()})
+    return Scenario(profile_assignment=_integer_map(doc, "profile_assignment"),
+                    start_steps=_integer_map(doc, "start_steps"))
+
+
+def _integer_map(doc: dict, name: str) -> dict[int, int]:
+    """The scenario's object field ``name``, whose keys must be integer
+    strings and whose values integers (not floats or booleans)."""
+    value = doc[name]
+    if not all(type(v) is int and k.isascii() and k.removeprefix("-").isdecimal()
+               for k, v in value.items()):
+        raise field_error("scenario", name, "an object of integers keyed by integers",
+                          value)
+    return {int(k): v for k, v in value.items()}
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

@@ -255,10 +255,15 @@ def check_fields(obj: dict, fields: Mapping[str, tuple], what: str,
         kind, types, items = fields[name]
         if type(value) not in types or (
                 items is not None and any(type(v) not in items for v in value)):
-            shown = json.dumps(value)
-            if len(shown) > 40:
-                shown = shown[:37] + "..."
-            raise FormatError(f"{what} field {name!r} must be {kind}, not {shown}")
+            raise field_error(what, name, kind, value)
+
+
+def field_error(what: str, name: str, kind: str, value) -> FormatError:
+    """The error for field ``name`` of ``what`` holding ``value``, not ``kind``."""
+    shown = json.dumps(value)
+    if len(shown) > 40:
+        shown = shown[:37] + "..."
+    return FormatError(f"{what} field {name!r} must be {kind}, not {shown}")
 
 
 def load_json(path, convert):

@@ -13,15 +13,18 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import FormatError, InputError, SupportTooLargeError
 from .game import CoordinationGame, Scenario, scaled_weights
 from .network import ARRAY, INTEGER, check_fields, load_json
-from .solver import WorldsOracle, scenario_game
+from .solver import WorldsOracle, profile_row, scenario_game
 
 DEFAULT_SUPPORT_CAP = 4096
 DEFAULT_DRAWS = 16   # sample size above the cap
@@ -70,6 +73,31 @@ class ScenarioDistribution:
         return n
 
 
+@dataclass(frozen=True)
+class Marginal:
+    """One marginal of a joint world: the (value, probability) pairs it is
+    cut from, the values as an array (by default the pairs' own; matrix
+    rows for a horizon game's edges) and the probabilities, renormalised,
+    as integer weights over ``scale``."""
+
+    pairs: tuple[tuple[int, Fraction], ...]
+    values: np.ndarray
+    weights: tuple[int, ...]
+    scale: int
+
+    @classmethod
+    def of(cls, pairs, values=None) -> Marginal:
+        values = np.array([v for v, _p in pairs] if values is None else values, np.int64)
+        if len(pairs) == 1:
+            return cls(pairs, values, (1,), 1)
+        # over their gcd with their sum, the weights of the pairs are those
+        # ``scaled_weights`` gives the renormalised probabilities
+        weights = scaled_weights([p for _v, p in pairs])[0]
+        total = sum(weights)
+        common = math.gcd(total, *weights)
+        return cls(pairs, values, tuple(w // common for w in weights), total // common)
+
+
 def degenerate_distribution(scenario: Scenario) -> ScenarioDistribution:
     """Point mass on one scenario."""
     one = Fraction(1)
@@ -97,7 +125,7 @@ def uniform_profile_distribution(net, fleet, starts: Mapping[int, int] | None = 
 
 def enumerate_support(dist: ScenarioDistribution,
                       cap: int = DEFAULT_SUPPORT_CAP) -> list[tuple[Scenario, Fraction]]:
-    """Full joint support as (scenario, probability), deterministic order.
+    """Full joint support as (scenario, probability), in ``draw``'s order.
 
     Raises SupportTooLargeError above ``cap``; callers should fall back to
     the sampled oracle.
@@ -107,20 +135,7 @@ def enumerate_support(dist: ScenarioDistribution,
         raise SupportTooLargeError(
             f"joint support has {size} scenarios, above the cap of {cap}; "
             "use the sampled oracle")
-    edge_ids = sorted(dist.edge_profiles)
-    vehicle_ids = sorted(dist.start_steps)
-    axes = [dist.edge_profiles[eid] for eid in edge_ids]
-    axes += [dist.start_steps[vid] for vid in vehicle_ids]
-    out = []
-    for combo in itertools.product(*axes):
-        prob = Fraction(1)
-        for _value, p in combo:
-            prob *= p
-        assignment = {eid: combo[i][0] for i, eid in enumerate(edge_ids)}
-        starts = {vid: combo[len(edge_ids) + j][0]
-                  for j, vid in enumerate(vehicle_ids)}
-        out.append((Scenario(profile_assignment=assignment, start_steps=starts), prob))
-    return out
+    return _scenarios(dist, cap, 0, None)
 
 
 def sample_scenario(dist: ScenarioDistribution, rng: random.Random) -> Scenario:
@@ -136,23 +151,48 @@ def sample_scenario(dist: ScenarioDistribution, rng: random.Random) -> Scenario:
 
 def sample_scenarios(dist: ScenarioDistribution, draws: int,
                      rng: random.Random) -> list[Scenario]:
-    """``draws`` joint scenarios, each marginal systematically stratified.
+    """``draws`` joint scenarios, sampled by ``draw``."""
+    return [scenario for scenario, _p in _scenarios(dist, 0, draws, rng)]
 
-    Every marginal is sampled on an evenly spaced probability grid with a
-    shared random offset and then shuffled, so the draw set covers each
-    marginal in proportion to its weights while the pairing across
-    marginals stays random. Same cost as independent draws, lower
-    variance for effects that decompose per marginal.
+
+def _scenarios(dist: ScenarioDistribution, cap: int, draws: int, rng):
+    """``draw`` over the edges, then the vehicles, by ascending id, as
+    (scenario, probability) pairs."""
+    eids, vids = sorted(dist.edge_profiles), sorted(dist.start_steps)
+    axes = [Marginal.of(dist.edge_profiles[eid]) for eid in eids]
+    axes += [Marginal.of(dist.start_steps[vid]) for vid in vids]
+    columns, weights, scale = draw(axes, cap, draws, rng)
+    worlds = np.array(columns, dtype=np.int64).reshape(len(axes), len(weights)).T
+    return [(Scenario(profile_assignment=dict(zip(eids, world)),
+                      start_steps=dict(zip(vids, world[len(eids):]))), Fraction(w, scale))
+            for world, w in zip(worlds.tolist(), weights)]
+
+
+def draw(axes: Sequence[Marginal], cap: int, draws: int, rng: random.Random | None):
+    """Joint worlds of independent marginals: each axis's value per world,
+    the worlds' integer weights and their scale.
+
+    Up to ``cap`` worlds are enumerated in lex order of the axes, weighted
+    by the products of the marginals' weights and scales. Above it,
+    ``draws`` worlds of weight 1 are drawn from ``rng``, one ``systematic``
+    column per axis in order: stratified per marginal, paired at random.
     """
-    def column(pairs):
-        return [pairs[i][0] for i in systematic([float(p) for _v, p in pairs],
-                                                  draws, rng)]
-
-    edges = {eid: column(dist.edge_profiles[eid]) for eid in sorted(dist.edge_profiles)}
-    starts = {vid: column(dist.start_steps[vid]) for vid in sorted(dist.start_steps)}
-    return [Scenario(profile_assignment={eid: col[k] for eid, col in edges.items()},
-                     start_steps={vid: col[k] for vid, col in starts.items()})
-            for k in range(draws)]
+    size = math.prod(len(m.pairs) for m in axes)
+    if size <= cap:
+        combos = list(itertools.product(*(range(len(m.pairs)) for m in axes)))
+        picks = np.array(combos, dtype=np.intp).reshape(size, len(axes)).T
+        # a marginal's weights sum to its scale and share no factor with
+        # it, so no prime of the product scale divides every world's
+        # weight: these are the weights ``scaled_weights`` gives the
+        # worlds' probabilities
+        weights = [math.prod(m.weights[i] for m, i in zip(axes, c)) for c in combos]
+        scale = math.prod(m.scale for m in axes)
+    else:
+        # w / scale is the renormalised probability as a float, correctly rounded
+        picks = np.array([systematic([w / m.scale for w in m.weights], draws, rng)
+                          for m in axes], dtype=np.intp).reshape(len(axes), draws)
+        weights, scale = [1] * draws, draws
+    return [m.values[pick] for m, pick in zip(axes, picks)], weights, scale
 
 
 def systematic(probs: Sequence[float], draws: int,
@@ -189,12 +229,21 @@ def _draw(pairs: Sequence[tuple[int, Fraction]], rng: random.Random) -> int:
     return pairs[-1][0]
 
 
+def _admitted(game: CoordinationGame, dist: ScenarioDistribution) -> ScenarioDistribution:
+    """``dist``, once ``profile_row`` admits every (edge, profile) pair it
+    lists, not only the pairs a draw happens to pick."""
+    for eid, pairs in sorted(dist.edge_profiles.items()):
+        for pid, _p in pairs:
+            profile_row(game.net, eid, pid)
+    return dist
+
+
 class ExpectedUtilityOracle(WorldsOracle):
     """Exact expectation over an enumerated support."""
 
     def __init__(self, game: CoordinationGame, dist: ScenarioDistribution,
                  cap: int = DEFAULT_SUPPORT_CAP):
-        self.weighted = enumerate_support(dist, cap)
+        self.weighted = enumerate_support(_admitted(game, dist), cap)
         super().__init__(game, *scenario_game(game, self.weighted))
 
 
@@ -212,7 +261,7 @@ class SampledUtilityOracle(WorldsOracle):
             raise InputError(f"draws must be >= 1, got {draws}")
         weight = Fraction(1, draws)
         self.weighted = [(s, weight) for s in
-                         sample_scenarios(dist, draws, random.Random(seed))]
+                         sample_scenarios(_admitted(game, dist), draws, random.Random(seed))]
         self.draws = draws
         self.seed = seed
         super().__init__(game, *scenario_game(game, self.weighted))
@@ -246,7 +295,7 @@ def distribution_from_dict(doc: dict) -> ScenarioDistribution:
             check_fields(cell, _PROB_FIELDS, "profile probability")
             pairs.append((int(cell["id"]),
                           Fraction(int(cell["p_num"]), int(cell["p_den"]))))
-        edge_profiles[int(row["edge"])] = tuple(pairs)
+        edge_profiles[_new_key(edge_profiles, row["edge"], "edge")] = tuple(pairs)
     start_steps = {}
     for row in doc["starts"]:
         check_fields(row, _START_ROW_FIELDS, "distribution start row")
@@ -255,11 +304,17 @@ def distribution_from_dict(doc: dict) -> ScenarioDistribution:
             check_fields(cell, _STEP_FIELDS, "start probability")
             pairs.append((int(cell["t"]),
                           Fraction(int(cell["p_num"]), int(cell["p_den"]))))
-        start_steps[int(row["vehicle"])] = tuple(pairs)
+        start_steps[_new_key(start_steps, row["vehicle"], "vehicle")] = tuple(pairs)
     try:
         return ScenarioDistribution(edge_profiles=edge_profiles, start_steps=start_steps)
     except InputError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def _new_key(rows: dict, key: int, label: str) -> int:
+    if key in rows:
+        raise FormatError(f"distribution lists {label} {key} twice")
+    return key
 
 
 def distribution_to_dict(dist: ScenarioDistribution) -> dict:

@@ -147,6 +147,7 @@ def test_main_writes_the_file_then_exits_1_on_a_failed_run(tmp_path, monkeypatch
         {"run_seconds": 1, "end_to_end": METRICS}), encoding="utf-8")
     results = {"parent": run(1.0, 50.0), "change": run(1.1, 50.0, failed=1)}
     monkeypatch.setattr(bench_pairs, "label", lambda checkout: checkout.name)
+    monkeypatch.setattr(bench_pairs, "status", lambda checkout: "")
     monkeypatch.setattr(bench_pairs, "run_once",
                         lambda checkout, workload, seed, seconds:
                         results["parent" if checkout.name == "p" else "change"])
@@ -165,6 +166,7 @@ def test_main_prints_both_verdicts_on_stderr(tmp_path, monkeypatch, capsys):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(
         {"run_seconds": 1, "end_to_end": METRICS}), encoding="utf-8")
     monkeypatch.setattr(bench_pairs, "label", lambda checkout: checkout.name)
+    monkeypatch.setattr(bench_pairs, "status", lambda checkout: "")
     monkeypatch.setattr(bench_pairs, "run_once",
                         lambda checkout, workload, seed, seconds:
                         run(1.0, 50.0) if checkout.name == "p" else run(2.0, 60.0))
@@ -195,6 +197,7 @@ def test_a_crashed_run_is_reported_and_the_finished_pairs_kept(tmp_path, monkeyp
         script.write_text("import sys\nseed = int(sys.argv[sys.argv.index('--seed') + 1])"
                           f"{crash}\nprint({result!r})\n", encoding="utf-8")
     monkeypatch.setattr(bench_pairs, "label", lambda checkout: checkout.name)
+    monkeypatch.setattr(bench_pairs, "status", lambda checkout: "")
     assert bench_pairs.main(["--parent", str(tmp_path / "p"), "--change",
                              str(tmp_path / "c"), "--pr", "t", "--pairs",
                              "corridor-mc=2", "--seed", "5", "--out-dir",
@@ -205,3 +208,51 @@ def test_a_crashed_run_is_reported_and_the_finished_pairs_kept(tmp_path, monkeyp
     assert err[at + 1:] == [f"  line {k}" for k in range(5, 25)]
     doc = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
     assert [p["seed"] for p in doc["workloads"]["corridor-mc"]["pairs"]] == [5]
+
+
+def test_a_checkout_that_changes_mid_comparison_stops_it(tmp_path, monkeypatch, capsys):
+    """The change's tracked files are edited after its first run: the
+    run after that is not made, and the file names both sides' state at
+    the start."""
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "end_to_end": METRICS}), encoding="utf-8")
+    ran = []
+    edits = {"p": "", tmp_path.name: ""}
+
+    def run_once(checkout, workload, seed, seconds):
+        ran.append((checkout.name, seed))
+        if checkout.name != "p":
+            edits[checkout.name] = " M src/hubplatoon/dense.py\n"
+        return run(1.0, 50.0)
+
+    monkeypatch.setattr(bench_pairs, "label", lambda checkout: checkout.name)
+    monkeypatch.setattr(bench_pairs, "status", lambda checkout: edits[checkout.name])
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    (tmp_path / "p").mkdir()
+    assert bench_pairs.main(["--parent", str(tmp_path / "p"), "--change", str(tmp_path),
+                             "--pr", "t", "--pairs", "corridor-mc=3", "--seed", "5",
+                             "--out-dir", str(tmp_path)]) == 1
+    # pair 0 runs parent then change; pair 1 would run the change first
+    assert ran == [("p", 5), (tmp_path.name, 5)]
+    assert f"CHANGED: the change checkout {tmp_path} is no longer at {tmp_path.name}" \
+        in capsys.readouterr().err
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    assert doc["sides"] == {"parent": "p", "change": tmp_path.name}
+    assert doc["status"] == {"parent": "", "change": ""}
+    assert [p["seed"] for p in doc["workloads"]["corridor-mc"]["pairs"]] == [5]
+
+
+def test_a_parent_that_moves_to_another_commit_stops_it(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "end_to_end": METRICS}), encoding="utf-8")
+    heads = iter(["abc1234", "abc1234", "def5678"])
+    monkeypatch.setattr(bench_pairs, "label", lambda checkout: next(heads)
+                        if checkout.name == "p" else "c")
+    monkeypatch.setattr(bench_pairs, "status", lambda checkout: "")
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: run(1.0, 50.0))
+    (tmp_path / "p").mkdir()
+    assert bench_pairs.main(["--parent", str(tmp_path / "p"), "--change", str(tmp_path),
+                             "--pr", "t", "--pairs", "exact-plan=3", "--seed", "5",
+                             "--out-dir", str(tmp_path)]) == 1
+    assert f"CHANGED: the parent checkout {tmp_path / 'p'} is no longer at abc1234" \
+        in capsys.readouterr().err

@@ -150,6 +150,25 @@ class TestSolveStatic:
                     "--support-cap", "1", "--draws", "8", "--seed", "3"]) == 0
         assert "expected (sampled) solve" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pid, message", [
+        (9, "scenario references unknown delay profile 9"),
+        (2, "profile 2 is not admissible on edge 0")])
+    def test_sampled_oracle_refuses_a_profile_whatever_the_draws(self, workdir, capsys,
+                                                                 pid, message):
+        """Edge 0 lists the profile with p = 1/16, so 4 draws mostly miss it."""
+        doc = json.loads(workdir["dist"].read_text())
+        doc["edges"][0]["profiles"] = [{"id": 1, "p_num": 15, "p_den": 16},
+                                       {"id": pid, "p_num": 1, "p_den": 16}]
+        workdir["dist"].write_text(json.dumps(doc))
+        net = json.loads(workdir["net"].read_text())
+        net["delay_profiles"].append({"id": 2, "entries": []})
+        workdir["net"].write_text(json.dumps(net))
+        for seed in range(8):
+            assert run(["solve-static", "--network", workdir["net"],
+                        "--fleet", workdir["fleet"], "--distribution", workdir["dist"],
+                        "--support-cap", "1", "--draws", "4", "--seed", seed]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_scenario_and_distribution_conflict(self, workdir, capsys):
         assert run(["solve-static", "--network", workdir["net"],
                     "--fleet", workdir["fleet"],
@@ -298,6 +317,15 @@ class TestSimulate:
                         "--config", workdir["config"], "--out", workdir["out"]]) == 1
         assert not caught, "no sample may run on a bad config"
         assert f"error: bad config: {field} must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_empty_policy_list_is_a_config_error(self, workdir, capsys, command):
+        extra = ["--axis", "budget", "--values", "1"] if command == "sweep" else []
+        assert run([command, "--network", workdir["net"], "--config", workdir["config"],
+                    "--out", workdir["out"], "--policies", ","] + extra) == 1
+        assert capsys.readouterr().err == \
+            "error: bad config: policies must name at least one policy\n"
+        assert not workdir["out"].exists()
 
     @pytest.mark.parametrize("policies", ["sp", "sp,ktt"])
     def test_inadmissible_truth_on_an_undriven_edge(self, workdir, capsys,

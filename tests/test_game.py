@@ -338,6 +338,19 @@ class TestSerialization:
         with pytest.raises(FormatError, match="missing fields"):
             scenario_from_dict({"profile_assignment": {}})
 
+    @pytest.mark.parametrize("field, value", [
+        ("profile_assignment", {"0": 1.9}), ("start_steps", {"2": 7.5}),
+        ("profile_assignment", {"0": True}), ("start_steps", {"x": 7}),
+        ("start_steps", {"1.0": 7}), ("profile_assignment", {"": 1})])
+    def test_scenario_keys_and_values_must_be_integers(self, field, value):
+        doc = {"profile_assignment": {"0": 1}, "start_steps": {"2": 7}}
+        doc[field] = value
+        with pytest.raises(FormatError, match=f"scenario field '{field}' must be an object "
+                           "of integers keyed by integers, not "):
+            scenario_from_dict(doc)
+        doc[field] = {"-3": 4, "12": 0}
+        assert getattr(scenario_from_dict(doc), field) == {-3: 4, 12: 0}
+
     def test_fleet_json_is_sorted_and_stable(self, tmp_path):
         fleet = [VehicleSpec(2, (0,), 0, 4), VehicleSpec(1, (0,), 0, 4)]
         p = tmp_path / "f.json"

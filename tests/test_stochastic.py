@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,7 +14,8 @@ from hubplatoon.stochastic import (DEFAULT_SUPPORT_CAP, ExpectedUtilityOracle,
                                    distribution_from_dict,
                                    distribution_to_dict, enumerate_support,
                                    load_distribution, sample_scenario,
-                                   save_distribution, stochastic_oracle,
+                                   sample_scenarios, save_distribution,
+                                   stochastic_oracle,
                                    uniform_profile_distribution)
 
 HALF = Fraction(1, 2)
@@ -176,6 +178,23 @@ class TestOracles:
         assert isinstance(picked, SampledUtilityOracle)
         assert picked.draws == 3
 
+    @pytest.mark.parametrize("pid, message", [(9, "unknown delay profile 9"),
+                                              (2, "profile 2 is not admissible on edge 0")])
+    def test_every_seed_refuses_a_profile_the_network_does_not_admit(self, pid, message):
+        """Profile ``pid`` has p = 1/16 on edge 0, so four draws mostly miss
+        it; the oracles check the distribution, not their draws."""
+        net = make_net([(0, 0, 1, 100, 3, (0, 1)), (1, 1, 2, 100, 3)],
+                       profiles={0: {}, 1: {(0, 0): 1}, 2: {}})
+        game = make_game(net, [(0, (0, 1), 0, 2), (1, (1,), 3, 2)])
+        dist = ScenarioDistribution(
+            edge_profiles={0: ((1, Fraction(15, 16)), (pid, Fraction(1, 16)))},
+            start_steps={})
+        for seed in range(8):
+            with pytest.raises(InputError, match=message):
+                SampledUtilityOracle(game, dist, draws=4, seed=seed)
+        with pytest.raises(InputError, match=message):
+            ExpectedUtilityOracle(game, dist)
+
     def test_degenerate_expectation_equals_deterministic(self):
         from hubplatoon.solver import DeterministicOracle
 
@@ -207,6 +226,14 @@ class TestDistributionJson:
         save_distribution(dist, p)
         assert load_distribution(p).edge_profiles == dist.edge_profiles
 
+    @pytest.mark.parametrize("rows, key", [("edges", "edge 0"), ("starts", "vehicle 4")])
+    def test_a_key_listed_twice_is_refused(self, rows, key):
+        doc = distribution_to_dict(ScenarioDistribution(
+            edge_profiles={0: ((0, Fraction(1)),)}, start_steps={4: ((7, Fraction(1)),)}))
+        doc[rows] = doc[rows] * 2
+        with pytest.raises(FormatError, match=f"distribution lists {key} twice"):
+            distribution_from_dict(doc)
+
     def test_strict_fields(self):
         doc = distribution_to_dict(ScenarioDistribution(
             edge_profiles={0: ((0, Fraction(1)),)}, start_steps={}))
@@ -219,3 +246,95 @@ class TestDistributionJson:
                                                   "p_den": 3}]}]
         with pytest.raises(FormatError, match="sum to"):
             distribution_from_dict(bad)
+
+
+def random_distribution(rng):
+    """Up to three edges and three vehicles, each with one to four values
+    of positive, unequal Fraction probabilities; sometimes none at all."""
+    def marginal():
+        values = rng.sample(range(100), rng.randint(1, 4))
+        weights = [rng.randint(1, 9) for _ in values]
+        return tuple((v, Fraction(w, sum(weights))) for v, w in zip(values, weights))
+
+    return ScenarioDistribution(
+        edge_profiles={eid: marginal() for eid in rng.sample(range(20), rng.randint(0, 3))},
+        start_steps={vid: marginal() for vid in rng.sample(range(20), rng.randint(0, 3))})
+
+
+def reference_support(dist):
+    """The joint support as ``itertools.product`` over the Fraction pairs,
+    edges before vehicles, by ascending id."""
+    eids, vids = sorted(dist.edge_profiles), sorted(dist.start_steps)
+    out = []
+    for combo in itertools.product(*(dist.edge_profiles[eid] for eid in eids),
+                                   *(dist.start_steps[vid] for vid in vids)):
+        prob = Fraction(1)
+        for _value, p in combo:
+            prob *= p
+        out.append((Scenario(profile_assignment={eid: combo[i][0] for i, eid in enumerate(eids)},
+                             start_steps={vid: combo[len(eids) + j][0]
+                                          for j, vid in enumerate(vids)}), prob))
+    return out
+
+
+def reference_systematic(probs, draws, rng):
+    """Indices on an evenly spaced grid with one random offset, then shuffled."""
+    if len(probs) == 1:
+        return [0] * draws
+    u = rng.random()
+    out = []
+    i = 0
+    acc = probs[0]
+    for k in range(draws):
+        x = (u + k) / draws
+        while x >= acc:
+            if i + 1 == len(probs):
+                break
+            i += 1
+            acc += probs[i]
+        out.append(i)
+    rng.shuffle(out)
+    return out
+
+
+def reference_sample(dist, draws, seed):
+    """One stratified column per marginal from one ``random.Random(seed)``,
+    edges before vehicles, by ascending id, paired by position."""
+    rng = random.Random(seed)
+
+    def column(pairs):
+        return [pairs[i][0] for i in reference_systematic([float(p) for _v, p in pairs],
+                                                           draws, rng)]
+
+    edges = {eid: column(dist.edge_profiles[eid]) for eid in sorted(dist.edge_profiles)}
+    starts = {vid: column(dist.start_steps[vid]) for vid in sorted(dist.start_steps)}
+    return [Scenario(profile_assignment={eid: col[k] for eid, col in edges.items()},
+                     start_steps={vid: col[k] for vid, col in starts.items()})
+            for k in range(draws)]
+
+
+class TestDraw:
+    """``enumerate_support`` and ``sample_scenarios`` read their worlds
+    through ``stochastic.draw``, as ``srhs`` does; here they meet
+    references that share no code with it."""
+
+    def test_enumeration_is_the_product_of_the_marginals(self):
+        rng = random.Random(1806)
+        multi = 0
+        for _case in range(60):
+            dist = random_distribution(rng)
+            got = enumerate_support(dist, dist.support_size())
+            assert got == reference_support(dist)
+            assert all(type(p) is Fraction for _s, p in got)
+            assert all(type(v) is int for s, _p in got
+                       for v in (*s.profile_assignment.values(), *s.start_steps.values()))
+            multi += dist.support_size() > 1
+        assert multi >= 40
+
+    def test_sampling_draws_one_stratified_column_per_marginal(self):
+        rng = random.Random(1807)
+        for case in range(60):
+            dist = random_distribution(rng)
+            for draws in (1, 5, 16):
+                assert sample_scenarios(dist, draws, random.Random(case)) == \
+                    reference_sample(dist, draws, case)

@@ -24,7 +24,12 @@ parent's median); and ``unresolved``, when either side's q3 - q1 is
 wider than that bound, so the runs cannot tell a regression within the
 bound from noise, unless every change run beats every parent run.
 Per workload and side it gets the operations
-attempted and failed and whether every run checked correct. The file is
+attempted and failed and whether every run checked correct. Per side it
+gets the commit and ``git status --porcelain --untracked-files=no`` at
+the start; both are read again before every run, and a side whose
+commit or tracked files have changed stops the comparison with a
+``CHANGED`` line on stderr and exit status 1, since its later runs would
+measure code the file does not name. The file is
 rewritten after every pair, so an interrupted comparison keeps the pairs
 it finished. As each pair finishes, stderr gets its ``ops_per_s``,
 ``decide_ms_p50`` and ``decide_ms_p90`` on both sides; the verdicts
@@ -64,10 +69,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def git(checkout: Path, *args: str) -> str:
+    return subprocess.run(["git", *args], cwd=checkout, capture_output=True,
+                          text=True, check=True).stdout
+
+
 def label(checkout: Path) -> str:
     """The checkout's commit."""
-    return subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
-                          capture_output=True, text=True, check=True).stdout.strip()
+    return git(checkout, "rev-parse", "--short", "HEAD").strip()
+
+
+def status(checkout: Path) -> str:
+    """The checkout's tracked files that differ from its commit."""
+    return git(checkout, "status", "--porcelain", "--untracked-files=no")
 
 
 def spread(values: list[float]) -> dict:
@@ -172,6 +186,7 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent, "change": args.change}
     doc = {"pr": args.pr, "seconds": seconds, "first_seed": args.seed,
            "sides": {side: label(path) for side, path in checkouts.items()},
+           "status": {side: status(path) for side, path in checkouts.items()},
            "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                        "system": platform.system(), "machine": platform.machine()},
            "workloads": {}}
@@ -183,8 +198,14 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
+                path = checkouts[side]
+                if (label(path), status(path)) != (doc["sides"][side], doc["status"][side]):
+                    print(f"CHANGED: the {side} checkout {path} is no longer at "
+                          f"{doc['sides'][side]} with the tracked files it had at the "
+                          "start; its runs would measure other code", file=sys.stderr)
+                    return 1
                 try:
-                    pair[side] = run_once(checkouts[side], workload, seed, seconds)
+                    pair[side] = run_once(path, workload, seed, seconds)
                 except subprocess.CalledProcessError as exc:
                     print(f"CRASHED: {side} run of {workload}, seed {seed}, exit code "
                           f"{exc.returncode}; the last {CRASH_LINES} lines of its stderr:",
