@@ -283,7 +283,7 @@ def cmd_sweep(args) -> int:
             values = [round(float(v) * 100) for v in raw_values.split(",") if v]
         else:
             values = [int(v) for v in raw_values.split(",") if v]
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise InputError(f"bad sweep values {raw_values!r}: {exc}") from exc
     results = sweep(net, config, axis, values, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)

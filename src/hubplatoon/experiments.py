@@ -75,7 +75,9 @@ class ExperimentConfig:
         unknown = [p for p in self.policies if p not in POLICY_KINDS]
         if unknown:
             raise InputError(f"unknown policies: {', '.join(unknown)}")
-        for kind in self.policies:
+        for i, kind in enumerate(self.policies):
+            if kind in self.policies[:i]:
+                raise InputError(f"policies lists {kind} twice")
             self.policy_spec(kind)   # a bad policy setting fails the config
 
     def policy_spec(self, kind: str) -> PolicySpec:

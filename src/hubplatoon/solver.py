@@ -4,9 +4,9 @@ Round-robin best response over the fleet. Utilities come from an oracle
 object. ``WorldsOracle`` is the one oracle: the deterministic game, the
 expected-value game over a scenario distribution and the horizon games of
 the feedback policies are all expectations over weighted worlds, so the
-same loop solves each. Because all of these admit an exact potential, every
-action-changing best response strictly increases a bounded function and
-the iteration terminates.
+same loop solves each; ``static_game`` builds the full-route ones. As all
+of these admit an exact potential, every action-changing best response
+strictly increases a bounded function and the iteration terminates.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .dense import EntryTable, TableLimitError
 from .errors import InputError, NonConvergenceError
-from .game import CoordinationGame, Scenario, scaled_weights
+from .game import CoordinationGame, Scenario
 from .network import Edge, RoadNetwork, TravelMatrix
 
 DEFAULT_ROUND_CAP = 10_000
@@ -152,34 +152,23 @@ class Worlds:
                                + self.matrix.delay(rows[eid], t))
 
 
-def scenario_game(game: CoordinationGame,
-                  weighted: Sequence[tuple[Scenario, Fraction]]):
-    """Views, worlds and availability of the static game over weighted
-    scenarios: every vehicle is a player over its full route, and each
-    scenario is a world that starts each vehicle at its scenario start."""
+def static_game(game: CoordinationGame, weights: Sequence[int], scale: int,
+                drawn: Mapping, starts: Mapping):
+    """Views, worlds and availability of the static game: every vehicle is
+    a player over its full route. ``drawn`` gives an edge its matrix row
+    in each world, and other edges keep row 0; ``starts`` gives a vehicle
+    its start step in each world, and other vehicles keep their fleet's."""
     views = [HorizonView(vid=v.id, kind="pending",
                          span_nodes=tuple(range(len(v.edge_sequence))),
                          window_edges=v.edge_sequence,
                          committed=(0,) * len(v.edge_sequence),
                          budget_left=v.waiting_budget_steps, player=True)
              for v in game.fleet.values()]
-    rows = [{eid: profile_row(game.net, eid, pid)
-             for eid, pid in scenario.profile_assignment.items()}
-            for scenario, _p in weighted]
     edges = sorted({eid for v in views for eid in v.window_edges})
-    worlds = Worlds.of(game.net.travel_matrix,
-                       *scaled_weights([p for _s, p in weighted]), edges,
-                       {eid: [r.get(eid, 0) for r in rows] for eid in edges},
-                       {v.vid: [game.start_of(v.vid, s) for s, _p in weighted]
-                        for v in views})
+    worlds = Worlds.of(game.net.travel_matrix, weights, scale, edges, drawn,
+                       {v.id: starts.get(v.id, [v.start_step] * len(weights))
+                        for v in game.fleet.values()})
     return views, worlds, worlds.starts.T
-
-
-def scenario_travel(game: CoordinationGame, scenario: Scenario):
-    """One scenario's travel steps on the fleet's routes, as
-    ``travel(edge id, entry step)``; the simulated truth is read so."""
-    _views, worlds, _avail = scenario_game(game, [(scenario, Fraction(1))])
-    return worlds.travel(0, game.net.edges)
 
 
 class WorldsOracle:
@@ -359,7 +348,16 @@ class DeterministicOracle(WorldsOracle):
     integral = True
 
     def __init__(self, game: CoordinationGame, scenario: Scenario):
-        super().__init__(game, *scenario_game(game, [(scenario, Fraction(1))]))
+        super().__init__(game, *static_game(
+            game, [1], 1, {eid: [profile_row(game.net, eid, pid)]
+                           for eid, pid in scenario.profile_assignment.items()},
+            {vid: [t] for vid, t in scenario.start_steps.items()}))
+
+
+def scenario_travel(game: CoordinationGame, scenario: Scenario):
+    """One scenario's travel steps on the fleet's routes, as
+    ``travel(edge id, entry step)``; the simulated truth is read so."""
+    return DeterministicOracle(game, scenario).worlds.travel(0, game.net.edges)
 
 
 def best_response(oracle, vid: int, actions: Sequence[tuple[int, ...]],

@@ -3,14 +3,17 @@
 Travel-time uncertainty is a delay profile drawn independently per edge;
 start-step uncertainty is drawn independently per vehicle. Probabilities
 are exact rationals so expected utilities and the expected potential stay
-exact. Joint supports are enumerated fully below a cap; above it a seeded
-sample defines an empirical (uniform) measure, which is itself a
-finite-support stochastic game, so the solver's termination argument is
-unchanged; results from the sampled oracle are flagged approximate.
+exact. ``draw`` makes every set of joint worlds: the full support up to
+a cap, else a seeded sample, an empirical (uniform) measure that is
+itself a finite-support game, so the solver still terminates; the
+sampled oracle is flagged approximate. The static oracles pass one draw,
+edges as matrix rows, to ``solver.static_game``; ``enumerate_support``
+and ``sample_scenarios`` make ``Scenario``s of it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -24,7 +27,7 @@ import numpy as np
 from .errors import FormatError, InputError, SupportTooLargeError
 from .game import CoordinationGame, Scenario, scaled_weights
 from .network import ARRAY, INTEGER, check_fields, load_json
-from .solver import WorldsOracle, profile_row, scenario_game
+from .solver import WorldsOracle, profile_row, static_game
 
 DEFAULT_SUPPORT_CAP = 4096
 DEFAULT_DRAWS = 16   # sample size above the cap
@@ -65,12 +68,8 @@ class ScenarioDistribution:
                                      f"{Fraction(total, scale)}, not 1")
 
     def support_size(self) -> int:
-        n = 1
-        for pairs in self.edge_profiles.values():
-            n *= len(pairs)
-        for pairs in self.start_steps.values():
-            n *= len(pairs)
-        return n
+        return math.prod(len(pairs) for marginals in (self.edge_profiles, self.start_steps)
+                         for pairs in marginals.values())
 
 
 @dataclass(frozen=True)
@@ -130,22 +129,12 @@ def enumerate_support(dist: ScenarioDistribution,
     Raises SupportTooLargeError above ``cap``; callers should fall back to
     the sampled oracle.
     """
-    size = dist.support_size()
-    if size > cap:
-        raise SupportTooLargeError(
-            f"joint support has {size} scenarios, above the cap of {cap}; "
-            "use the sampled oracle")
     return _scenarios(dist, cap, 0, None)
 
 
 def sample_scenario(dist: ScenarioDistribution, rng: random.Random) -> Scenario:
-    assignment = {}
-    for eid in sorted(dist.edge_profiles):
-        pairs = dist.edge_profiles[eid]
-        assignment[eid] = _draw(pairs, rng)
-    starts = {}
-    for vid in sorted(dist.start_steps):
-        starts[vid] = _draw(dist.start_steps[vid], rng)
+    assignment = {eid: _draw(dist.edge_profiles[eid], rng) for eid in sorted(dist.edge_profiles)}
+    starts = {vid: _draw(dist.start_steps[vid], rng) for vid in sorted(dist.start_steps)}
     return Scenario(profile_assignment=assignment, start_steps=starts)
 
 
@@ -156,16 +145,33 @@ def sample_scenarios(dist: ScenarioDistribution, draws: int,
 
 
 def _scenarios(dist: ScenarioDistribution, cap: int, draws: int, rng):
-    """``draw`` over the edges, then the vehicles, by ascending id, as
-    (scenario, probability) pairs."""
-    eids, vids = sorted(dist.edge_profiles), sorted(dist.start_steps)
-    axes = [Marginal.of(dist.edge_profiles[eid]) for eid in eids]
-    axes += [Marginal.of(dist.start_steps[vid]) for vid in vids]
-    columns, weights, scale = draw(axes, cap, draws, rng)
-    worlds = np.array(columns, dtype=np.int64).reshape(len(axes), len(weights)).T
-    return [(Scenario(profile_assignment=dict(zip(eids, world)),
-                      start_steps=dict(zip(vids, world[len(eids):]))), Fraction(w, scale))
+    """``_drawn`` as (scenario, probability) pairs."""
+    weights, scale, edges, starts = _drawn(dist, cap, draws, rng)
+    worlds = np.array([*edges.values(), *starts.values()], dtype=np.int64).reshape(
+        len(edges) + len(starts), len(weights)).T
+    return [(Scenario(profile_assignment=dict(zip(edges, world)),
+                      start_steps=dict(zip(starts, world[len(edges):]))), Fraction(w, scale))
             for world, w in zip(worlds.tolist(), weights)]
+
+
+def _drawn(dist: ScenarioDistribution, cap: int, draws: int, rng: random.Random | None,
+           row=lambda _eid, pid: pid):
+    """One ``draw`` over the marginals of ``dist``: its edges', valued
+    ``row(edge, profile)``, then its vehicles', by ascending id. Returns
+    the weights, the scale and the worlds' values keyed by edge and by
+    vehicle. An exact draw (no ``rng``) first refuses a support above
+    ``cap``."""
+    eids, vids = sorted(dist.edge_profiles), sorted(dist.start_steps)
+    axes = [Marginal.of(dist.edge_profiles[eid],
+                        [row(eid, pid) for pid, _p in dist.edge_profiles[eid]])
+            for eid in eids]
+    axes += [Marginal.of(dist.start_steps[vid]) for vid in vids]
+    if rng is None and dist.support_size() > cap:
+        raise SupportTooLargeError(
+            f"joint support has {dist.support_size()} scenarios, above the cap of "
+            f"{cap}; use the sampled oracle")
+    columns, weights, scale = draw(axes, cap, draws, rng)
+    return weights, scale, dict(zip(eids, columns)), dict(zip(vids, columns[len(eids):]))
 
 
 def draw(axes: Sequence[Marginal], cap: int, draws: int, rng: random.Random | None):
@@ -229,22 +235,14 @@ def _draw(pairs: Sequence[tuple[int, Fraction]], rng: random.Random) -> int:
     return pairs[-1][0]
 
 
-def _admitted(game: CoordinationGame, dist: ScenarioDistribution) -> ScenarioDistribution:
-    """``dist``, once ``profile_row`` admits every (edge, profile) pair it
-    lists, not only the pairs a draw happens to pick."""
-    for eid, pairs in sorted(dist.edge_profiles.items()):
-        for pid, _p in pairs:
-            profile_row(game.net, eid, pid)
-    return dist
-
-
 class ExpectedUtilityOracle(WorldsOracle):
     """Exact expectation over an enumerated support."""
 
     def __init__(self, game: CoordinationGame, dist: ScenarioDistribution,
                  cap: int = DEFAULT_SUPPORT_CAP):
-        self.weighted = enumerate_support(_admitted(game, dist), cap)
-        super().__init__(game, *scenario_game(game, self.weighted))
+        super().__init__(game, *static_game(game, *_drawn(
+            dist, cap, 0, None, functools.partial(profile_row, game.net))))
+        self.weighted = self.worlds.weights   # perfbench counts the worlds by it
 
 
 class SampledUtilityOracle(WorldsOracle):
@@ -259,12 +257,11 @@ class SampledUtilityOracle(WorldsOracle):
                  draws: int, seed: int):
         if draws < 1:
             raise InputError(f"draws must be >= 1, got {draws}")
-        weight = Fraction(1, draws)
-        self.weighted = [(s, weight) for s in
-                         sample_scenarios(_admitted(game, dist), draws, random.Random(seed))]
         self.draws = draws
         self.seed = seed
-        super().__init__(game, *scenario_game(game, self.weighted))
+        super().__init__(game, *static_game(game, *_drawn(
+            dist, 0, draws, random.Random(seed), functools.partial(profile_row, game.net))))
+        self.weighted = self.worlds.weights   # perfbench counts the worlds by it
 
 
 def stochastic_oracle(game: CoordinationGame, dist: ScenarioDistribution,

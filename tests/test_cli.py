@@ -327,6 +327,14 @@ class TestSimulate:
             "error: bad config: policies must name at least one policy\n"
         assert not workdir["out"].exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_repeated_policy_is_a_config_error(self, workdir, capsys, command):
+        extra = ["--axis", "budget", "--values", "1"] if command == "sweep" else []
+        assert run([command, "--network", workdir["net"], "--config", workdir["config"],
+                    "--out", workdir["out"], "--policies", "sp,sp,ktt"] + extra) == 1
+        assert capsys.readouterr().err == "error: bad config: policies lists sp twice\n"
+        assert not workdir["out"].exists()
+
     @pytest.mark.parametrize("policies", ["sp", "sp,ktt"])
     def test_inadmissible_truth_on_an_undriven_edge(self, workdir, capsys,
                                                      policies):
@@ -394,6 +402,8 @@ class TestSweep:
         assert run(base + ["--axis", "budget", "--values", "1,x"]) == 1
         err = capsys.readouterr().err
         assert "bad sweep values" in err
+        assert run(base + ["--cb-values", "inf"]) == 1
+        assert "error: bad sweep values 'inf': " in capsys.readouterr().err
 
 
 def test_module_entry_point(workdir):

@@ -11,7 +11,7 @@ from hubplatoon.feedback import PolicySpec, run_closed_loop
 from hubplatoon.game import Scenario, scaled_weights
 from hubplatoon.solver import (DeterministicOracle, HorizonView, Worlds,
                                WorldsOracle, action_space, enumerate_actions,
-                               scenario_game, spaces_for_fleet)
+                               profile_row, spaces_for_fleet, static_game)
 from hubplatoon.stochastic import (ExpectedUtilityOracle,
                                    SampledUtilityOracle,
                                    ScenarioDistribution, enumerate_support,
@@ -46,8 +46,15 @@ def random_profile(rng, spaces):
 
 
 def static_worlds(game, weighted):
-    """The worlds of weighted scenarios, as the static game builds them."""
-    _views, worlds, _avail = scenario_game(game, weighted)
+    """The worlds of weighted scenarios, as ``static_game`` builds them."""
+    rows = [{eid: profile_row(game.net, eid, pid)
+             for eid, pid in scenario.profile_assignment.items()}
+            for scenario, _p in weighted]
+    _views, worlds, _avail = static_game(
+        game, *scaled_weights([p for _s, p in weighted]),
+        {eid: [r.get(eid, 0) for r in rows] for eid in game.net.edges},
+        {vid: [game.start_of(vid, scenario) for scenario, _p in weighted]
+         for vid in game.fleet})
     return worlds
 
 
@@ -75,12 +82,14 @@ class TestScaledWeights:
         eps = Fraction(1, 2 ** 70)
         weights, scale = scaled_weights([eps, 1 - eps])
         assert weights == [1, 2 ** 70 - 1] and scale == 2 ** 70
-        game = make_game(make_net([(0, 0, 1, 100, 3)]), [(0, (0,), 0, 1)])
-        views, worlds, avail = scenario_game(game, [(Scenario({}, {}), eps),
-                                                    (Scenario({}, {}), 1 - eps)])
+        net = make_net([(0, 0, 1, 100, 3, (0, 1))], profiles={0: {}, 1: {}})
+        game = make_game(net, [(0, (0,), 0, 1)])
+        oracle = ExpectedUtilityOracle(game, ScenarioDistribution(
+            edge_profiles={0: ((0, eps), (1, 1 - eps))}, start_steps={}))
+        worlds = oracle.worlds
         assert list(worlds.weights) == weights and worlds.scale == scale
         with pytest.raises(TableLimitError, match="weight scale"):
-            EntryTable(game, views, worlds, avail, {0: (0,)})
+            EntryTable(game, list(oracle.views.values()), worlds, oracle.avail, {0: (0,)})
 
 
 def one_track_table(net, pid, start, budget):
@@ -88,7 +97,7 @@ def one_track_table(net, pid, start, budget):
     ``pid``, leaving at ``start`` with ``budget`` waits."""
     eid = min(net.edges)
     game = make_game(net, [(0, (eid,), start, budget)])
-    views, worlds, avail = scenario_game(game, [(Scenario({eid: pid}, {}), Fraction(1))])
+    views, worlds, avail = static_game(game, [1], 1, {eid: [profile_row(net, eid, pid)]}, {})
     return EntryTable(game, views, worlds, avail, {0: (0,)})
 
 
@@ -247,8 +256,8 @@ class TestBatchedBuild:
         net = make_net([(0, 0, 1, 100, 3, (0, 1))],
                        profiles={0: {(0, 5): 1}, 1: {(0, 1): -1}})
         game = make_game(net, [(0, (0,), 0, 2), (1, (0,), 0, 2)])
-        oracle = WorldsOracle(game, *scenario_game(
-            game, [(Scenario({0: pid}, {}), Fraction(1, 2)) for pid in (0, 1)]))
+        oracle = WorldsOracle(game, *static_game(
+            game, [1, 1], 2, {0: [profile_row(net, 0, pid) for pid in (0, 1)]}, {}))
         profile = {0: (0,), 1: (1,)}
         space = enumerate_actions(1, 2)
         assert list(oracle.scaled_values(0, space, profile)) == \
@@ -569,7 +578,7 @@ def static_tree_game(rng, w):
         first = rng.randint(0, 8 - length)
         routes.append(tuple(range(first, first + length)))
     game = make_game(net, [(vid, seq, 0, 4) for vid, seq in enumerate(routes)])
-    views, _worlds, _avail = scenario_game(game, [(Scenario({}, {}), Fraction(1))])
+    views, _worlds, _avail = static_game(game, [1], 1, {}, {})
     matrix, edges = net.travel_matrix, sorted(net.edges)
     weights = [rng.randint(1, 5) for _k in range(w)]
     worlds = Worlds.of(matrix, weights, sum(weights), edges,
@@ -716,8 +725,8 @@ def full_route_oracle(kind, rng, case):
         return game, DeterministicOracle(game, s), [(s, Fraction(1))]
     if kind == "exact":
         return game, ExpectedUtilityOracle(game, dist), enumerate_support(dist)
-    oracle = SampledUtilityOracle(game, dist, draws=4, seed=case)
-    return game, oracle, oracle.weighted
+    return game, SampledUtilityOracle(game, dist, draws=4, seed=case), [
+        (s, Fraction(1, 4)) for s in sample_scenarios(dist, 4, random.Random(case))]
 
 
 class TestOraclePotential:

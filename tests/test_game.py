@@ -15,7 +15,7 @@ from hubplatoon.game import (CoordinationGame, RewardModel, Scenario,
                              round_half_away, save_fleet, scenario_from_dict,
                              scenario_to_dict, zero_profile)
 from hubplatoon.solver import (DeterministicOracle, horizon_departure_times,
-                               profile_row, scenario_game)
+                               profile_row)
 
 
 @pytest.mark.parametrize("x, want", [
@@ -145,12 +145,12 @@ def test_waiting_cost_is_linear(line_net):
 
 
 def entries(game, vid, waits, scenario):
-    """Entry step onto each route edge, through the static game's view of
-    ``vid`` and the scenario's travel model."""
-    views, worlds, avail = scenario_game(game, [(scenario, Fraction(1))])
-    [i] = [i for i, v in enumerate(views) if v.vid == vid]
-    return horizon_departure_times(views[i], waits, int(avail[i, 0]),
-                                   worlds.travel(0, game.net.edges))
+    """Entry step onto each route edge, through the deterministic oracle's
+    view of ``vid`` and the scenario's travel model."""
+    oracle = DeterministicOracle(game, scenario)
+    [i] = [i for i, v in enumerate(oracle.views) if v == vid]
+    return horizon_departure_times(oracle.views[vid], waits, int(oracle.avail[i, 0]),
+                                   oracle.worlds.travel(0, game.net.edges))
 
 
 class TestDepartureTimes:
@@ -301,9 +301,9 @@ class TestGameConstruction:
         game = make_game(delay_net, [(0, (0,), 0, 4)])
         assert profile_row(game.net, 0, 1) == game.net.travel_matrix.index[(0, 1)]
         with pytest.raises(InputError, match="unknown edge 7"):
-            scenario_game(game, [(Scenario({7: 1}, {}), Fraction(1))])
+            DeterministicOracle(game, Scenario({7: 1}, {}))
         with pytest.raises(InputError, match="unknown delay profile 9"):
-            scenario_game(game, [(Scenario({0: 9}, {}), Fraction(1))])
+            DeterministicOracle(game, Scenario({0: 9}, {}))
 
 
 class TestSerialization:

@@ -6,8 +6,8 @@ import pytest
 
 from conftest import make_game, make_net
 from hubplatoon.errors import FormatError, InputError, SupportTooLargeError
-from hubplatoon.game import Scenario
-from hubplatoon.solver import nash_seek, spaces_for_fleet
+from hubplatoon.game import Scenario, scaled_weights
+from hubplatoon.solver import nash_seek, profile_row, spaces_for_fleet
 from hubplatoon.stochastic import (DEFAULT_SUPPORT_CAP, ExpectedUtilityOracle,
                                    SampledUtilityOracle, ScenarioDistribution,
                                    degenerate_distribution,
@@ -159,15 +159,15 @@ class TestOracles:
         actions = [(0,), (1,)]
         assert a.action_values(1, actions, profile) == \
             b.action_values(1, actions, profile)
-        assert a.weighted == b.weighted
-        assert any(sa != sc for (sa, _), (sc, _) in zip(a.weighted, c.weighted)) \
+        assert world_arrays(a.worlds) == world_arrays(b.worlds)
+        assert world_arrays(a.worlds) != world_arrays(c.worlds) \
             or a.action_values(1, actions, profile) == \
             c.action_values(1, actions, profile)
 
     def test_sampled_oracle_weights(self):
         net, game, dist = two_edge_setup()
         oracle = SampledUtilityOracle(game, dist, draws=4, seed=0)
-        assert [p for _s, p in oracle.weighted] == [Fraction(1, 4)] * 4
+        assert (oracle.weighted, oracle.worlds.scale) == ([1] * 4, 4)
         with pytest.raises(InputError):
             SampledUtilityOracle(game, dist, draws=0, seed=0)
 
@@ -206,6 +206,12 @@ class TestOracles:
         actions = [(0,), (1,), (2,)]
         assert [Fraction(v) for v in det.action_values(1, actions, profile)] \
             == exp.action_values(1, actions, profile)
+
+
+def world_arrays(worlds):
+    """A set of worlds as plain lists, for comparison."""
+    return (list(worlds.weights), worlds.scale, worlds.edges, worlds.rows.tolist(),
+            worlds.vids, worlds.starts.tolist())
 
 
 class TestDistributionJson:
@@ -338,3 +344,94 @@ class TestDraw:
             for draws in (1, 5, 16):
                 assert sample_scenarios(dist, draws, random.Random(case)) == \
                     reference_sample(dist, draws, case)
+
+
+class TestStaticWorlds:
+    """The static oracles draw their worlds straight into index arrays,
+    as srhs does. They must be the worlds ``enumerate_support`` and
+    ``sample_scenarios`` give for the same distribution, in the same order
+    and from the same seed."""
+
+    @staticmethod
+    def random_game(rng):
+        """Edges 0-2 carry trucks 0-2 at most; edge 3 is on no route and
+        edge 4 admits every profile (it lists none)."""
+        profiles = {pid: {(eid, t): rng.randint(0, 3) for eid in range(5) for t in range(12)
+                          if rng.random() < 0.4}
+                    for pid in range(3)}
+        net = make_net([(eid, eid, eid + 1, 100, rng.randint(1, 3),
+                         () if eid == 4 else (0, 1, 2)) for eid in range(5)],
+                       profiles=profiles)
+        rows = []
+        for vid in range(rng.randint(1, 3)):
+            first = rng.randrange(3)
+            rows.append((vid, tuple(range(first, rng.randrange(first, 3) + 1)),
+                         rng.randint(0, 4), 2))
+        return make_game(net, rows)
+
+    @staticmethod
+    def random_distribution(rng):
+        """Profile marginals on up to four of edges 0-4, start marginals for
+        up to three of vehicles 0-3; vehicle 3 is never in the fleet."""
+        def marginal(values):
+            values = rng.sample(values, rng.randint(1, min(3, len(values))))
+            weights = [rng.randint(1, 9) for _ in values]
+            return tuple((v, Fraction(w, sum(weights))) for v, w in zip(values, weights))
+
+        return ScenarioDistribution(
+            edge_profiles={eid: marginal([0, 1, 2])
+                           for eid in rng.sample(range(5), rng.randint(0, 4))},
+            start_steps={vid: marginal(list(range(8)))
+                         for vid in rng.sample(range(4), rng.randint(0, 3))})
+
+    @staticmethod
+    def assert_worlds(oracle, game, weighted):
+        """``oracle``'s worlds are ``weighted``'s scenarios, in order."""
+        worlds = oracle.worlds
+        assert (list(worlds.weights), worlds.scale) == \
+            scaled_weights([p for _s, p in weighted])
+        assert oracle.weighted == worlds.weights
+        assert worlds.edges == tuple(sorted({eid for v in game.fleet.values()
+                                             for eid in v.edge_sequence}))
+        assert worlds.vids == tuple(game.fleet)
+        assert worlds.rows.shape == (len(weighted), len(worlds.edges))
+        for k, (scenario, _p) in enumerate(weighted):
+            assert worlds.rows[k].tolist() == [
+                profile_row(game.net, eid, scenario.profile_assignment[eid])
+                if eid in scenario.profile_assignment else 0 for eid in worlds.edges]
+            assert dict(zip(worlds.vids, worlds.starts[k].tolist())) == \
+                {vid: scenario.start_steps.get(vid, v.start_step)
+                 for vid, v in game.fleet.items()}
+        assert oracle.avail.tolist() == worlds.starts.T.tolist()
+
+    def test_worlds_equal_enumerated_and_sampled_scenarios(self):
+        rng = random.Random(1901)
+        off_route = outside = lone_sampled = 0
+        for case in range(60):
+            game = self.random_game(rng)
+            dist = self.random_distribution(rng)
+            if case % 6 == 0:   # a support of one world
+                dist = degenerate_distribution(enumerate_support(dist)[0][0])
+            routes = {eid for v in game.fleet.values() for eid in v.edge_sequence}
+            off_route += not routes >= dist.edge_profiles.keys()
+            outside += not game.fleet.keys() >= dist.start_steps.keys()
+            self.assert_worlds(ExpectedUtilityOracle(game, dist), game,
+                               enumerate_support(dist))
+            for draws in (1, 5, 16):
+                oracle = SampledUtilityOracle(game, dist, draws, seed=case)
+                self.assert_worlds(oracle, game, [
+                    (scenario, Fraction(1, draws))
+                    for scenario in sample_scenarios(dist, draws, random.Random(case))])
+            lone_sampled += dist.support_size() == 1
+        assert off_route >= 10 and outside >= 10 and lone_sampled >= 10
+
+    def test_the_exact_oracle_refuses_a_support_above_the_cap_as_enumeration_does(self):
+        game = self.random_game(random.Random(1902))
+        dist = ScenarioDistribution(
+            edge_profiles={eid: ((0, HALF), (1, HALF)) for eid in (0, 3)}, start_steps={})
+        with pytest.raises(SupportTooLargeError) as want:
+            enumerate_support(dist, 3)
+        with pytest.raises(SupportTooLargeError) as got:
+            ExpectedUtilityOracle(game, dist, cap=3)
+        assert str(got.value) == str(want.value)
+        assert "joint support has 4 scenarios, above the cap of 3" in str(got.value)
