@@ -53,9 +53,9 @@ class TestConfig:
         (dict(profiles_per_edge=2, peak_heights=(1, -2)), "nonnegative"),
         (dict(injection_start_step=10, injection_end_step=9), "window"),
         (dict(policies=("sp", "greedy")), "unknown policies: greedy"),
-        (dict(policies=("sp", "ktt", "sp")), "policies lists sp twice"),
         (dict(horizon=0), "horizon must be >= 1"),
         (dict(policies=("sp",), oracle_draws=0), "oracle_draws must be >= 1"),
+        (dict(policies=("sp", "ktt", "sp")), "policies lists sp twice"),
     ])
     def test_validation(self, kw, msg):
         with pytest.raises(InputError, match=msg):
