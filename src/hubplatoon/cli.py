@@ -13,10 +13,10 @@ import sys
 
 from . import __version__
 from .errors import InputError, ModelInconsistencyError, NonConvergenceError
-from .experiments import (ExperimentConfig, ExperimentResult, SWEEP_AXES,
-                          compute_metrics, config_from_dict, config_to_dict,
-                          load_config, prepare_network, run_experiment,
-                          run_instance, sweep,
+from .experiments import (SUMMARY_FIELDS, SWEEP_AXES, ExperimentConfig,
+                          ExperimentResult, compute_metrics, config_from_dict,
+                          config_to_dict, load_config, prepare_network,
+                          run_experiment, run_instance, sweep, write_csv,
                           write_followers_csv, write_metrics_json,
                           write_platoon_hist_csv, write_raw_csv)
 from .feedback import POLICY_KINDS
@@ -196,12 +196,10 @@ def _build_config(args) -> ExperimentConfig:
     doc = config_to_dict(config)
     if getattr(args, "policies", None):
         doc["policies"] = [p.strip() for p in args.policies.split(",") if p.strip()]
-    if getattr(args, "samples", None) is not None:
-        doc["samples"] = args.samples
-    if getattr(args, "vehicles", None) is not None:
-        doc["vehicle_count"] = args.vehicles
-    if getattr(args, "seed", None) is not None:
-        doc["master_seed"] = args.seed
+    for name, key in (("samples", "samples"), ("vehicles", "vehicle_count"),
+                      ("seed", "master_seed")):
+        if getattr(args, name, None) is not None:
+            doc[key] = getattr(args, name)
     return config_from_dict(doc)
 
 
@@ -287,27 +285,17 @@ def cmd_sweep(args) -> int:
         raise InputError(f"bad sweep values {raw_values!r}: {exc}") from exc
     results = sweep(net, config, axis, values, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        import csv as _csv
-
-        writer = _csv.writer(fh)
-        writer.writerow(["axis", "value", "policy", "platooning_rate",
-                         "rate_mean", "rate_stderr", "wait_mean_minutes",
-                         "wait_stderr_minutes", "utility_mean_centi",
-                         "utility_stderr_centi"])
-        for value in values:
-            result = results[int(value)]
-            _write_result(result, os.path.join(args.out, f"{axis}_{value}"))
-            for kind in sorted(result.reports):
-                r = result.reports[kind]
-                writer.writerow([axis, value, kind, r.platooning_rate,
-                                 r.rate_mean, r.rate_stderr,
-                                 r.wait_mean_minutes, r.wait_stderr_minutes,
-                                 r.utility_mean_centi, r.utility_stderr_centi])
-            print(f"{axis}={value}: done "
-                  f"({len(result.reports)} policies, "
-                  f"{len(next(iter(result.reports.values())).per_sample)} samples)")
+    rows = []
+    for value in values:
+        result = results[int(value)]
+        _write_result(result, os.path.join(args.out, f"{axis}_{value}"))
+        rows += [[axis, value, kind, *(getattr(report, name) for name in SUMMARY_FIELDS)]
+                 for kind, report in sorted(result.reports.items())]
+        print(f"{axis}={value}: done "
+              f"({len(result.reports)} policies, "
+              f"{len(next(iter(result.reports.values())).per_sample)} samples)")
+    write_csv(os.path.join(args.out, "sweep.csv"), ["axis", "value", "policy", *SUMMARY_FIELDS],
+              rows)
     return 0
 
 

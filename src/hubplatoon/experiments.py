@@ -14,7 +14,8 @@ import json
 import math
 import random
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from collections import Counter
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 from .errors import (FormatError, InputError, ModelInconsistencyError,
@@ -101,20 +102,17 @@ def generate_delay_profiles(net: RoadNetwork, config: ExperimentConfig,
     rng = random.Random(seed)
     profiles: list[DelayProfile] = []
     assignment: dict[int, tuple[int, ...]] = {}
+    peak = tuple(dict.fromkeys(t for day in range(config.days) for t in range(
+        config.peak_start_step + day * STEPS_PER_DAY, config.peak_end_step + day * STEPS_PER_DAY)))
     for idx, eid in enumerate(sorted(net.edges)):
         ids = []
         for j, height in enumerate(config.peak_heights):
             if config.height_jitter > 0:
                 height = height + rng.randint(0, config.height_jitter)
             pid = idx * config.profiles_per_edge + j
-            delay_at = {}
-            if height > 0:
-                for day in range(config.days):
-                    base = day * STEPS_PER_DAY
-                    for t in range(config.peak_start_step + base,
-                                   config.peak_end_step + base):
-                        delay_at[(eid, t)] = height
-            profiles.append(DelayProfile(id=pid, delay_at=delay_at))
+            steps = peak if height > 0 else ()
+            profiles.append(DelayProfile(pid, (eid,) * len(steps), steps,
+                                         (height,) * len(steps)))
             ids.append(pid)
         assignment[eid] = tuple(ids)
     return profiles, assignment
@@ -200,6 +198,11 @@ class SampleMetrics:
     traveled_km: float
 
 
+# a policy's summary numbers, as metrics.json and sweep.csv give them
+SUMMARY_FIELDS = ("platooning_rate", "rate_mean", "rate_stderr", "wait_mean_minutes",
+                  "wait_stderr_minutes", "utility_mean_centi", "utility_stderr_centi")
+
+
 @dataclass
 class MetricsReport:
     """Across-sample aggregate for one policy."""
@@ -217,19 +220,10 @@ class MetricsReport:
     platoon_hist: dict[int, int]        # platoon size -> traversal count
 
     def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "samples": len(self.per_sample),
-            "platooning_rate": self.platooning_rate,
-            "rate_mean": self.rate_mean,
-            "rate_stderr": self.rate_stderr,
-            "wait_mean_minutes": self.wait_mean_minutes,
-            "wait_stderr_minutes": self.wait_stderr_minutes,
-            "utility_mean_centi": self.utility_mean_centi,
-            "utility_stderr_centi": self.utility_stderr_centi,
-            "utility_mean_msek": self.utility_mean_centi / 1e8,
-            "platoon_hist": {str(k): v for k, v in sorted(self.platoon_hist.items())},
-        }
+        return {**{name: getattr(self, name) for name in SUMMARY_FIELDS},
+                "policy": self.policy, "samples": len(self.per_sample),
+                "utility_mean_msek": self.utility_mean_centi / 1e8,
+                "platoon_hist": {str(k): v for k, v in sorted(self.platoon_hist.items())}}
 
 
 def trace_metrics(trace: SimulationTrace, fleet: Sequence[VehicleSpec],
@@ -239,9 +233,7 @@ def trace_metrics(trace: SimulationTrace, fleet: Sequence[VehicleSpec],
     """Single-trace numbers: rate parts, waits, utility, followers, histogram."""
     if {v.id for v in fleet} != set(trace.utility_centi):
         raise InputError("the fleet's vehicle ids differ from the trace's")
-    traveled = 0.0
-    for v in fleet:
-        traveled += sum(net.edges[e].length_km for e in v.edge_sequence)
+    traveled = sum(sum(net.edges[e].length_km for e in v.edge_sequence) for v in fleet)
     followed = 0.0
     followers: dict[int, int] = {}
     hist: dict[int, int] = {}
@@ -282,16 +274,12 @@ def compute_metrics(traces: Sequence[SimulationTrace], fleet, net: RoadNetwork,
         else [fleet] * len(traces)
     if len(fleets) != len(traces):
         raise InputError("need one fleet, or exactly one per trace")
-    rows = []
-    follower_sums: dict[int, float] = {}
-    hist: dict[int, int] = {}
+    rows, follower_sums, hist = [], Counter(), Counter()
     for i, (trace, fl) in enumerate(zip(traces, fleets)):
         metrics, followers, h = trace_metrics(trace, fl, net, sample=i)
         rows.append(metrics)
-        for t, c in followers.items():
-            follower_sums[t] = follower_sums.get(t, 0.0) + c
-        for k, v in h.items():
-            hist[k] = hist.get(k, 0) + v
+        follower_sums.update(followers)
+        hist.update(h)
     n = len(rows)
     rate_mean, rate_se = _mean_stderr([r.platooning_rate for r in rows])
     wait_mean, wait_se = _mean_stderr([r.avg_wait_minutes for r in rows])
@@ -306,7 +294,7 @@ def compute_metrics(traces: Sequence[SimulationTrace], fleet, net: RoadNetwork,
         wait_mean_minutes=wait_mean, wait_stderr_minutes=wait_se,
         utility_mean_centi=util_mean, utility_stderr_centi=util_se,
         follower_series={t: c / n for t, c in sorted(follower_sums.items())},
-        platoon_hist=hist)
+        platoon_hist=dict(hist))
 
 
 # --- experiment driver --------------------------------------------------
@@ -410,11 +398,8 @@ def sweep(net: RoadNetwork, config: ExperimentConfig, axis: str,
                          f"choose from {', '.join(sorted(SWEEP_AXES))}")
     if not values:
         raise InputError("sweep needs at least one value")
-    out = {}
-    for value in values:
-        out[int(value)] = run_experiment(
-            net, replace(config, **{SWEEP_AXES[axis]: int(value)}), jobs=jobs)
-    return out
+    return {int(value): run_experiment(
+        net, replace(config, **{SWEEP_AXES[axis]: int(value)}), jobs=jobs) for value in values}
 
 
 # --- config / output files ----------------------------------------------
@@ -438,11 +423,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    doc = {}
-    for f in fields(ExperimentConfig):
-        value = getattr(config, f.name)
-        doc[f.name] = list(value) if isinstance(value, tuple) else value
-    return doc
+    return {name: list(value) if isinstance(value, tuple) else value
+            for name, value in asdict(config).items()}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -459,30 +441,28 @@ def write_metrics_json(result: ExperimentResult, path) -> None:
         fh.write("\n")
 
 
-def write_raw_csv(result: ExperimentResult, path) -> None:
+def write_csv(path, header: Sequence[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["sample", "policy", "platooning_rate",
-                         "avg_wait_minutes", "total_utility_centi"])
-        for kind in sorted(result.reports):
-            for row in result.reports[kind].per_sample:
-                writer.writerow([row.sample, kind, row.platooning_rate,
-                                 row.avg_wait_minutes, row.total_utility_centi])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_raw_csv(result: ExperimentResult, path) -> None:
+    write_csv(path, ["sample", "policy", "platooning_rate", "avg_wait_minutes",
+                     "total_utility_centi"],
+              ([row.sample, kind, row.platooning_rate, row.avg_wait_minutes,
+                row.total_utility_centi]
+               for kind in sorted(result.reports) for row in result.reports[kind].per_sample))
 
 
 def write_followers_csv(result: ExperimentResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["policy", "step", "mean_followers"])
-        for kind in sorted(result.reports):
-            for step, count in result.reports[kind].follower_series.items():
-                writer.writerow([kind, step, count])
+    write_csv(path, ["policy", "step", "mean_followers"],
+              ([kind, step, count] for kind in sorted(result.reports)
+               for step, count in result.reports[kind].follower_series.items()))
 
 
 def write_platoon_hist_csv(result: ExperimentResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["policy", "size", "count"])
-        for kind in sorted(result.reports):
-            for size, count in sorted(result.reports[kind].platoon_hist.items()):
-                writer.writerow([kind, size, count])
+    write_csv(path, ["policy", "size", "count"],
+              ([kind, size, count] for kind in sorted(result.reports)
+               for size, count in sorted(result.reports[kind].platoon_hist.items())))

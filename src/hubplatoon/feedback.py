@@ -158,7 +158,7 @@ def conditional_distribution(dist: ScenarioDistribution, world: WorldState,
     than now while it has not. Probabilities renormalize exactly.
     """
     edges = game.net.edges
-    profiles = game.net.delay_profiles
+    matrix = game.net.travel_matrix
     posterior_edges: dict[int, tuple[tuple[int, Fraction], ...]] = {}
     for eid, pairs in dist.edge_profiles.items():
         base = edges[eid].base_travel_steps
@@ -166,16 +166,10 @@ def conditional_distribution(dist: ScenarioDistribution, world: WorldState,
         en_route = [(v.entered_at, world.now - v.entered_at)
                     for v in world.in_progress()
                     if game.fleet[v.vid].edge_sequence[v.edge_index] == eid]
-        kept = []
-        for pid, p in pairs:
-            prof = profiles[pid]
-            ok = all(base + prof.delay(eid, t_in) == travel
-                     for t_in, travel in observations)
-            if ok:
-                ok = all(base + prof.delay(eid, t_in) > elapsed
-                         for t_in, elapsed in en_route)
-            if ok:
-                kept.append((pid, p))
+        rows = [profile_row(game.net, eid, pid) for pid, _p in pairs]
+        kept = [pair for pair, row in zip(pairs, rows)
+                if all(base + matrix.delay(row, t_in) == travel for t_in, travel in observations)
+                and all(base + matrix.delay(row, t_in) > elapsed for t_in, elapsed in en_route)]
         if not kept:
             raise ModelInconsistencyError(
                 f"every profile on edge {eid} is contradicted by observations")
@@ -221,8 +215,8 @@ class Belief:
     raises the same error at the same step. Start marginals are formed
     only for the pending vehicles a horizon game sees; every vehicle's
     last possible start step keeps the "has not appeared" check. Each
-    edge's normalised marginal and rounded-mean delay row are cached until
-    its kept pairs change.
+    edge's kept matrix rows, normalised marginal and rounded-mean delay
+    row are cached until its kept pairs change.
     """
 
     def __init__(self, game: CoordinationGame, prior: ScenarioDistribution):
@@ -232,20 +226,32 @@ class Belief:
         self._read: dict[int, int] = {}           # edge -> traversals applied
         self._last_start = {vid: max(t for t, _p in pairs)
                             for vid, pairs in prior.start_steps.items()}
+        self._rows: dict[int, np.ndarray] = {}
         self._marginals: dict[int, Marginal] = {}
         self._means: dict[int, np.ndarray] = {}
         # edge -> entry step -> least travel over the kept pairs
         self._least: dict[int, dict[int, int]] = {}
 
-    def _prune(self, eid: int, possible) -> None:
-        kept = self._kept[eid]
-        left = tuple(pair for pair in kept
-                     if possible(self.game.net.delay_profiles[pair[0]]))
-        if len(left) != len(kept):
-            self._kept[eid] = left
-            self._marginals.pop(eid, None)
-            self._means.pop(eid, None)
-            self._least.pop(eid, None)
+    def _kept_rows(self, eid: int) -> np.ndarray:
+        """The kept pairs' network travel-matrix rows on edge ``eid``."""
+        got = self._rows.get(eid)
+        if got is None:
+            got = self._rows[eid] = np.array([profile_row(self.game.net, eid, pid)
+                                              for pid, _p in self._kept[eid]], dtype=np.intp)
+        return got
+
+    def _delays(self, eid: int, steps) -> np.ndarray:
+        """The kept pairs' delays on edge ``eid`` at entry ``steps``, a row each."""
+        matrix = self.game.net.travel_matrix
+        return matrix.delays[self._kept_rows(eid)[:, None], matrix.columns(steps)]
+
+    def _prune(self, eid: int, possible: np.ndarray) -> None:
+        """Keep the pairs of edge ``eid`` whose row of ``possible`` is all true."""
+        possible = possible.all(axis=1).tolist()
+        if not all(possible):
+            self._kept[eid] = tuple(pair for pair, ok in zip(self._kept[eid], possible) if ok)
+            for cache in (self._rows, self._marginals, self._means, self._least):
+                cache.pop(eid, None)
 
     def update(self, world: WorldState) -> None:
         """Apply what ``world`` has observed since the last update."""
@@ -253,12 +259,10 @@ class Belief:
         for eid, done in world.completed.items():
             read = self._read.get(eid, 0)
             self._read[eid] = len(done)
-            if read < len(done) and eid in self._kept:
+            if read < len(done) and self._kept.get(eid):
+                steps, travel = zip(*done[read:])
                 base = edges[eid].base_travel_steps
-                fresh = done[read:]
-                self._prune(eid, lambda prof: all(
-                    base + prof.delay(eid, t_in) == travel for t_in, travel in fresh))
-        profiles = self.game.net.delay_profiles
+                self._prune(eid, self._delays(eid, steps) == [t - base for t in travel])
         for v in world.in_progress():
             eid = self.game.fleet[v.vid].edge_sequence[v.edge_index]
             if self._kept.get(eid):    # an emptied edge raises below
@@ -266,10 +270,9 @@ class Belief:
                 elapsed = world.now - v.entered_at
                 least = self._least.setdefault(eid, {})
                 if v.entered_at not in least:
-                    least[v.entered_at] = base + min(
-                        profiles[pid].delay(eid, v.entered_at) for pid, _p in self._kept[eid])
+                    least[v.entered_at] = base + int(self._delays(eid, [v.entered_at]).min())
                 if least[v.entered_at] <= elapsed:
-                    self._prune(eid, lambda prof: base + prof.delay(eid, v.entered_at) > elapsed)
+                    self._prune(eid, self._delays(eid, [v.entered_at]) > elapsed - base)
         for eid, kept in self._kept.items():
             if not kept:
                 raise ModelInconsistencyError(
@@ -283,9 +286,7 @@ class Belief:
         """The kept pairs' marginal, its values network travel-matrix rows."""
         got = self._marginals.get(eid)
         if got is None:
-            kept = self._kept[eid]
-            got = self._marginals[eid] = Marginal.of(
-                kept, [profile_row(self.game.net, eid, pid) for pid, _p in kept])
+            got = self._marginals[eid] = Marginal.of(self._kept[eid], self._kept_rows(eid))
         return got
 
     def mean_row(self, eid: int) -> np.ndarray:
@@ -326,15 +327,12 @@ def build_views(game: CoordinationGame, world: WorldState,
         seq = game.fleet[vid].edge_sequence
         last_wait_node = len(seq) - 1
         if state.status == "on_edge":
-            first = state.edge_index + 1
+            first, current_edge, entered_at = (state.edge_index + 1, seq[state.edge_index],
+                                               state.entered_at)
             last = min(state.edge_index + horizon, last_wait_node)
-            current_edge = seq[state.edge_index]
-            entered_at = state.entered_at
         else:  # at_node or pending (pending behaves as at origin from its start)
             first = state.node_index if state.status == "at_node" else 0
-            last = min(first + horizon, last_wait_node)
-            current_edge = None
-            entered_at = None
+            last, current_edge, entered_at = min(first + horizon, last_wait_node), None, None
         if first > last:
             continue  # nothing left to decide; final edge underway
         # waits already committed beyond the window still count against
@@ -480,9 +478,7 @@ def step_world(game: CoordinationGame, world: WorldState,
             continue
         eid = seq[k]
         steps = truth(eid, now)
-        state.status = "on_edge"
-        state.edge_index = k
-        state.entered_at = now
+        state.status, state.edge_index, state.entered_at = "on_edge", k, now
         state.arrival_step = now + steps
         events.append(TraceEvent(now, "depart",
                                  {"vehicle": vid, "edge": eid, "travel": steps}))
@@ -506,9 +502,7 @@ def _arrivals_and_starts(game: CoordinationGame, world: WorldState,
     for vid in sorted(world.vehicles):
         state = world.vehicles[vid]
         if state.status == "pending" and game.start_of(vid, truth) == now:
-            state.status = "at_node"
-            state.node_index = 0
-            state.realized_start = now
+            state.status, state.node_index, state.realized_start = "at_node", 0, now
             events.append(TraceEvent(now, "start", {"vehicle": vid, "node": 0}))
         elif state.status == "on_edge" and state.arrival_step == now:
             seq = game.fleet[vid].edge_sequence
@@ -520,12 +514,10 @@ def _arrivals_and_starts(game: CoordinationGame, world: WorldState,
                                      {"vehicle": vid, "node": node, "edge": eid,
                                       "entered": state.entered_at, "travel": travel}))
             if node == len(seq):
-                state.status = "done"
-                state.finish_step = now
+                state.status, state.finish_step = "done", now
                 events.append(TraceEvent(now, "finish", {"vehicle": vid, "node": node}))
             else:
-                state.status = "at_node"
-                state.node_index = node
+                state.status, state.node_index = "at_node", node
 
 
 def open_loop_anchor(game: CoordinationGame, dist: ScenarioDistribution,
@@ -622,18 +614,13 @@ def run_closed_loop(game: CoordinationGame, dist: ScenarioDistribution,
         if steps > max_steps:
             raise NonConvergenceError(f"simulation exceeded {max_steps} steps")
 
-    utility = {}
-    waited = {}
-    finished = {}
-    for vid in game.vehicle_ids:
-        state = world.vehicles[vid]
-        utility[vid] = state.reward_centi \
-            - game.cost_model.step_cost_centi * state.waited_steps
-        waited[vid] = state.waited_steps
-        finished[vid] = state.finish_step
-    return SimulationTrace(policy=policy.kind, events=events,
-                           utility_centi=utility, waited_steps=waited,
-                           finish_steps=finished)
+    states = [world.vehicles[vid] for vid in game.vehicle_ids]
+    return SimulationTrace(
+        policy=policy.kind, events=events,
+        utility_centi={v.vid: v.reward_centi - game.cost_model.step_cost_centi * v.waited_steps
+                       for v in states},
+        waited_steps={v.vid: v.waited_steps for v in states},
+        finish_steps={v.vid: v.finish_step for v in states})
 
 
 def run_policies(game: CoordinationGame, dist: ScenarioDistribution,

@@ -12,7 +12,9 @@ import functools
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -43,13 +45,14 @@ class Edge:
 
 @dataclass(frozen=True)
 class DelayProfile:
-    """Sparse map from (edge id, entry step) to extra travel steps."""
+    """Extra travel steps as three integer columns: entry k adds
+    ``deltas[k]`` steps to edge ``edges[k]`` entered at step ``steps[k]``,
+    and every other entry adds none."""
 
     id: int
-    delay_at: Mapping[tuple[int, int], int] = field(default_factory=dict)
-
-    def delay(self, edge_id: int, entry_step: int) -> int:
-        return self.delay_at.get((edge_id, entry_step), 0)
+    edges: tuple[int, ...] = ()
+    steps: tuple[int, ...] = ()
+    deltas: tuple[int, ...] = ()
 
 
 @dataclass
@@ -76,25 +79,44 @@ class RoadNetwork:
     @functools.cached_property
     def travel_matrix(self) -> TravelMatrix:
         """The delays of every (edge, admissible profile) pair, built on
-        first use; an edge that lists no profile admits any with entries."""
-        pairs = {(eid, pid) for eid, e in self.edges.items()
-                 for pid in e.delay_profile_ids if pid in self.delay_profiles}
-        rows: dict[tuple[int, int], dict[int, int]] = {}
-        for pid, prof in self.delay_profiles.items():
-            for (eid, t), d in prof.delay_at.items():
-                rows.setdefault((eid, pid), {})[t] = d
-        rows = {key: got for key, got in rows.items() if key in pairs or (
-            key[0] in self.edges and not self.edges[key[0]].delay_profile_ids)}
-        index = {key: row for row, key in enumerate(sorted(pairs | rows.keys()), 1)}
-        steps = [t for got in rows.values() for t in got] or [0]
-        values = [d for got in rows.values() for d in got.values()] or [0]
-        lo, least, most = min(steps), min(values), max(values)
+        first use from the profiles' columns; an edge that lists no
+        profile admits any with entries on it."""
+        eids, pids = sorted(self.edges), sorted(self.delay_profiles)
+        profs = [self.delay_profiles[pid] for pid in pids]
+        edge, step, delta = (_int_column([getattr(p, name) for p in profs])
+                             for name in ("edges", "steps", "deltas"))
+        # each entry's cell in the (edge, profile) grid, whose row-major
+        # order numbers the matrix rows
+        known = np.isin(edge, eids)
+        at = np.searchsorted(eids, edge[known])
+        cell = at * len(pids) + np.repeat(np.arange(len(pids)),
+                                          [len(p.edges) for p in profs])[known]
+        place = {pid: j for j, pid in enumerate(pids)}
+        keyed = np.zeros(len(eids) * len(pids), dtype=bool)
+        keyed[[i * len(pids) + place[pid] for i, eid in enumerate(eids)
+               for pid in self.edges[eid].delay_profile_ids if pid in place]] = True
+        is_open = np.array([not self.edges[eid].delay_profile_ids for eid in eids], dtype=bool)
+        keyed[cell[is_open[at]]] = True
+        kept = keyed[cell]
+        cells = np.flatnonzero(keyed).tolist()
+        index = {(eids[c // len(pids)], pids[c % len(pids)]): row
+                 for row, c in enumerate(cells, 1)}
+        steps, values = step[known][kept], delta[known][kept]
+        lo, hi, least, most = (int(steps.min()), int(steps.max()), int(values.min()),
+                               int(values.max())) if len(steps) else (0, 0, 0, 0)
         dtype = next((kind for kind, bits in ((np.int32, 31), (np.int64, 63))
                       if -2 ** bits <= least and most < 2 ** bits), object)
-        delays = np.zeros((len(index) + 1, max(steps) - lo + 2), dtype=dtype)
-        for key, got in rows.items():
-            delays[index[key], np.subtract(list(got), lo)] = list(got.values())
+        delays = np.zeros((len(index) + 1, hi - lo + 2), dtype=dtype)
+        delays[np.cumsum(keyed)[cell[kept]], (steps - lo).astype(np.intp)] = values
         return TravelMatrix(lo, delays, index)
+
+
+def _int_column(columns) -> np.ndarray:
+    """Integer columns joined as int64, or as exact ints if one does not fit."""
+    try:
+        return np.fromiter(chain.from_iterable(columns), dtype=np.int64)
+    except OverflowError:
+        return np.array(list(chain.from_iterable(columns)), dtype=object)
 
 
 class TravelMatrix:
@@ -153,13 +175,15 @@ def validate_network(net: RoadNetwork) -> list[str]:
             problems.append(f"edge {edge.id} length_km must be positive and finite")
         if edge.base_travel_steps < 1:
             problems.append(f"edge {edge.id} base_travel_steps must be >= 1")
-        for pid in edge.delay_profile_ids:
+        for k, pid in enumerate(edge.delay_profile_ids):
             if pid not in net.delay_profiles:
                 problems.append(f"edge {edge.id} references unknown delay profile {pid}")
+            if edge.delay_profile_ids[:k].count(pid) == 1:
+                problems.append(f"edge {edge.id} lists delay profile {pid} twice")
     for pid, prof in net.delay_profiles.items():
         if pid != prof.id:
             problems.append(f"profile key {pid} disagrees with profile id {prof.id}")
-        for (eid, step), delta in prof.delay_at.items():
+        for eid, step, delta in zip(prof.edges, prof.steps, prof.deltas):
             if delta < 0:
                 problems.append(
                     f"profile {prof.id} has negative delay {delta} on edge {eid} at step {step}")
@@ -309,11 +333,11 @@ def network_from_dict(doc: dict) -> RoadNetwork:
     profiles: dict[int, DelayProfile] = {}
     for raw in doc["delay_profiles"]:
         check_fields(raw, _PROFILE_FIELDS, "delay profile")
-        delay_at: dict[tuple[int, int], int] = {}
-        for entry in raw["entries"]:
-            check_fields(entry, _ENTRY_FIELDS, "delay entry")
-            delay_at[(int(entry["edge"]), int(entry["t"]))] = int(entry["delta"])
-        prof = DelayProfile(id=int(raw["id"]), delay_at=delay_at)
+        prof = DelayProfile(int(raw["id"]), *_entry_columns(raw["entries"]))
+        keys = list(zip(prof.edges, prof.steps))
+        if len(set(keys)) < len(keys):
+            eid, t = next(key for k, key in enumerate(keys) if key in keys[:k])
+            raise FormatError(f"delay profile {prof.id} lists edge {eid} at step {t} twice")
         if prof.id in profiles:
             raise FormatError(f"duplicate delay profile id {prof.id}")
         profiles[prof.id] = prof
@@ -321,23 +345,31 @@ def network_from_dict(doc: dict) -> RoadNetwork:
                        time_step_minutes=int(doc["time_step_minutes"]))
 
 
+def _entry_columns(entries: list) -> tuple:
+    """The (edge, t, delta) columns of a profile's entries, checked in one
+    pass; when an entry fails, ``check_fields`` names the first that does."""
+    try:
+        if {dict} >= set(map(type, entries)) and {3} >= set(map(len, entries)):
+            cols = tuple(zip(*map(operator.itemgetter(*_ENTRY_FIELDS), entries)))
+            if {int} >= set(map(type, chain(*cols))):
+                return cols or ((), (), ())
+    except KeyError:   # three fields, but not these three
+        pass
+    for entry in entries:
+        check_fields(entry, _ENTRY_FIELDS, "delay entry")
+
+
 def network_to_dict(net: RoadNetwork) -> dict:
-    hubs = []
-    for hub in sorted(net.hubs.values(), key=lambda h: h.id):
-        raw: dict = {"id": hub.id, "name": hub.name,
-                     "population_weight": hub.population_weight}
-        if hub.lat is not None:
-            raw["lat"] = hub.lat
-        if hub.lon is not None:
-            raw["lon"] = hub.lon
-        hubs.append(raw)
+    hubs = [{"id": hub.id, "name": hub.name, "population_weight": hub.population_weight,
+             **{name: at for name, at in (("lat", hub.lat), ("lon", hub.lon)) if at is not None}}
+            for hub in sorted(net.hubs.values(), key=lambda h: h.id)]
     edges = [{"id": e.id, "tail": e.tail, "head": e.head, "length_km": e.length_km,
               "base_travel_steps": e.base_travel_steps,
               "delay_profile_ids": list(e.delay_profile_ids)}
              for e in sorted(net.edges.values(), key=lambda e: e.id)]
     profiles = [{"id": p.id,
                  "entries": [{"edge": eid, "t": t, "delta": delta}
-                             for (eid, t), delta in sorted(p.delay_at.items())]}
+                             for eid, t, delta in sorted(zip(p.edges, p.steps, p.deltas))]}
                 for p in sorted(net.delay_profiles.values(), key=lambda p: p.id)]
     return {"time_step_minutes": net.time_step_minutes, "hubs": hubs,
             "edges": edges, "delay_profiles": profiles}
@@ -357,9 +389,7 @@ def replace_profiles(net: RoadNetwork, profiles: Iterable[DelayProfile],
                      assignment: Mapping[int, tuple[int, ...]]) -> RoadNetwork:
     """New network with ``profiles`` installed and per-edge admissible ids set."""
     table = {p.id: p for p in profiles}
-    edges = {eid: Edge(id=e.id, tail=e.tail, head=e.head, length_km=e.length_km,
-                       base_travel_steps=e.base_travel_steps,
-                       delay_profile_ids=tuple(assignment.get(eid, ())))
+    edges = {eid: replace(e, delay_profile_ids=tuple(assignment.get(eid, ())))
              for eid, e in net.edges.items()}
     return RoadNetwork(hubs=dict(net.hubs), edges=edges, delay_profiles=table,
                        time_step_minutes=net.time_step_minutes)

@@ -415,6 +415,11 @@ def nash_seek(oracle, spaces: Mapping[int, Sequence[tuple[int, ...]]],
     start is the first (all-zero) action of every space; the default
     update order is ascending id. ``rounds`` counts full passes including
     the final confirming one.
+
+    A player's values depend only on tracks sharing one of its window
+    edges (``oracle.views``), so while none of those has moved since its
+    last turn, the tie rule keeps its action and the turn is skipped.
+    ``evaluations`` counts the candidates of every turn, skipped or not.
     """
     ids = tuple(order) if order is not None else tuple(sorted(spaces))
     if set(ids) != set(spaces) or len(ids) != len(spaces):
@@ -429,8 +434,10 @@ def nash_seek(oracle, spaces: Mapping[int, Sequence[tuple[int, ...]]],
     trajectory = None
     if track_potential:
         trajectory = [oracle.potential(profile)]
-    rounds = 0
-    evaluations = 0
+    edges = {vid: oracle.views[vid].window_edges for vid in ids}
+    moved = {eid: 0 for vid in ids for eid in edges[vid]}   # the last turn a player on it moved
+    last = dict.fromkeys(ids, -1)                          # each player's last turn
+    turn = rounds = evaluations = 0
     changed = True
     while changed:
         rounds += 1
@@ -438,11 +445,18 @@ def nash_seek(oracle, spaces: Mapping[int, Sequence[tuple[int, ...]]],
             raise NonConvergenceError(f"no equilibrium after {round_cap} rounds")
         changed = False
         for vid in ids:
+            turn += 1
+            skip = max(map(moved.__getitem__, edges[vid]), default=0) <= last[vid]
+            last[vid] = turn
+            if skip:
+                evaluations += len(spaces[vid])
+                continue
             waits, n_eval = best_response(oracle, vid, spaces[vid], profile)
             evaluations += n_eval
             if waits != profile[vid]:
                 profile[vid] = waits
                 changed = True
+                moved.update(dict.fromkeys(edges[vid], turn))
                 if trajectory is not None:
                     trajectory.append(oracle.potential(profile))
     verified = False

@@ -28,10 +28,19 @@ def make_net(edge_rows, profiles=None, hubs=None, step_minutes=5):
         hubs = {h: 1.0 for h in hub_ids}
     hub_map = {h: Hub(id=h, name=f"H{h}", population_weight=w, lat=0.0, lon=0.0)
                for h, w in hubs.items()}
-    prof_map = {pid: DelayProfile(id=pid, delay_at=dict(table))
-                for pid, table in (profiles or {}).items()}
+    prof_map = {pid: delay_profile(pid, table) for pid, table in (profiles or {}).items()}
     return RoadNetwork(hubs=hub_map, edges=edges, delay_profiles=prof_map,
                        time_step_minutes=step_minutes)
+
+
+def delay_profile(pid, table):
+    """The DelayProfile of ``table``, {(edge id, entry step): extra steps}."""
+    return DelayProfile(pid, *zip(*((eid, t, delta) for (eid, t), delta in table.items())))
+
+
+def delay_map(prof):
+    """A DelayProfile's columns as {(edge id, entry step): extra steps}."""
+    return dict(zip(zip(prof.edges, prof.steps), prof.deltas))
 
 
 def make_game(net, vehicle_rows, km_rate=170, step_cost=2200):
@@ -87,16 +96,17 @@ def reference_inputs(game, scenario):
     """One scenario of ``game`` as the plain inputs of ``tests/oracles.py``.
 
     Returns ``vehicles`` (vid -> (start step, route)), ``travel(eid, t)``
-    read straight off the raw ``delay_at`` tables, and ``lengths`` (edge
+    read straight off the profiles' raw columns, and ``lengths`` (edge
     id -> km). Nothing here goes through the package's travel model.
     """
-    edges, tables = game.net.edges, game.net.delay_profiles
+    edges = game.net.edges
+    tables = {pid: delay_map(prof) for pid, prof in game.net.delay_profiles.items()}
     vehicles = {vid: (scenario.start_steps.get(vid, v.start_step), v.edge_sequence)
                 for vid, v in game.fleet.items()}
 
     def travel(eid, t):
         pid = scenario.profile_assignment.get(eid)
-        extra = 0 if pid is None else tables[pid].delay_at.get((eid, t), 0)
+        extra = 0 if pid is None else tables[pid].get((eid, t), 0)
         return edges[eid].base_travel_steps + extra
 
     lengths = {eid: e.length_km for eid, e in edges.items()}

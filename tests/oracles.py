@@ -107,3 +107,27 @@ def ref_best_potential(vehicles, budgets, travel, lengths,
         if best is None or val > best:
             best = val
     return best
+
+
+def ref_travel_matrix(listed, tables):
+    """A network's delay matrix, built entry by entry.
+
+    ``listed`` maps an edge id to its admissible profile ids (none: any
+    profile with entries on it); ``tables`` maps a profile id to
+    {(edge id, entry step): delay}. Returns (lo, index, rows): ``index``
+    numbers the (edge id, profile id) pairs from 1 in sorted order, and
+    each row holds its pair's delay at steps lo, lo + 1, ... through the
+    last step of any row's entries, then a 0; row 0 is all zeros.
+    """
+    keys = {(eid, pid) for eid, pids in listed.items() for pid in pids if pid in tables}
+    keys |= {(eid, pid) for pid, table in tables.items() for eid, _t in table
+             if eid in listed and not listed[eid]}
+    cells = {key: {t: d for (eid, t), d in tables[key[1]].items() if eid == key[0]}
+             for key in keys}
+    steps = [t for got in cells.values() for t in got] or [0]
+    lo, hi = min(steps), max(steps)
+    index = {key: row for row, key in enumerate(sorted(keys), 1)}
+    rows = [[0] * (hi - lo + 2)]
+    for key in sorted(keys):
+        rows.append([cells[key].get(t, 0) for t in range(lo, hi + 1)] + [0])
+    return lo, index, rows

@@ -256,3 +256,50 @@ def test_a_parent_that_moves_to_another_commit_stops_it(tmp_path, monkeypatch, c
                              "--out-dir", str(tmp_path)]) == 1
     assert f"CHANGED: the parent checkout {tmp_path / 'p'} is no longer at abc1234" \
         in capsys.readouterr().err
+
+
+def test_setup_runs_alternate_the_sides_after_the_pairs(tmp_path, monkeypatch, capsys):
+    """Stub checkouts whose perfbench/run.py logs each call and, with
+    --setup-only, prints the next of its side's set-up times."""
+    log = tmp_path / "log"
+    result = json.dumps(run(1.0, 50.0))
+    for side, times in (("p", [0.5, 0.25, 0.25, 0.75]), ("c", [0.25, 0.125, 0.5, 1.0])):
+        script = tmp_path / side / "perfbench" / "run.py"
+        script.parent.mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 1, "end_to_end": METRICS}), encoding="utf-8")
+        script.write_text(
+            "import sys\n"
+            f"log = open({str(log)!r}, 'a+')\nlog.seek(0)\n"
+            f"done = [line for line in log if line.startswith('{side} setup')]\n"
+            "setup = '--setup-only' in sys.argv\n"
+            f"log.write('{side} ' + ('setup' if setup else 'run') + ' '"
+            " + sys.argv[sys.argv.index('--workload') + 1]"
+            " + ' ' + sys.argv[sys.argv.index('--seed') + 1] + '\\n')\n"
+            f"print({times!r}[len(done) % 4] if setup else {result!r})\n", encoding="utf-8")
+    monkeypatch.setattr(bench_pairs, "label", lambda checkout: checkout.name)
+    monkeypatch.setattr(bench_pairs, "status", lambda checkout: "")
+    assert bench_pairs.main(["--parent", str(tmp_path / "p"), "--change", str(tmp_path / "c"),
+                             "--pr", "t", "--pairs", "corridor-mc=1,exact-plan=1",
+                             "--seed", "5", "--setup-runs", "2",
+                             "--out-dir", str(tmp_path)]) == 0
+    assert log.read_text().splitlines() == [
+        "p run corridor-mc 5", "c run corridor-mc 5", "p run exact-plan 5", "c run exact-plan 5",
+        "p setup corridor-mc 5", "c setup corridor-mc 5", "c setup corridor-mc 5",
+        "p setup corridor-mc 5", "p setup exact-plan 5", "c setup exact-plan 5",
+        "c setup exact-plan 5", "p setup exact-plan 5"]
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    assert doc["setup_only"] == {
+        "corridor-mc": {
+            "parent": {"runs": [0.5, 0.25], "median": 0.375, "q1": 0.3125, "q3": 0.4375},
+            "change": {"runs": [0.25, 0.125], "median": 0.1875, "q1": 0.15625,
+                       "q3": 0.21875}},
+        "exact-plan": {
+            "parent": {"runs": [0.25, 0.75], "median": 0.5, "q1": 0.375, "q3": 0.625},
+            "change": {"runs": [0.5, 1.0], "median": 0.75, "q1": 0.625, "q3": 0.875}}}
+    # no verdict reads them
+    assert set(doc["workloads"]["exact-plan"]["summary"]) == {"operations", "ops_per_s",
+                                                              "peak_rss_mb"}
+    err = capsys.readouterr().err
+    assert "corridor-mc setup_only: median parent 0.3750 s, change 0.1875 s" in err
+    assert "exact-plan ops_per_s: 0/1 won, median 1 -> 1, gain_shown False" in err

@@ -265,6 +265,19 @@ class TestSimulate:
         first = json.loads(trace.read_text().splitlines()[0])
         assert {"t", "kind"} <= set(first)
 
+    def test_an_edge_listing_a_profile_twice_stops_before_any_sample(self, workdir,
+                                                                      capsys):
+        doc = json.loads(workdir["net"].read_text())
+        doc["edges"][0]["delay_profile_ids"] = [0, 1, 0]
+        workdir["net"].write_text(json.dumps(doc))
+        assert run(["validate", "--network", workdir["net"]]) == 1
+        assert capsys.readouterr().err == "edge 0 lists delay profile 0 twice\n"
+        assert run(["simulate", "--network", workdir["net"], "--config", workdir["config"],
+                    "--out", workdir["out"]]) == 1
+        assert capsys.readouterr().err == \
+            "error: network is invalid: edge 0 lists delay profile 0 twice\n"
+        assert not workdir["out"].exists()
+
     def test_instance_mode_with_truth(self, workdir, capsys):
         out = workdir["out"]
         assert run(["simulate", "--network", workdir["net"],

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import make_game, make_net, reference_inputs
-from hubplatoon import dense
+from hubplatoon import dense, solver
 from hubplatoon.dense import EntryTable, TableLimitError, prefix_tree
 from hubplatoon.feedback import PolicySpec, run_closed_loop
 from hubplatoon.game import Scenario, scaled_weights
 from hubplatoon.solver import (DeterministicOracle, HorizonView, Worlds,
-                               WorldsOracle, action_space, enumerate_actions,
-                               profile_row, spaces_for_fleet, static_game)
+                               WorldsOracle, action_space, best_response,
+                               enumerate_actions, nash_seek, profile_row,
+                               spaces_for_fleet, static_game)
 from hubplatoon.stochastic import (ExpectedUtilityOracle,
                                    SampledUtilityOracle,
                                    ScenarioDistribution, enumerate_support,
@@ -804,3 +805,57 @@ class TestStratifiedSampling:
         a = sample_scenarios(dist, 8, random.Random(11))
         b = sample_scenarios(dist, 8, random.Random(11))
         assert a == b
+
+
+def plain_round_robin(oracle, spaces, initial, order):
+    """Round-robin best response that takes every turn, as (profile,
+    rounds, evaluations)."""
+    profile = dict(initial)
+    rounds = evaluations = 0
+    changed = True
+    while changed:
+        rounds += 1
+        changed = False
+        for vid in order:
+            waits, n_eval = best_response(oracle, vid, spaces[vid], profile)
+            evaluations += n_eval
+            changed |= waits != profile[vid]
+            profile[vid] = waits
+    return profile, rounds, evaluations
+
+
+class TestSkippedTurns:
+    """``nash_seek`` skips a turn when no player on one of the player's
+    window edges has moved since its last; it must reach what a plain
+    round robin reaches, from the default or a random start and order."""
+
+    @pytest.mark.parametrize("kind", ["deterministic", "exact", "sampled",
+                                      "horizon-1", "horizon-16"])
+    def test_skipping_search_equals_a_plain_round_robin(self, kind, monkeypatch):
+        taken = []
+        monkeypatch.setattr(solver, "best_response",
+                            lambda *args: taken.append(args[1]) or best_response(*args))
+        turns = 0
+
+        def build(case):
+            rng = random.Random(f"skip:{kind}:{case}")
+            if kind.startswith("horizon"):
+                oracle, spaces, _profile = random_horizon_game(rng, int(kind[8:]))
+                return oracle, spaces
+            game, oracle, _weighted = full_route_oracle(kind, rng, case)
+            return oracle, spaces_for_fleet(game.fleet.values())
+
+        for case in range(24):
+            oracle, spaces = build(case)
+            rng = random.Random(case)
+            initial = random_profile(rng, spaces) if case % 2 else None
+            order = rng.sample(sorted(spaces), len(spaces)) if case % 3 else None
+            want = plain_round_robin(
+                build(case)[0], spaces,
+                initial or {vid: space[0] for vid, space in spaces.items()},
+                order or sorted(spaces))
+            before = len(taken)
+            got = nash_seek(oracle, spaces, initial=initial, order=order)
+            assert (got.profile, got.rounds, got.evaluations) == want, case
+            turns += got.rounds * len(spaces) - (len(taken) - before)
+        assert turns >= 15   # turns skipped: 19 to 71 of each kind's cases

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import make_net
+from conftest import delay_map, make_net
 from hubplatoon.errors import FormatError, InputError, NonConvergenceError
 from hubplatoon.experiments import (STEPS_PER_DAY, ExperimentConfig,
                                     compute_metrics, config_from_dict,
@@ -101,8 +101,8 @@ class TestProfileGeneration:
                              peak_start_step=84, peak_end_step=108)
         profiles, assignment = generate_delay_profiles(net, config)
         assert assignment == {3: (0, 1), 7: (2, 3)}
-        assert profiles[0].delay_at == {}
-        bump = profiles[1].delay_at
+        assert delay_map(profiles[0]) == {}
+        bump = delay_map(profiles[1])
         assert all(eid == 3 for eid, _t in bump)
         want = set(range(84, 108)) | set(range(84 + 288, 108 + 288))
         assert {t for _e, t in bump} == want

@@ -5,7 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from conftest import make_game, make_net, random_corridor
+from conftest import delay_map, make_game, make_net, random_corridor
 from hubplatoon import feedback
 from hubplatoon.errors import (InputError, ModelInconsistencyError,
                                NonConvergenceError)
@@ -335,6 +335,23 @@ class TestBelief:
         decides = [e.t for e in traces[kind].events if e.kind == "decide"]
         assert len(checked) >= 20 and len(checked) >= len(decides)
 
+    def test_a_delay_near_the_int32_limit_is_compared_exactly(self):
+        """The delay 2**31 - 2 fits the int32 travel matrix; the travel it
+        gives does not. A truck still on the edge, and then its arrival,
+        prune as ``conditional_distribution`` does."""
+        big = 2 ** 31 - 2
+        net = make_net([(0, 0, 1, 100, 3, (0, 1))], profiles={0: {(0, 0): big}, 1: {}})
+        game = make_game(net, [(0, (0,), 0, 0)])
+        prior = uniform_profile_distribution(net, game.fleet.values())
+        assert net.travel_matrix.delays.dtype == np.int32
+        for status, completed in (("on_edge", {}), ("done", {0: [(0, big + 3)]})):
+            world = WorldState(now=big + 2, completed=completed, vehicles={0: VehicleState(
+                vid=0, status=status, entered_at=0, realized_start=0)})
+            belief = Belief(game, prior)
+            belief.update(world)
+            assert [pid for pid, _p in belief.edge_marginal(0).pairs] == [0] == \
+                [pid for pid, _p in conditional_distribution(prior, world, game).edge_profiles[0]]
+
     @staticmethod
     def raises_like_reference(monkeypatch, game, prior, truth, kind):
         """Run with the reference computed before every decision; the
@@ -573,9 +590,9 @@ class TestMeanProfile:
 
     @staticmethod
     def reference(game, pairs, eid, t):
-        profiles = game.net.delay_profiles
+        tables = {pid: delay_map(game.net.delay_profiles[pid]) for pid, _p in pairs}
         return game.net.edges[eid].base_travel_steps + ref_round_half_away(
-            sum(p * profiles[pid].delay(eid, t) for pid, p in pairs))
+            sum(p * tables[pid].get((eid, t), 0) for pid, p in pairs))
 
     def check(self, game, posterior):
         travel = mean_travel(game, posterior)

@@ -1,10 +1,11 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
-from conftest import make_game, make_net
+from conftest import delay_map, make_game, make_net
 from hubplatoon.errors import FormatError, InputError
 from hubplatoon.game import Scenario
 from hubplatoon.network import (UNREACHABLE, DelayProfile, Edge, Hub,
@@ -14,6 +15,7 @@ from hubplatoon.network import (UNREACHABLE, DelayProfile, Edge, Hub,
                                 validate_network)
 from hubplatoon.experiments import ExperimentConfig, prepare_network
 from hubplatoon.solver import profile_row, scenario_travel
+from oracles import ref_travel_matrix
 
 
 def travel_of(net, assignment):
@@ -59,6 +61,8 @@ def test_validate_clean_network(line_net):
     (lambda d: d["edges"][0].update(delay_profile_ids=[9]), "unknown delay profile"),
     (lambda d: d["hubs"][0].update(population_weight=-1.0), "negative population_weight"),
     (lambda d: d.update(time_step_minutes=0), "time_step_minutes"),
+    (lambda d: d.update(delay_profiles=[{"id": 0, "entries": []}, {"id": 1, "entries": []}])
+     or d["edges"][0].update(delay_profile_ids=[0, 1, 0]), "edge 0 lists delay profile 0 twice"),
 ])
 def test_validate_catches_each_violation(mutate, fragment):
     doc = network_to_dict(make_net([(0, 0, 1, 100, 3)]))
@@ -73,8 +77,7 @@ def test_validate_catches_key_id_mismatch_and_bad_profile_entries():
     net = make_net([(0, 0, 1, 100, 3)])
     hacked = RoadNetwork(hubs=dict(net.hubs),
                          edges={5: net.edges[0]},
-                         delay_profiles={3: DelayProfile(id=3, delay_at={(0, 1): -2,
-                                                                         (9, 0): 1})})
+                         delay_profiles={3: DelayProfile(3, (0, 9), (1, 0), (-2, 1))})
     problems = validate_network(hacked)
     assert any("edge key 5 disagrees" in p for p in problems)
     assert any("negative delay" in p for p in problems)
@@ -152,6 +155,50 @@ def test_json_rejects_unknown_and_missing_fields(tmp_path):
         load_network(bad)
 
 
+def profile_doc(entries):
+    """A one-edge network document whose delay profile 1 has ``entries``."""
+    doc = network_to_dict(make_net([(0, 0, 1, 100, 3, (1,))], profiles={1: {}}))
+    doc["delay_profiles"][0]["entries"] = entries
+    return doc
+
+
+GOOD = [{"edge": 0, "t": t, "delta": 1} for t in range(500)]
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([[0, 3, 1]], "delay entry must be an object, got list"),
+    ([{"edge": 0, "t": 3, "delta": 1, "why": "x"}], "delay entry has unknown fields: why"),
+    ([{"edge": 0, "t": 3}], "delay entry is missing fields: delta"),
+    ([{"edge": 0, "t": 3, "delta": True}],
+     "delay entry field 'delta' must be an integer, not true"),
+    ([{"edge": 0, "t": 1.5, "delta": 2}], "delay entry field 't' must be an integer, not 1.5"),
+    ({"edge": 0, "t": 3, "delta": 1},
+     "delay profile field 'entries' must be an array, not {\"edge\": 0, \"t\": 3, \"delta\": 1}"),
+    ([*GOOD, {"edge": 0, "t": 500, "delta": "2"}],
+     "delay entry field 'delta' must be an integer, not \"2\""),
+    ([*GOOD, {"edge": 0, "t": 500, "delta": 1, "x": 0}, 7],
+     "delay entry has unknown fields: x"),
+    ([*GOOD, {"edge": None, "t": 500, "delta": 1}, [1]],
+     "delay entry field 'edge' must be an integer, not null"),
+    ([*GOOD, {"edge": 0, "delta": 1, "tt": 500}], "delay entry has unknown fields: tt"),
+])
+def test_delay_entry_format_errors_name_the_first_bad_entry(entries, message):
+    with pytest.raises(FormatError) as got:
+        network_from_dict(profile_doc(entries))
+    assert str(got.value) == message
+
+
+def test_json_rejects_an_entry_listed_twice_in_one_profile():
+    doc = profile_doc([{"edge": 0, "t": 2, "delta": 4}, {"edge": 0, "t": 3, "delta": 1},
+                       {"edge": 0, "t": 4, "delta": 1}, {"edge": 0, "t": 3, "delta": 5}])
+    with pytest.raises(FormatError) as got:
+        network_from_dict(doc)
+    assert str(got.value) == "delay profile 1 lists edge 0 at step 3 twice"
+    doc["delay_profiles"][0]["entries"][3]["edge"] = 1   # another edge: no repeat
+    assert delay_map(network_from_dict(doc).delay_profiles[1]) == \
+        {(0, 2): 4, (0, 3): 1, (0, 4): 1, (1, 3): 5}
+
+
 def test_json_rejects_duplicate_ids():
     doc = network_to_dict(make_net([(0, 0, 1, 100, 3)]))
     doc["edges"].append(dict(doc["edges"][0]))
@@ -164,8 +211,7 @@ def test_json_rejects_duplicate_ids():
 
 
 def test_replace_profiles_installs_assignment(line_net):
-    profiles = [DelayProfile(id=10, delay_at={(0, 5): 1}),
-                DelayProfile(id=11, delay_at={})]
+    profiles = [DelayProfile(10, (0,), (5,), (1,)), DelayProfile(11)]
     out = replace_profiles(line_net, profiles, {0: (10, 11)})
     assert set(out.delay_profiles) == {10, 11}
     assert out.edges[0].delay_profile_ids == (10, 11)
@@ -197,16 +243,16 @@ def test_travel_matrix_reads_every_admissible_profile(name):
                            / f"{name}.json") as p:
         net = prepare_network(load_network(p), ExperimentConfig())
     matrix = net.travel_matrix
-    steps = [t for prof in net.delay_profiles.values() for _e, t in prof.delay_at]
+    steps = [t for prof in net.delay_profiles.values() for t in prof.steps]
     assert (matrix.lo, matrix.span) == (min(steps), max(steps) - min(steps) + 1)
     window = range(matrix.lo - 2, matrix.lo + matrix.span + 2)
     cols = matrix.columns(window)
     read = 0
     for eid, edge in net.edges.items():
         for pid in edge.delay_profile_ids:
-            prof = net.delay_profiles[pid]
+            table = delay_map(net.delay_profiles[pid])
             got = edge.base_travel_steps + matrix.delays[profile_row(net, eid, pid), cols]
-            assert got.tolist() == [edge.base_travel_steps + prof.delay(eid, t)
+            assert got.tolist() == [edge.base_travel_steps + table.get((eid, t), 0)
                                     for t in window], (eid, pid)
             read += 1
     assert read == len(matrix.index) == 10 * len(net.edges)
@@ -236,3 +282,33 @@ def test_travel_matrix_rows_of_open_edges_and_wide_delays():
     big = make_net([(0, 0, 1, 100, 3, (9,))], profiles={9: {(0, 3): 2 ** 64}})
     assert big.travel_matrix.delays.dtype == object
     assert big.travel_matrix.delay(1, 3) == 2 ** 64
+
+
+def test_column_built_matrix_equals_an_entry_by_entry_reference():
+    """Seeded networks: edges that list profiles (some unknown, some
+    twice) or none, and profiles with entries on any edge, unknown ones
+    included, with negative delays and delays of 2**31 and 2**64."""
+    rng = random.Random("column matrix")
+    dtypes = set()
+    for _case in range(80):
+        n_edges, pids = rng.randint(1, 5), rng.sample(range(-3, 12), rng.randint(0, 6))
+        listed = {eid: tuple(rng.choice([*pids, 40]) for _k in range(rng.randint(0, 3)))
+                  if rng.random() < 0.7 else () for eid in rng.sample(range(-2, 9), n_edges)}
+        big = rng.choice((3, 2 ** 31, 2 ** 64))
+        tables = {pid: {(rng.choice([*listed, 50]), rng.randint(-4, 30)):
+                        rng.choice((0, 1, 2, -1, big)) for _k in range(rng.randint(0, 12))}
+                  for pid in pids}
+        net = make_net([(eid, 0, 1, 100, 3, ids) for eid, ids in listed.items()],
+                       profiles=tables)
+        lo, index, rows = ref_travel_matrix(listed, tables)
+        matrix = net.travel_matrix
+        values = [d for row in rows for d in row]
+        dtype = next((kind for kind, bits in ((np.int32, 31), (np.int64, 63))
+                      if all(-2 ** bits <= d < 2 ** bits for d in values)), object)
+        assert (matrix.lo, matrix.span, matrix.index) == (lo, len(rows[0]) - 1, index)
+        assert matrix.delays.dtype == dtype and matrix.delays.tolist() == rows
+        assert matrix.wide.tolist() == [not all(-2 ** 31 <= d < 2 ** 31 for d in row)
+                                      for row in rows]
+        assert matrix.negative.tolist() == [min(row) < 0 for row in rows]
+        dtypes.add(dtype)
+    assert dtypes == {np.int32, np.int64, object}

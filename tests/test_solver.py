@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -62,7 +63,10 @@ class _FixedOracle:
 
 
 class _CycleOracle:
-    """Two players, no potential: 0 wants to match 1, 1 wants to differ."""
+    """Two players, no potential: 0 wants to match 1, 1 wants to differ.
+    Both read edge 0, so each move makes the other's turn count."""
+
+    views = {vid: SimpleNamespace(window_edges=(0,)) for vid in (0, 1)}
 
     def scaled_values(self, vid, actions, profile):
         other = profile[1 if vid == 0 else 0][0]

@@ -29,7 +29,11 @@ gets the commit and ``git status --porcelain --untracked-files=no`` at
 the start; both are read again before every run, and a side whose
 commit or tracked files have changed stops the comparison with a
 ``CHANGED`` line on stderr and exit status 1, since its later runs would
-measure code the file does not name. The file is
+measure code the file does not name. With ``--setup-runs N``, after
+the pairs, each workload's set-up is timed alone, ``perfbench/run.py
+--setup-only`` on seed ``--seed``, N times per side with the sides
+alternating; ``setup_only`` gets each side's runs, median and quartiles
+per workload, as evidence beside ``setup_s``, and no verdict. The file is
 rewritten after every pair, so an interrupted comparison keeps the pairs
 it finished. As each pair finishes, stderr gets its ``ops_per_s``,
 ``decide_ms_p50`` and ``decide_ms_p90`` on both sides; the verdicts
@@ -67,6 +71,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def setup_once(checkout: Path, workload: str, seed: int) -> float:
+    """One ``--setup-only`` perfbench run: its set-up time in seconds."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--setup-only"],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    return float(done.stdout.strip().splitlines()[-1])
 
 
 def git(checkout: Path, *args: str) -> str:
@@ -180,6 +193,8 @@ def main(argv=None) -> int:
                         help="seed of the first pair; pair i uses seed + i")
     parser.add_argument("--out-dir", type=Path, default=Path("."),
                         help="where BENCH_<pr>.json is written")
+    parser.add_argument("--setup-runs", type=int, default=0,
+                        help="set-up-only runs per side and workload after the pairs")
     args = parser.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
@@ -191,34 +206,60 @@ def main(argv=None) -> int:
                        "system": platform.system(), "machine": platform.machine()},
            "workloads": {}}
     out = args.out_dir / f"BENCH_{args.pr}.json"
-    for workload, count in parse_pairs(args.pairs).items():
+
+    def save() -> None:
+        out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+    def measure(side: str, workload: str, seed: int, once):
+        """``once(checkout)`` on one side, or None once the comparison
+        stops because the side changed or its run crashed."""
+        path = checkouts[side]
+        if (label(path), status(path)) != (doc["sides"][side], doc["status"][side]):
+            print(f"CHANGED: the {side} checkout {path} is no longer at "
+                  f"{doc['sides'][side]} with the tracked files it had at the "
+                  "start; its runs would measure other code", file=sys.stderr)
+            return None
+        try:
+            return once(path)
+        except subprocess.CalledProcessError as exc:
+            print(f"CRASHED: {side} run of {workload}, seed {seed}, exit code "
+                  f"{exc.returncode}; the last {CRASH_LINES} lines of its stderr:",
+                  file=sys.stderr)
+            for line in exc.stderr.splitlines()[-CRASH_LINES:]:
+                print(f"  {line}", file=sys.stderr)
+            return None
+
+    counts = parse_pairs(args.pairs)
+    for workload, count in counts.items():
         pairs: list[dict] = []
         for i in range(count):
             seed = args.seed + i
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                path = checkouts[side]
-                if (label(path), status(path)) != (doc["sides"][side], doc["status"][side]):
-                    print(f"CHANGED: the {side} checkout {path} is no longer at "
-                          f"{doc['sides'][side]} with the tracked files it had at the "
-                          "start; its runs would measure other code", file=sys.stderr)
-                    return 1
-                try:
-                    pair[side] = run_once(path, workload, seed, seconds)
-                except subprocess.CalledProcessError as exc:
-                    print(f"CRASHED: {side} run of {workload}, seed {seed}, exit code "
-                          f"{exc.returncode}; the last {CRASH_LINES} lines of its stderr:",
-                          file=sys.stderr)
-                    for line in exc.stderr.splitlines()[-CRASH_LINES:]:
-                        print(f"  {line}", file=sys.stderr)
+                pair[side] = measure(side, workload, seed, lambda path: run_once(
+                    path, workload, seed, seconds))
+                if pair[side] is None:
                     return 1
             pairs.append(pair)
             doc["workloads"][workload] = {
                 "summary": summarise(pairs, bench["end_to_end"]), "pairs": pairs}
-            out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")
+            save()
             print(pair_line(workload, pair), file=sys.stderr)
+    for workload in (counts if args.setup_runs > 0 else ()):
+        runs: dict[str, list[float]] = {side: [] for side in SIDES}
+        for k in range(args.setup_runs):
+            for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                took = measure(side, workload, args.seed, lambda path: setup_once(
+                    path, workload, args.seed))
+                if took is None:
+                    return 1
+                runs[side].append(took)
+        got = doc.setdefault("setup_only", {})[workload] = {
+            side: {**spread(runs[side]), "runs": runs[side]} for side in SIDES}
+        save()
+        print(f"{workload} setup_only: median parent {got['parent']['median']:.4f} s, "
+              f"change {got['change']['median']:.4f} s", file=sys.stderr)
     for line in verdicts(doc):
         print(line, file=sys.stderr)
     bad = failures(doc)
