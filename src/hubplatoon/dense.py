@@ -21,26 +21,28 @@ track; ``batch_values`` every track of one window length at once, as a
 horizon game's best-response round asks.
 
 Everything stays exact: probabilities enter as lcm-scaled integer
-weights, so a value here equals the reference Fraction times the scale.
-Construction raises TableLimitError when the tables would be too large
-or the integers could overflow; callers then keep their plain loop.
+weights, so a value here equals the reference Fraction times the scale,
+in int64 when no value can overflow it and in Python ints otherwise.
+Values are sums over worlds, so ``entry_tables`` splits worlds too many
+for ``MAX_TABLE_CELLS`` into slices whose values add up. A table
+refuses, with InputError, what no real day holds: a negative delay in
+its window, a delay beyond 32 bits, one world whose window alone is over
+the cell limit, and an entry outside its window.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+import dataclasses
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-# beyond these, fall back to the reference evaluation path
+from .errors import InputError
+
+# cells of one table; more worlds than fit are split between tables
 MAX_TABLE_CELLS = 32_000_000
-MAX_VALUE_BOUND = 2 ** 62
 # (track, action, world) cells valued at once by ``batch_values``
 BATCH_CELLS = 1 << 16
-
-
-class TableLimitError(Exception):
-    """The dense representation does not fit; use the reference path."""
 
 
 # id(actions) -> (actions, prefix tree); the list is kept so its id stays
@@ -76,6 +78,52 @@ def prefix_tree(actions: Sequence[Sequence[int]]
     return got[1]
 
 
+class Window(NamedTuple):
+    """What the tables of a game tabulate, whichever worlds they hold: the
+    columns ``edge_ids``, ascending, with base times ``base``, and from
+    ``t0``, the earliest availability, ``steps`` entry steps, which hold
+    every entry a track can make within its budget or its waits' sum,
+    whichever is larger; ``most`` is the largest of those."""
+
+    edge_ids: list[int]
+    base: np.ndarray
+    t0: int
+    steps: int
+    most: int
+
+
+def entry_tables(game, views, worlds, avail: np.ndarray,
+                 waits: Mapping[int, Sequence[int]]) -> list[EntryTable]:
+    """The tables of ``views`` over consecutive slices of ``worlds``, each
+    with as many worlds as fit ``MAX_TABLE_CELLS``, over one ``Window``;
+    values are sums over worlds, so the slices' add up to the game's."""
+    edge_ids = sorted({eid for v in views for eid in v.window_edges})
+    matrix = worlds.matrix
+    rows = worlds.rows[:, np.searchsorted(worlds.edges, edge_ids)]
+    if matrix.wide[rows].any():
+        raise InputError("a delay does not fit in 32 bits")
+    edges = game.net.edges
+    base = np.array([edges[eid].base_travel_steps for eid in edge_ids],
+                    dtype=np.int64)
+    longest = dict(zip(edge_ids, (base + matrix.top[rows].max(axis=0)).tolist()))
+    t0 = int(avail.min())
+    spans = [max(v.budget_left, sum(waits[v.vid])) for v in views]
+    ends = [av + span + sum(longest[eid] for eid in v.window_edges)
+            for v, av, span in zip(views, avail.max(axis=1).tolist(), spans)]
+    window = Window(edge_ids, base, t0, max(1, max(ends) - t0 + 1), max(spans))
+    # one world's cells, checked before any gather: a window within the
+    # limit keeps every base + delay far inside int32
+    cells = len(edge_ids) * window.steps
+    if cells > MAX_TABLE_CELLS:
+        raise InputError(f"{cells} cells exceed the dense limit")
+    per = MAX_TABLE_CELLS // cells
+    return [EntryTable(game, views, dataclasses.replace(
+                worlds, weights=worlds.weights[lo:lo + per],
+                rows=worlds.rows[lo:lo + per], starts=worlds.starts[lo:lo + per]),
+                       avail[:, lo:lo + per], waits, window)
+            for lo in range(0, len(worlds.weights), per)]
+
+
 class EntryTable:
     """Entry times and platoon counts over W weighted worlds.
 
@@ -85,40 +133,22 @@ class EntryTable:
     ``waits`` gives it. Player tracks can be re-valued and re-committed,
     environment tracks only contribute counts. A track's entries are
     kept as flat cell indices into ``counts`` and ``travel``, so adding
-    or taking out a track is one scatter.
+    or taking out a track is one scatter. ``entry_tables`` builds the
+    tables, and gives them their game's ``window``.
     """
 
     def __init__(self, game, views, worlds, avail: np.ndarray,
-                 waits: Mapping[int, Sequence[int]]):
-        edge_ids = sorted({eid for v in views for eid in v.window_edges})
-        if not len(worlds.weights) or not edge_ids:
-            raise TableLimitError("empty table")
-        if worlds.scale > MAX_VALUE_BOUND:
-            raise TableLimitError(f"weight scale {worlds.scale} too large")
-        matrix = worlds.matrix
+                 waits: Mapping[int, Sequence[int]], window: Window):
+        edge_ids, base, t0, horizon, most = window
         rows = worlds.rows[:, np.searchsorted(worlds.edges, edge_ids)]
-        if matrix.wide[rows].any():
-            raise TableLimitError("a delay does not fit in 32 bits")
-        edges = game.net.edges
-        base = np.array([edges[eid].base_travel_steps for eid in edge_ids],
-                        dtype=np.int64)
-        longest = dict(zip(edge_ids, (base + matrix.top[rows].max(axis=0)).tolist()))
-        self.t0 = t0 = int(avail.min())
-        ends = [int(av) + v.budget_left + sum(longest[eid] for eid in v.window_edges)
-                for v, av in zip(views, avail.max(axis=1))]
-        horizon = max(1, max(ends) - t0 + 1)
-        cells = len(worlds.weights) * len(edge_ids) * horizon
-        if cells > MAX_TABLE_CELLS:
-            raise TableLimitError(f"{cells} cells exceed the dense limit")
+        matrix = worlds.matrix
         delays = matrix.delays[rows[:, :, None], matrix.columns(range(t0, t0 + horizon))]
         if matrix.negative[rows].any() and delays.min() < 0:
-            raise TableLimitError("negative delay in the window")
+            raise InputError("negative delay in the window")
+        self.t0 = t0
         self.w = len(worlds.weights)
         self.steps = horizon
         self.step_cost = game.cost_model.step_cost_centi
-        self.weights = np.asarray(worlds.weights, dtype=np.int64)
-        # waiting cost of one step, summed over the weighted worlds
-        self._step_cost_scaled = self.step_cost * int(self.weights.sum())
         self.col = {eid: i for i, eid in enumerate(edge_ids)}
         self.travel = np.ascontiguousarray(delays, dtype=np.int32)
         self.travel += base.astype(np.int32)[:, None]
@@ -127,15 +157,19 @@ class EntryTable:
         self._flat_travel = self.travel.reshape(-1)
         self._flat_counts = self.counts.reshape(-1)
         self._w_cell = np.arange(self.w) * (len(edge_ids) * horizon)
+        edges = game.net.edges
         self._rt = np.stack([game.reward_model.reward_row(edges[eid], len(views))
                              for eid in edge_ids])
         # flat rewards: column c's reward for n vehicles at c * width + n
         self._flat_rt = self._rt.reshape(-1)
+        # weights and values are int64 when no value can overflow it
         bound = worlds.scale * (max(len(v.window_edges) for v in views)
                                 * int(abs(self._rt).max(initial=1))
-                                + max(v.budget_left for v in views) * self.step_cost + 1)
-        if bound > MAX_VALUE_BOUND:
-            raise TableLimitError(f"value bound {bound} risks overflow")
+                                + most * self.step_cost + 1)
+        self.weights = np.asarray(worlds.weights,
+                                  dtype=np.int64 if bound < 2 ** 63 else object)
+        # waiting cost of one step, summed over the weighted worlds
+        self._step_cost_scaled = self.step_cost * int(self.weights.sum())
         self._cols: dict[int, np.ndarray] = {}
         self._avail: dict[int, np.ndarray] = {}
         self._waits: dict[int, tuple[int, ...]] = {}
@@ -193,7 +227,7 @@ class EntryTable:
             # entry steps are int64: a negative one viewed as unsigned is
             # huge, so one max checks both ends of the window
             if t.view(np.uint64).max() >= self.steps:
-                raise TableLimitError("entry outside the tabulated window")
+                raise InputError("entry outside the tabulated window")
             cell = self._w_cell + c * self.steps + t
             yield cell
 
@@ -242,10 +276,10 @@ class EntryTable:
                 index -= cell == own[j]
             value = self._flat_rt[index] @ self.weights
             acc = value if parent is None else acc.take(parent, axis=-1) + value
-        return acc - self._step_cost_scaled * sums[-1]
+        return acc - self._step_cost_scaled * sums[-1].astype(self.weights.dtype, copy=False)
 
     def scaled_values(self, vid: int, actions: Sequence[Sequence[int]]) -> np.ndarray:
-        """scale * expected utility for each action, as int64, walked over
+        """scale * expected utility for each action, walked over
         the ``prefix_tree`` of ``actions``."""
         cols = self._cols[vid].tolist()
         shared = [[j for j, other in enumerate(cols) if other == c] for c in cols]
@@ -284,3 +318,16 @@ class EntryTable:
         index = self._flat_counts[self._cells[vid]] + self._cols[vid][:, None] * self._rt.shape[1]
         return (int(self._flat_rt[index].sum(axis=0) @ self.weights)
                 - self._step_cost_scaled * sum(self._waits[vid]))
+
+    def potential(self) -> int:
+        """scale * expected potential of the committed waits: per world, the
+        sum over cells of the cumulative reward at the cell's count, less
+        every track's waiting."""
+        cells = np.flatnonzero(self._flat_counts)
+        cumulative = np.cumsum(self._rt, axis=1).reshape(-1)
+        index = (self._flat_counts[cells]
+                 + cells // self.steps % len(self.col) * self._rt.shape[1])
+        per_world = np.zeros(self.w, dtype=np.int64)
+        np.add.at(per_world, cells // (len(self.col) * self.steps), cumulative[index])
+        return (sum(n * w for n, w in zip(per_world.tolist(), self.weights.tolist()))
+                - self._step_cost_scaled * sum(map(sum, self._waits.values())))

@@ -89,7 +89,6 @@ class RewardModel:
             raise InputError("custom reward table must be nonnegative")
         self.km_rate_centi = km_rate_centi
         self.table = dict(table) if table is not None else None
-        self._cumulative_cache: dict[tuple[int, int], int] = {}
         self._rows: dict[int, np.ndarray] = {}
 
     def reward(self, n: int, edge) -> int:
@@ -131,17 +130,6 @@ class RewardModel:
         except KeyError:
             raise InputError(
                 f"reward table has no entry for size {n} on edge {edge.id}") from None
-
-    def cumulative(self, n: int, edge) -> int:
-        """r(n, e) = sum of reward(j, e) for j = 1..n; the potential's edge term."""
-        if n < 1:
-            raise InputError(f"platoon size must be >= 1, got {n}")
-        key = (n, edge.id)
-        got = self._cumulative_cache.get(key)
-        if got is None:
-            got = sum(self.reward(j, edge) for j in range(1, n + 1))
-            self._cumulative_cache[key] = got
-        return got
 
 
 @dataclass(frozen=True)

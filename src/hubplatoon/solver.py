@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dense import EntryTable, TableLimitError
+from .dense import EntryTable, entry_tables
 from .errors import InputError, NonConvergenceError
 from .game import CoordinationGame, Scenario
 from .network import Edge, RoadNetwork, TravelMatrix
@@ -78,24 +78,6 @@ class HorizonView:
     player: bool
     current_edge: int | None = None
     entered_at: int | None = None
-
-
-def horizon_departure_times(view: HorizonView, waits: Sequence[int], avail: int,
-                            travel) -> tuple[int, ...]:
-    """Predicted entry step for each window edge.
-
-    ``avail`` is when the vehicle can first leave the span's first node;
-    ``travel(edge_id, step)`` supplies the travel model in force.
-    """
-    if len(waits) != len(view.span_nodes):
-        raise InputError(f"vehicle {view.vid} span needs {len(view.span_nodes)} waits")
-    entries = []
-    t = avail
-    for w, eid in zip(waits, view.window_edges):
-        t += w
-        entries.append(t)
-        t += travel(eid, t)
-    return tuple(entries)
 
 
 def profile_row(net: RoadNetwork, eid: int, pid: int) -> int:
@@ -176,11 +158,11 @@ class WorldsOracle:
 
     ``avail[i, k]`` is when the vehicle of ``views[i]`` can first leave
     its span's first node in world k. Rewards count only a vehicle's own
-    window edges; waiting cost covers its span. Scaled values come from
-    the dense table when it fits, otherwise from ``_scaled_by_loop``, the
-    reference the table is checked against. The table holds the players
-    and only the environment tracks that share a window edge with one:
-    no player reads the counts of the others.
+    window edges; waiting cost covers its span. Values, utilities and the
+    potential are read off ``dense.entry_tables``, one table per slice of
+    the worlds, added up. The tables hold the players and only the
+    environment tracks that share a window edge with one: no player reads
+    the counts of the others.
     """
 
     approximate = False
@@ -194,11 +176,10 @@ class WorldsOracle:
         self.has_environment = len(self.players) < len(self.views)
         self.worlds = worlds
         self.avail = avail
-        self._table = None
-        self._no_table = False
+        self._tables: list[EntryTable] = []
         self._batch: dict[int, np.ndarray] = {}   # unread values of the last pass
         self._stale: set[int] = set()   # window edges of players moved since
-        self._synced: dict = {}   # the profile the table was last synced to
+        self._synced: dict = {}   # the profile the tables were last synced to
 
     def _typed(self, totals) -> list:
         """Values from totals weighted by the worlds' weights; the one
@@ -211,25 +192,24 @@ class WorldsOracle:
         view = self.views[vid]
         return profile[vid] if view.player else view.committed
 
-    def _dense(self, profile):
-        """The table synced to ``profile``, or None once one is refused."""
-        try:
-            if self._table is None and not self._no_table:
-                views = list(self.views.values())
-                read = {eid for v in views if v.player for eid in v.window_edges}
-                kept = [i for i, v in enumerate(views)
-                        if v.player or not read.isdisjoint(v.window_edges)]
-                self._table = EntryTable(
-                    self.game, [views[i] for i in kept], self.worlds,
-                    self.avail[kept] if len(kept) < len(views) else self.avail,
-                    {views[i].vid: self._waits(views[i].vid, profile) for i in kept})
-            if self._table is not None and profile != self._synced:
-                for moved in self._table.sync(profile, self.players):
-                    self._stale.update(self.views[moved].window_edges)
-                self._synced = {vid: tuple(w) for vid, w in profile.items()}
-        except TableLimitError:
-            self._table, self._no_table = None, True
-        return self._table
+    def _dense(self, profile) -> list[EntryTable]:
+        """The tables, synced to ``profile``."""
+        if not self._tables:
+            views = list(self.views.values())
+            read = {eid for v in views if v.player for eid in v.window_edges}
+            kept = [i for i, v in enumerate(views)
+                    if v.player or not read.isdisjoint(v.window_edges)]
+            self._tables = entry_tables(
+                self.game, [views[i] for i in kept], self.worlds,
+                self.avail[kept] if len(kept) < len(views) else self.avail,
+                {views[i].vid: self._waits(views[i].vid, profile) for i in kept})
+        if profile != self._synced:
+            # the tables hold the same tracks, so each moves the same ones
+            moved = [table.sync(profile, self.players) for table in self._tables][0]
+            for vid in moved:
+                self._stale.update(self.views[vid].window_edges)
+            self._synced = {vid: tuple(w) for vid, w in profile.items()}
+        return self._tables
 
     def action_values(self, vid: int, actions: Sequence[Sequence[int]],
                       profile: Mapping[int, Sequence[int]]) -> list:
@@ -248,98 +228,46 @@ class WorldsOracle:
         static game is not batched: its early rounds move so many players
         that most values of a pass would go unread.
         """
-        table = self._dense(profile)
-        if table is not None:
-            try:
-                view = self.views[vid]
-                if view.player and self.has_environment and actions is action_space(
-                        len(view.span_nodes), view.budget_left):
-                    if vid not in self._batch:
-                        self._batch = self._round_values(table)
-                        self._stale.clear()
-                    values = self._batch.pop(vid)
-                    if self._stale.isdisjoint(view.window_edges):
-                        return values
-                return table.scaled_values(vid, actions)
-            except TableLimitError:
-                self._table, self._no_table = None, True
-        return self._scaled_by_loop(vid, actions, profile)
+        tables = self._dense(profile)
+        view = self.views[vid]
+        if view.player and self.has_environment and actions is action_space(
+                len(view.span_nodes), view.budget_left):
+            if vid not in self._batch:
+                self._batch = self._round_values(tables)
+                self._stale.clear()
+            values = self._batch.pop(vid)
+            if self._stale.isdisjoint(view.window_edges):
+                return values
+        return sum(table.scaled_values(vid, actions) for table in tables)
 
-    def _round_values(self, table: EntryTable) -> dict:
+    def _round_values(self, tables: Sequence[EntryTable]) -> dict:
         """Every player's values over its ``action_space`` against the
-        table's committed waits, keyed by id, from one
-        ``EntryTable.batch_values`` pass per window length."""
+        tables' committed waits, keyed by id, from one
+        ``EntryTable.batch_values`` pass per window length and table."""
         groups: dict[int, list[int]] = {}
         for vid in self.players:
             groups.setdefault(len(self.views[vid].span_nodes), []).append(vid)
         out = {}
         for length, vids in groups.items():
             budgets = [self.views[vid].budget_left for vid in vids]
-            out.update(zip(vids, table.batch_values(
-                vids, action_space(length, max(budgets)), budgets)))
+            actions = action_space(length, max(budgets))
+            out.update(zip(vids, map(sum, zip(*(table.batch_values(vids, actions, budgets)
+                                               for table in tables)))))
         return out
 
-    @functools.cached_property
-    def _loop_worlds(self) -> list:
-        """(weight, avail map, travel) per world, as the loops read them."""
-        edges = self.game.net.edges
-        return [(weight, dict(zip(self.views, self.avail[:, k].tolist())),
-                 self.worlds.travel(k, edges))
-                for k, weight in enumerate(self.worlds.weights)]
-
-    def _counts(self, world, profile, skip: int | None = None
-                ) -> dict[tuple[int, int], int]:
-        """Vehicles per (edge id, entry step) in one world, ``skip`` left out."""
-        _w, avail, travel = world
-        counts: dict[tuple[int, int], int] = {}
-        for vid, view in self.views.items():
-            if vid == skip:
-                continue
-            entries = horizon_departure_times(view, self._waits(vid, profile),
-                                              avail[vid], travel)
-            for key in zip(view.window_edges, entries):
-                counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    def _scaled_by_loop(self, vid: int, actions: Sequence[Sequence[int]],
-                        profile: Mapping[int, Sequence[int]]) -> list[int]:
-        view = self.views[vid]
-        reward = self.game.reward_model.reward
-        edges = self.game.net.edges
-        step_cost = self.game.cost_model.step_cost_centi
-        per_world = [self._counts(world, profile, skip=vid)
-                     for world in self._loop_worlds]
-        totals = []
-        for waits in actions:
-            total = 0
-            for (weight, avail, travel), counts in zip(self._loop_worlds, per_world):
-                entries = horizon_departure_times(view, waits, avail[vid], travel)
-                u = -step_cost * sum(waits)
-                for eid, t in zip(view.window_edges, entries):
-                    u += reward(counts.get((eid, t), 0) + 1, edges[eid])
-                total += weight * u
-            totals.append(total)
-        return totals
-
     def utility(self, vid: int, profile: Mapping[int, Sequence[int]]):
-        """A player's utility is read off the synced table; no tree is kept."""
-        table = self._dense(profile)
-        if table is not None and self.views[vid].player:
-            return self._typed([table.committed_value(vid)])[0]
+        """A player's utility is read off the synced tables; no tree is kept."""
+        tables = self._dense(profile)
+        if self.views[vid].player:
+            return self._typed([sum(table.committed_value(vid) for table in tables)])[0]
         return self.action_values(vid, [tuple(profile[vid])], profile)[0]
 
     def potential(self, profile: Mapping[int, Sequence[int]]):
-        """Expected potential: cumulative platoon values minus all waiting."""
-        reward_cum = self.game.reward_model.cumulative
-        edges = self.game.net.edges
-        cost = self.game.cost_model.step_cost_centi * sum(
-            sum(self._waits(vid, profile)) for vid in self.views)
-        total = 0
-        for world in self._loop_worlds:
-            groups = self._counts(world, profile)
-            total += world[0] * (sum(reward_cum(n, edges[eid])
-                                   for (eid, _t), n in groups.items()) - cost)
-        return self._typed([total])[0]
+        """Expected potential: cumulative platoon values minus all waiting,
+        over the tracks the tables hold. A horizon game's tables leave out
+        the tracks no player shares an edge with; that moves its potential
+        by a constant, so its differences are those of every track's."""
+        return self._typed([sum(table.potential() for table in self._dense(profile))])[0]
 
 
 class DeterministicOracle(WorldsOracle):

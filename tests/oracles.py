@@ -131,3 +131,45 @@ def ref_travel_matrix(listed, tables):
     for key in sorted(keys):
         rows.append([cells[key].get(t, 0) for t in range(lo, hi + 1)] + [0])
     return lo, index, rows
+
+
+def ref_scaled_values(oracle, vid, actions, profile):
+    """scale * expected utility of each action of ``vid`` in a
+    ``solver.WorldsOracle`` game, world by world: every track of
+    ``oracle.views`` enters by ``ref_entries`` from ``oracle.avail``, a
+    player with its waits in ``profile`` and any other with its committed
+    ones. World k travels edge ``worlds.edges[j]`` with row
+    ``worlds.rows[k, j]`` of the matrix's delays, read entry by entry."""
+    net, worlds = oracle.game.net, oracle.worlds
+    lo, span = worlds.matrix.lo, worlds.matrix.span
+    delays = worlds.matrix.delays.tolist()
+    km_rate = oracle.game.reward_model.km_rate_centi
+    step_cost = oracle.game.cost_model.step_cost_centi
+    views = list(oracle.views.values())
+    totals = [0] * len(actions)
+    for k, weight in enumerate(worlds.weights):
+        rows = dict(zip(worlds.edges, worlds.rows[k].tolist()))
+
+        def travel(eid, t):
+            extra = delays[rows[eid]][t - lo] if 0 <= t - lo < span else 0
+            return net.edges[eid].base_travel_steps + extra
+
+        def entries(i, waits):
+            view = views[i]
+            return zip(view.window_edges, ref_entries(
+                int(oracle.avail[i, k]), waits, view.window_edges, travel))
+
+        counts = {}
+        for i, view in enumerate(views):
+            if view.vid != vid:
+                for key in entries(i, profile[view.vid] if view.player
+                                   else view.committed):
+                    counts[key] = counts.get(key, 0) + 1
+        [own] = [i for i, view in enumerate(views) if view.vid == vid]
+        for j, waits in enumerate(actions):
+            u = -step_cost * sum(waits)
+            for eid, t in entries(own, waits):
+                u += ref_reward(counts.get((eid, t), 0) + 1,
+                                net.edges[eid].length_km, km_rate)
+            totals[j] += weight * u
+    return totals

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import make_game, make_net, reference_inputs
 from hubplatoon import dense, solver
-from hubplatoon.dense import EntryTable, TableLimitError, prefix_tree
+from hubplatoon.dense import entry_tables, prefix_tree
+from hubplatoon.errors import InputError
 from hubplatoon.feedback import PolicySpec, run_closed_loop
 from hubplatoon.game import Scenario, scaled_weights
 from hubplatoon.solver import (DeterministicOracle, HorizonView, Worlds,
@@ -18,7 +19,8 @@ from hubplatoon.stochastic import (ExpectedUtilityOracle,
                                    ScenarioDistribution, enumerate_support,
                                    sample_scenarios,
                                    uniform_profile_distribution)
-from oracles import ref_platoons, ref_potential, ref_utility
+from oracles import (ref_platoons, ref_potential, ref_scaled_values,
+                     ref_utility)
 
 
 def random_instance(rng, n_profiles=2):
@@ -77,9 +79,9 @@ class TestScaledWeights:
         weights, scale = scaled_weights([Fraction(1)])
         assert weights == [1] and scale == 1
 
-    def test_huge_denominator_rejected(self):
-        """The weights stay exact; the table refuses a scale that could
-        overflow before it builds anything."""
+    def test_huge_denominator_values_exactly(self):
+        """The weights stay exact; a scale beyond int64 gives the table
+        Python-int weights, and values equal to the reference."""
         eps = Fraction(1, 2 ** 70)
         weights, scale = scaled_weights([eps, 1 - eps])
         assert weights == [1, 2 ** 70 - 1] and scale == 2 ** 70
@@ -89,8 +91,14 @@ class TestScaledWeights:
             edge_profiles={0: ((0, eps), (1, 1 - eps))}, start_steps={}))
         worlds = oracle.worlds
         assert list(worlds.weights) == weights and worlds.scale == scale
-        with pytest.raises(TableLimitError, match="weight scale"):
-            EntryTable(game, list(oracle.views.values()), worlds, oracle.avail, {0: (0,)})
+        [table] = entry_tables(game, list(oracle.views.values()), worlds, oracle.avail,
+                               {0: (0,)})
+        assert table.weights.dtype == object
+        space = enumerate_actions(1, 1)
+        values = oracle.scaled_values(0, space, {0: (0,)})
+        assert values.dtype == object
+        assert values.tolist() == ref_scaled_values(oracle, 0, space, {0: (0,)}) \
+            == [0, -2200 * 2 ** 70]
 
 
 def one_track_table(net, pid, start, budget):
@@ -99,7 +107,8 @@ def one_track_table(net, pid, start, budget):
     eid = min(net.edges)
     game = make_game(net, [(0, (eid,), start, budget)])
     views, worlds, avail = static_game(game, [1], 1, {eid: [profile_row(net, eid, pid)]}, {})
-    return EntryTable(game, views, worlds, avail, {0: (0,)})
+    [table] = entry_tables(game, views, worlds, avail, {0: (0,)})
+    return table
 
 
 class TestDenseRows:
@@ -130,7 +139,7 @@ class TestDenseRows:
         matrix = net.travel_matrix
         assert matrix.negative[matrix.index[(1, 0)]]
         assert matrix.top[matrix.index[(1, 0)]] == 1
-        with pytest.raises(TableLimitError, match="negative delay"):
+        with pytest.raises(InputError, match="negative delay"):
             one_track_table(net, 0, 0, 2)
         # outside the window the negative entry is not read
         table = one_track_table(net, 0, 1, 1)
@@ -153,33 +162,27 @@ class TestDeterministicEquivalence:
                 profile = random_profile(rng, spaces)
                 for vid in game.vehicle_ids:
                     fast = list(oracle.scaled_values(vid, spaces[vid], profile))
-                    slow = oracle._scaled_by_loop(vid, spaces[vid], profile)
+                    slow = ref_scaled_values(oracle, vid, spaces[vid], profile)
                     assert fast == slow
                     checked += len(fast)
         assert checked > 1000
 
-    def test_falls_back_on_negative_delay(self, line_net):
-        net = make_net([(0, 0, 1, 100, 3, (7,))],
-                       profiles={7: {(0, 1): -1}})
+    @pytest.mark.parametrize("delays, match", [
+        ({(0, 1): -1}, "negative delay in the window"),
+        ({(0, 1): 2 ** 31}, "a delay does not fit in 32 bits"),
+        ({(0, 2): 2 ** 64}, "a delay does not fit in 32 bits"),
+        ({(0, 1): 2 ** 25}, "33554438 cells exceed the dense limit"),
+    ], ids=["negative", "2**31", "2**64", "one-world-over-the-limit"])
+    def test_inputs_no_day_holds_are_refused(self, delays, match):
+        """A negative delay in the window, a delay beyond 32 bits, and one
+        world whose window alone (over 2**25 steps on edge 0) is beyond
+        ``MAX_TABLE_CELLS``: no table is built."""
+        net = make_net([(0, 0, 1, 100, 3, (7,))], profiles={7: delays})
         game = make_game(net, [(0, (0,), 0, 2), (1, (0,), 0, 2)])
-        s = Scenario(profile_assignment={0: 7}, start_steps={})
-        oracle = DeterministicOracle(game, s)
-        profile = {0: (0,), 1: (1,)}
-        space = enumerate_actions(1, 2)
-        assert list(oracle.scaled_values(0, space, profile)) == \
-            oracle._scaled_by_loop(0, space, profile)
-
-    def test_falls_back_on_delay_beyond_32_bits(self):
-        net = make_net([(0, 0, 1, 100, 3, (7,))],
-                       profiles={7: {(0, 1): 2 ** 31, (0, 2): 2 ** 64}})
-        game = make_game(net, [(0, (0,), 0, 2), (1, (0,), 0, 2)])
-        s = Scenario(profile_assignment={0: 7}, start_steps={})
-        oracle = DeterministicOracle(game, s)
-        profile = {0: (0,), 1: (1,)}
-        space = enumerate_actions(1, 2)
-        assert list(oracle.scaled_values(0, space, profile)) == \
-            oracle._scaled_by_loop(0, space, profile)
-        assert oracle._no_table is True
+        oracle = DeterministicOracle(game, Scenario(profile_assignment={0: 7},
+                                                    start_steps={}))
+        with pytest.raises(InputError, match=match):
+            oracle.scaled_values(0, enumerate_actions(1, 2), {0: (0,), 1: (1,)})
 
 
 def mixed_length_game(rng):
@@ -232,7 +235,7 @@ class TestBatchedBuild:
         rng = random.Random(8080)
         for _case in range(10):
             game, views, worlds, avail, ref_travel, waits = mixed_length_game(rng)
-            table = EntryTable(game, views, worlds, avail, waits)
+            [table] = entry_tables(game, views, worlds, avail, waits)
             assert sorted({len(v.window_edges) for v in views}) == [1, 2, 3]
             steps = range(table.t0, table.t0 + table.steps)
             for w, travel in enumerate(ref_travel):
@@ -261,13 +264,13 @@ class TestBatchedBuild:
             game, [1, 1], 2, {0: [profile_row(net, 0, pid) for pid in (0, 1)]}, {}))
         profile = {0: (0,), 1: (1,)}
         space = enumerate_actions(1, 2)
-        assert list(oracle.scaled_values(0, space, profile)) == \
-            oracle._scaled_by_loop(0, space, profile)
-        assert oracle._no_table is True
+        with pytest.raises(InputError, match="negative delay in the window"):
+            oracle.scaled_values(0, space, profile)
 
-    def test_out_of_window_entry_in_a_later_track_is_refused(self):
+    def test_over_budget_environment_track_is_valued(self):
         """Three tracks of length 2; the last one's committed waits exceed
-        its budget, so its second entry falls past the tabulated window."""
+        its budget, so the window is sized by their sum, and its second
+        entry, at step 12, is tabulated."""
         net = make_net([(0, 0, 1, 100, 3), (1, 1, 2, 100, 3)])
         game = make_game(net, [(vid, (0, 1), 0, 2) for vid in range(3)])
         views = [HorizonView(vid=vid, kind="at_node", span_nodes=(0, 1),
@@ -277,14 +280,15 @@ class TestBatchedBuild:
                                             (2, (0, 9), 0))]
         worlds = static_worlds(game, [(Scenario({}, {}), Fraction(1))])
         avail = avail_of(views, [{0: 0, 1: 1, 2: 0}])
-        with pytest.raises(TableLimitError, match="outside the tabulated window"):
-            EntryTable(game, views, worlds, avail, {0: (0, 0), 1: (0, 0), 2: (0, 9)})
+        [table] = entry_tables(game, views, worlds, avail,
+                               {0: (0, 0), 1: (0, 0), 2: (0, 9)})
+        assert (table.t0, table.steps) == (0, 16)
+        assert table.counts[0, table.col[1], 12] == 1
         oracle = WorldsOracle(game, views, worlds, avail)
         profile = {0: (0, 0), 1: (1, 0)}
         space = enumerate_actions(2, 2)
         assert list(oracle.scaled_values(0, space, profile)) == \
-            oracle._scaled_by_loop(0, space, profile)
-        assert oracle._no_table is True
+            ref_scaled_values(oracle, 0, space, profile)
 
 
 class TestStochasticEquivalence:
@@ -298,7 +302,7 @@ class TestStochasticEquivalence:
             profile = random_profile(rng, spaces)
             for vid in game.vehicle_ids:
                 fast = list(oracle.scaled_values(vid, spaces[vid], profile))
-                slow = oracle._scaled_by_loop(vid, spaces[vid], profile)
+                slow = ref_scaled_values(oracle, vid, spaces[vid], profile)
                 assert fast == slow
 
     def test_sampled_oracle_matches_loops(self):
@@ -311,10 +315,11 @@ class TestStochasticEquivalence:
             profile = random_profile(rng, spaces)
             for vid in game.vehicle_ids:
                 fast = list(oracle.scaled_values(vid, spaces[vid], profile))
-                slow = oracle._scaled_by_loop(vid, spaces[vid], profile)
+                slow = ref_scaled_values(oracle, vid, spaces[vid], profile)
                 assert fast == slow
 
-    def test_tiny_probability_falls_back(self):
+    def test_tiny_probability_is_exact(self):
+        """A 2**-70 weight gives Python-int values equal to the reference."""
         net = make_net([(0, 0, 1, 100, 3, (0, 1))],
                        profiles={0: {}, 1: {(0, 0): 1}})
         game = make_game(net, [(0, (0,), 0, 1), (1, (0,), 0, 1)])
@@ -325,9 +330,9 @@ class TestStochasticEquivalence:
         oracle = ExpectedUtilityOracle(game, dist)
         space = enumerate_actions(1, 1)
         profile = {0: (0,), 1: (0,)}
-        vals = list(oracle.scaled_values(0, space, profile))
-        assert vals == oracle._scaled_by_loop(0, space, profile)
-        assert oracle._no_table is True
+        vals = oracle.scaled_values(0, space, profile)
+        assert vals.dtype == object and oracle._tables[0].weights.dtype == object
+        assert vals.tolist() == ref_scaled_values(oracle, 0, space, profile)
 
 
 class TestHorizonEquivalence:
@@ -340,17 +345,15 @@ class TestHorizonEquivalence:
                          start_steps={})
         policy = PolicySpec(kind=kind, horizon=2)
         fast = run_closed_loop(game, dist, truth, policy, seed=seed)
-        import hubplatoon.solver as solver
+        used = []
 
-        refused = []
+        def reference(oracle, vid, actions, profile):
+            used.append(1)
+            return ref_scaled_values(oracle, vid, actions, profile)
 
-        def refuse(*args, **kwargs):
-            refused.append(1)
-            raise TableLimitError("disabled for test")
-
-        monkeypatch.setattr(solver, "EntryTable", refuse)
+        monkeypatch.setattr(WorldsOracle, "scaled_values", reference)
         slow = run_closed_loop(game, dist, truth, policy, seed=seed)
-        assert refused, "the loop path never ran"
+        assert used, "the reference never ran"
         return fast, slow
 
     @pytest.mark.parametrize("kind", ["drhs", "srhs"])
@@ -456,17 +459,17 @@ class TestBatchedValues:
         for _case in range(12):
             oracle, spaces, profile = random_horizon_game(rng, w)
             for _trial in range(2):
-                table = oracle._dense(profile)
+                [table] = oracle._dense(profile)
                 table.sync(profile, oracle.players)
-                batch = oracle._round_values(table)
+                batch = oracle._round_values([table])
                 assert sorted(batch) == list(oracle.players)
                 for vid, values in batch.items():
                     single = table.scaled_values(vid, spaces[vid])
                     assert values.tolist() == single.tolist() == \
-                        oracle._scaled_by_loop(vid, spaces[vid], profile)
+                        ref_scaled_values(oracle, vid, spaces[vid], profile)
                     checked += len(values)
                 profile = random_profile(rng, spaces)
-            assert oracle._table is not None
+            assert len(oracle._tables) == 1
         assert checked > 1000
 
     @pytest.mark.parametrize("w", [1, 16])
@@ -480,10 +483,10 @@ class TestBatchedValues:
             oracle, spaces, profile = random_horizon_game(rng, w)
             single = oracle._round_values
 
-            def counted(table):
+            def counted(tables):
                 nonlocal passes
                 passes += 1
-                return single(table)
+                return single(tables)
 
             oracle._round_values = counted
             for _call in range(3 * len(spaces)):
@@ -491,9 +494,9 @@ class TestBatchedValues:
                     profile[vid] = rng.choice(spaces[vid])
                 vid = rng.choice(sorted(spaces))
                 assert oracle.scaled_values(vid, spaces[vid], profile).tolist() == \
-                    oracle._scaled_by_loop(vid, spaces[vid], profile)
+                    ref_scaled_values(oracle, vid, spaces[vid], profile)
                 checked += 1
-            assert oracle._table is not None
+            assert len(oracle._tables) == 1
         assert passes >= 1 and checked > 100
 
     def test_small_budget_player_at_the_window_end_is_not_refused(self):
@@ -516,14 +519,13 @@ class TestBatchedValues:
         batch = {0: oracle.scaled_values(0, spaces[0], profile)}
         assert list(oracle._batch) == [1]
         batch[1] = oracle.scaled_values(1, spaces[1], profile)
-        table = oracle._table
+        [table] = oracle._tables
         assert (table.t0, table.steps) == (0, 13)
-        with pytest.raises(TableLimitError, match="outside the tabulated window"):
+        with pytest.raises(InputError, match="outside the tabulated window"):
             table.batch_values([1], spaces[0], [4])
-        assert not oracle._no_table
         for vid in (0, 1):
             assert batch[vid].tolist() == \
-                oracle._scaled_by_loop(vid, spaces[vid], profile)
+                ref_scaled_values(oracle, vid, spaces[vid], profile)
 
     def test_budget_mask_holds_below_the_first_level(self):
         """Players 0 and 1 share a window of two one-step edges. Player 1
@@ -544,16 +546,16 @@ class TestBatchedValues:
         oracle = WorldsOracle(game, views, worlds, avail_of(views, [{0: 5, 1: 9, 2: 9}]))
         spaces = {0: action_space(2, 4), 1: action_space(2, 0)}
         profile = {0: (4, 0), 1: (0, 0)}
-        table = oracle._dense(profile)
+        [table] = oracle._dense(profile)
         assert (table.t0, table.steps) == (5, 7)
         batch = table.batch_values([0, 1], spaces[0], [4, 0])
         for vid, values in zip((0, 1), batch):
             assert values.tolist() == table.scaled_values(vid, spaces[vid]).tolist() \
-                == oracle._scaled_by_loop(vid, spaces[vid], profile)
+                == ref_scaled_values(oracle, vid, spaces[vid], profile)
         # player 1 platoons with player 0 and the environment track
         assert batch[1].tolist() == [2 * game.reward_model.reward(3, net.edges[0])]
         for waits in ((3,), (0, 2)):
-            with pytest.raises(TableLimitError, match="outside the tabulated window"):
+            with pytest.raises(InputError, match="outside the tabulated window"):
                 table.scaled_values(1, [waits + (0,) * (2 - len(waits))])
 
 
@@ -616,7 +618,7 @@ def refused_at(walk):
     try:
         for _cell in walk:
             k += 1
-    except TableLimitError:
+    except InputError:
         return k
     return None
 
@@ -631,7 +633,7 @@ class TestPrefixTree:
         checked = 0
         for _case in range(3):
             oracle, spaces, profile = static_tree_game(rng, w)
-            table = oracle._dense(profile)
+            [table] = oracle._dense(profile)
             counts = table.counts.copy()
             assert len(set(table._cols[0].tolist())) < len(TREE_LOOP)
             for vid, space in spaces.items():
@@ -640,7 +642,7 @@ class TestPrefixTree:
                 assert tree.tolist() == flat_values(table, vid, space).tolist()
                 # every 5th action keeps the loop quick over 100 worlds
                 assert tree[::5].tolist() == \
-                    oracle._scaled_by_loop(vid, space[::5], profile)
+                    ref_scaled_values(oracle, vid, space[::5], profile)
                 checked += len(space)
             assert np.array_equal(table.counts, counts)    # left untouched
         assert checked > 1500
@@ -652,7 +654,7 @@ class TestPrefixTree:
         rng = random.Random("prefix-tree:lists")
         for _case in range(4):
             oracle, spaces, profile = static_tree_game(rng, 16)
-            table = oracle._dense(profile)
+            [table] = oracle._dense(profile)
             for vid, space in spaces.items():
                 lex = table.scaled_values(vid, space)
                 order = rng.sample(range(len(space)), len(space))
@@ -675,15 +677,15 @@ class TestPrefixTree:
                 oracle, spaces, profile = random_horizon_game(rng, 16)
             else:
                 oracle, spaces, profile = static_tree_game(rng, 16)
-            table = oracle._dense(profile)
+            tables = oracle._dense(profile)
             for _trial in range(2):
                 kept = set(dense._trees)
                 for vid in spaces:
-                    want = oracle._scaled_by_loop(vid, [profile[vid]], profile)[0]
+                    want = ref_scaled_values(oracle, vid, [profile[vid]], profile)[0]
                     assert oracle.utility(vid, profile) == \
                         Fraction(want, oracle.worlds.scale)
                     checked += 1
-                assert set(dense._trees) == kept and oracle._table is table
+                assert set(dense._trees) == kept and oracle._tables is tables
                 profile = random_profile(rng, spaces)
         assert checked > 50
 
@@ -696,7 +698,7 @@ class TestPrefixTree:
         refused = []
         for _case in range(4):
             oracle, spaces, profile = static_tree_game(rng, 16)
-            table = oracle._dense(profile)
+            [table] = oracle._dense(profile)
             for vid, space in spaces.items():
                 k = rng.randrange(len(space[0]))
                 extra = rng.randint(0, 40)
@@ -709,7 +711,7 @@ class TestPrefixTree:
                     assert table.scaled_values(vid, actions).tolist() == \
                         flat_values(table, vid, actions).tolist()
                 else:
-                    with pytest.raises(TableLimitError, match="outside the tabulated"):
+                    with pytest.raises(InputError, match="outside the tabulated"):
                         table.scaled_values(vid, actions)
                 refused.append(at)
         assert refused.count(None) >= 3 and len(set(refused) - {None, 0}) >= 3
@@ -728,6 +730,49 @@ def full_route_oracle(kind, rng, case):
         return game, ExpectedUtilityOracle(game, dist), enumerate_support(dist)
     return game, SampledUtilityOracle(game, dist, draws=4, seed=case), [
         (s, Fraction(1, 4)) for s in sample_scenarios(dist, 4, random.Random(case))]
+
+
+class TestSplitTables:
+    """Worlds too many for ``MAX_TABLE_CELLS`` go to several tables, one per
+    slice of the worlds, whose values add up to one table's."""
+
+    @pytest.mark.parametrize("kind", ["deterministic", "exact", "sampled",
+                                      "horizon"])
+    def test_split_values_equal_one_table(self, kind, monkeypatch):
+        def build(case):
+            rng = random.Random(f"split:{kind}:{case}")
+            if kind == "horizon":
+                return random_horizon_game(rng, 16)[:2]
+            game, oracle, _weighted = full_route_oracle(kind, rng, case)
+            return oracle, spaces_for_fleet(game.fleet.values())
+
+        rng = random.Random(f"split:{kind}")
+        wholes = []
+        for case in range(6):
+            whole, spaces = build(case)
+            [table] = whole._dense(random_profile(rng, spaces))
+            wholes.append((whole, spaces, len(table.col) * table.steps))
+        split_tables = 0
+        for case, (whole, spaces, cells) in enumerate(wholes):
+            per = 1 + case % 3
+            monkeypatch.setattr(dense, "MAX_TABLE_CELLS", per * cells)
+            split = build(case)[0]
+            for _trial in range(2):
+                profile = random_profile(rng, spaces)
+                tables = split._dense(profile)
+                assert len(tables) == -(-len(split.worlds.weights) // per)
+                split_tables += len(tables) - 1
+                batch = split._round_values(tables)
+                want = whole._round_values(whole._dense(profile))
+                for vid, space in spaces.items():
+                    assert batch[vid].tolist() == want[vid].tolist()
+                    assert split.scaled_values(vid, space, profile).tolist() == \
+                        whole.scaled_values(vid, space, profile).tolist()
+                    assert sum(t.scaled_values(vid, space) for t in tables).tolist() \
+                        == want[vid].tolist()
+                    assert split.utility(vid, profile) == whole.utility(vid, profile)
+                assert split.potential(profile) == whole.potential(profile)
+        assert split_tables >= (0 if kind == "deterministic" else 10)
 
 
 class TestOraclePotential:

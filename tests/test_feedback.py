@@ -19,12 +19,11 @@ from hubplatoon.feedback import (Belief, Marginal, PolicySpec,
                                  run_closed_loop, step_world)
 from hubplatoon.game import Scenario, deterministic_scenario, scaled_weights
 from hubplatoon.network import TravelMatrix, load_network
-from hubplatoon.solver import (HorizonView, Worlds, horizon_departure_times,
-                               profile_row)
+from hubplatoon.solver import HorizonView, Worlds, profile_row
 from hubplatoon.stochastic import (ScenarioDistribution, enumerate_support,
                                    sample_scenarios,
                                    uniform_profile_distribution)
-from oracles import ref_round_half_away
+from oracles import ref_entries, ref_round_half_away
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -554,9 +553,7 @@ class TestHorizonViews:
         [view] = build_views(game, world, (0,), horizon=2)
         travel = lambda eid, t: 3 + (1 if t >= 6 else 0)
         # wait 1: enter edge 0 at 5, travel 3; enter edge 1 at 8 (+1 slow), ...
-        assert horizon_departure_times(view, (1, 0, 0), 4, travel) == (5, 8, 12)
-        with pytest.raises(InputError, match="span needs 3 waits"):
-            horizon_departure_times(view, (1, 0), 4, travel)
+        assert ref_entries(4, (1, 0, 0), view.window_edges, travel) == (5, 8, 12)
 
 
 def normalised(marginal):

@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import make_game, make_net, reference_inputs
-from oracles import (ref_potential, ref_reward, ref_round_half_away,
-                     ref_utility)
+from oracles import (ref_entries, ref_potential, ref_reward,
+                     ref_round_half_away, ref_utility)
 from hubplatoon.errors import FormatError, InputError
 from hubplatoon.game import (CoordinationGame, RewardModel, Scenario,
                              VehicleSpec, deterministic_scenario,
                              fleet_from_list, fleet_to_list, load_fleet,
                              round_half_away, save_fleet, scenario_from_dict,
                              scenario_to_dict, zero_profile)
-from hubplatoon.solver import (DeterministicOracle, horizon_departure_times,
-                               profile_row)
+from hubplatoon.solver import DeterministicOracle, profile_row
 
 
 @pytest.mark.parametrize("x, want", [
@@ -40,9 +39,8 @@ class TestRewardModel:
         assert rm.reward(2, e) == 8500      # 8500.0 exactly
         assert rm.reward(3, e) == 11333     # 11333.33.. rounds down
         assert rm.reward(4, e) == 12750     # 12750.0 exactly
-        assert rm.cumulative(1, e) == 0
-        assert rm.cumulative(3, e) == 19833  # 0 + 8500 + 11333
-        assert rm.cumulative(4, e) == 32583  # 19833 + 12750
+        # the potential's edge term: cumulative rewards, read off the row
+        assert np.cumsum(rm.reward_row(e, 4)).tolist() == [0, 0, 8500, 19833, 32583]
 
     def test_half_rounds_away_from_zero(self):
         e = make_net([(0, 0, 1, 2.5, 1)]).edges[0]
@@ -145,12 +143,12 @@ def test_waiting_cost_is_linear(line_net):
 
 
 def entries(game, vid, waits, scenario):
-    """Entry step onto each route edge, through the deterministic oracle's
-    view of ``vid`` and the scenario's travel model."""
+    """Entry step onto each route edge, from the deterministic oracle's
+    view and availability of ``vid`` and the scenario's travel model."""
     oracle = DeterministicOracle(game, scenario)
     [i] = [i for i, v in enumerate(oracle.views) if v == vid]
-    return horizon_departure_times(oracle.views[vid], waits, int(oracle.avail[i, 0]),
-                                   oracle.worlds.travel(0, game.net.edges))
+    return ref_entries(int(oracle.avail[i, 0]), waits, oracle.views[vid].window_edges,
+                       oracle.worlds.travel(0, game.net.edges))
 
 
 class TestDepartureTimes:
@@ -175,12 +173,6 @@ class TestDepartureTimes:
         game = make_game(line_net, [(0, (0, 1, 2), 0, 4)])
         s = Scenario(profile_assignment={}, start_steps={0: 5})
         assert entries(game, 0, (0, 0, 0), s) == (5, 8, 11)
-
-    def test_wrong_wait_length_rejected(self, line_net):
-        game = make_game(line_net, [(0, (0, 1, 2), 0, 4)])
-        s = deterministic_scenario(line_net, game.fleet.values())
-        with pytest.raises(InputError, match="needs 3 waits"):
-            entries(game, 0, (0, 0), s)
 
 
 class TestUtilityAndPotential:

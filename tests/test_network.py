@@ -84,6 +84,27 @@ def test_validate_catches_key_id_mismatch_and_bad_profile_entries():
     assert any("unknown edge 9" in p for p in problems)
 
 
+def test_bad_profile_entries_after_good_ones_are_named_in_order():
+    """Bad entries found by column masks after 500 good ones, reported as
+    an entry-by-entry walk reports them: by profile, then by entry."""
+    net = make_net([(0, 0, 1, 100, 3), (1, 1, 2, 100, 3)])
+    good = [(k % 2, k, k % 5) for k in range(500)]
+    bad = [(0, 600, -1), (7, 601, 2), (9, 602, -3), (1, 603, 0)]
+    profiles = {4: DelayProfile(4, *zip(*good, *bad, *good[:3])),
+                6: DelayProfile(5, (2 ** 70,), (1,), (-2 ** 70,))}
+    hacked = RoadNetwork(hubs=dict(net.hubs), edges=dict(net.edges),
+                         delay_profiles=profiles)
+    assert validate_network(hacked) == [
+        "profile 4 has negative delay -1 on edge 0 at step 600",
+        "profile 4 has an entry for unknown edge 7",
+        "profile 4 has negative delay -3 on edge 9 at step 602",
+        "profile 4 has an entry for unknown edge 9",
+        "profile key 6 disagrees with profile id 5",
+        f"profile 5 has negative delay {-2 ** 70} on edge {2 ** 70} at step 1",
+        f"profile 5 has an entry for unknown edge {2 ** 70}",
+    ]
+
+
 def test_shortest_path_prefers_km_not_hops():
     # direct 0->3 is 400 km; the three-hop chain is 350 km
     net = make_net([(0, 0, 1, 100, 3), (1, 1, 2, 100, 3), (2, 2, 3, 150, 3),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_game, make_net, reference_inputs
-from oracles import all_actions, ref_is_nash
+from oracles import all_actions, ref_is_nash, ref_scaled_values
 from hubplatoon.errors import InputError, NonConvergenceError
 from hubplatoon.game import Scenario, deterministic_scenario
 from hubplatoon.solver import (DeterministicOracle, HorizonView, Worlds,
@@ -228,7 +228,7 @@ class TestHorizonRound:
     def test_a_move_revalues_only_the_players_sharing_its_edges(self):
         oracle, spaces = horizon_oracle()
         initial = {vid: (0,) for vid in spaces}
-        table = oracle._dense(initial)
+        [table] = oracle._dense(initial)
         alone = []
         single = table.scaled_values
 
@@ -244,7 +244,8 @@ class TestHorizonRound:
         assert report.profile == {0: (1,), 1: (0,), 2: (0,)}
         assert alone == [1]
         loop, _spaces = horizon_oracle()
-        loop._no_table = True
+        loop.scaled_values = lambda vid, actions, profile: ref_scaled_values(
+            loop, vid, actions, profile)
         want = nash_seek(loop, spaces, initial=initial)
         assert (report.profile, report.rounds, report.evaluations) == \
             (want.profile, want.rounds, want.evaluations) == (report.profile, 2, 18)
@@ -253,23 +254,23 @@ class TestHorizonRound:
         """Track 4 shares edge 3 with player 2, so the table keeps it. With
         track 2 in the environment, no player reads edge 3: the table drops
         tracks 2, 4 and 5. Track 5's committed wait of 9 is beyond its
-        budget and the window, which would refuse a table that kept it."""
+        budget, so a table that kept it would size its window by that wait."""
         shared, _spaces = horizon_oracle(extra=[(4, (0,), 1, 0)])
         profile = {0: (1,), 1: (0,), 2: (0,)}
-        assert sorted(shared._dense(profile)._cols) == [0, 1, 2, 3, 4]
+        assert sorted(shared._dense(profile)[0]._cols) == [0, 1, 2, 3, 4]
         # an environment track is valued alone, never from a pass
         assert shared.scaled_values(3, action_space(1, 0), profile).tolist() == \
-            shared._scaled_by_loop(3, action_space(1, 0), profile)
+            ref_scaled_values(shared, 3, action_space(1, 0), profile)
         plain, spaces = horizon_oracle(players=(0, 1))
         crowded, _spaces = horizon_oracle(extra=[(4, (0,), 1, 0), (5, (9,), 0, 0)],
                                           players=(0, 1))
         profile = {0: (1,), 1: (0,)}
         # the first question starts a pass, and both players read from it
         batch = [crowded.scaled_values(vid, spaces[vid], profile) for vid in (0, 1)]
-        assert sorted(crowded._table._cols) == [0, 1, 3]
-        assert not crowded._no_table and crowded._batch == {}
+        [table] = crowded._tables
+        assert sorted(table._cols) == [0, 1, 3] and crowded._batch == {}
         want = [plain.scaled_values(vid, spaces[vid], profile) for vid in (0, 1)]
         for vid in (0, 1):
             assert batch[vid].tolist() == want[vid].tolist() == \
-                crowded._table.scaled_values(vid, spaces[vid]).tolist() == \
-                crowded._scaled_by_loop(vid, spaces[vid], profile)
+                table.scaled_values(vid, spaces[vid]).tolist() == \
+                ref_scaled_values(crowded, vid, spaces[vid], profile)
