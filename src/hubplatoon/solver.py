@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -238,7 +239,8 @@ class WorldsOracle:
             values = self._batch.pop(vid)
             if self._stale.isdisjoint(view.window_edges):
                 return values
-        return sum(table.scaled_values(vid, actions) for table in tables)
+        return functools.reduce(operator.add, (table.scaled_values(vid, actions)
+                                               for table in tables))
 
     def _round_values(self, tables: Sequence[EntryTable]) -> dict:
         """Every player's values over its ``action_space`` against the
@@ -251,8 +253,8 @@ class WorldsOracle:
         for length, vids in groups.items():
             budgets = [self.views[vid].budget_left for vid in vids]
             actions = action_space(length, max(budgets))
-            out.update(zip(vids, map(sum, zip(*(table.batch_values(vids, actions, budgets)
-                                               for table in tables)))))
+            parts = zip(*(table.batch_values(vids, actions, budgets) for table in tables))
+            out.update(zip(vids, (functools.reduce(operator.add, part) for part in parts)))
         return out
 
     def utility(self, vid: int, profile: Mapping[int, Sequence[int]]):
