@@ -77,29 +77,20 @@ class RoadNetwork:
         return self.adjacency.get(hub_id, ())
 
     @functools.cached_property
-    def entry_columns(self) -> tuple:
-        """Every delay entry, profile after profile by ascending id, as
-        ``(pids, owner, edge, step, delta)``: entry k belongs to profile
-        ``pids[owner[k]]`` and adds ``delta[k]`` steps to edge ``edge[k]``
-        entered at step ``step[k]``."""
-        pids = sorted(self.delay_profiles)
-        profs = [self.delay_profiles[pid] for pid in pids]
-        owner = np.repeat(np.arange(len(pids)), [len(p.edges) for p in profs])
-        return (pids, owner, *(_int_column([getattr(p, name) for p in profs])
-                               for name in ("edges", "steps", "deltas")))
-
-    @functools.cached_property
     def travel_matrix(self) -> TravelMatrix:
         """The delays of every (edge, admissible profile) pair, built on
         first use from the profiles' columns; an edge that lists no
         profile admits any with entries on it."""
-        eids = sorted(self.edges)
-        pids, owner, edge, step, delta = self.entry_columns
+        eids, pids = sorted(self.edges), sorted(self.delay_profiles)
+        profs = [self.delay_profiles[pid] for pid in pids]
+        edge, step, delta = (_int_column([getattr(p, name) for p in profs])
+                             for name in ("edges", "steps", "deltas"))
         # each entry's cell in the (edge, profile) grid, whose row-major
         # order numbers the matrix rows
         known = np.isin(edge, eids)
         at = np.searchsorted(eids, edge[known])
-        cell = at * len(pids) + owner[known]
+        cell = at * len(pids) + np.repeat(np.arange(len(pids)),
+                                          [len(p.edges) for p in profs])[known]
         place = {pid: j for j, pid in enumerate(pids)}
         keyed = np.zeros(len(eids) * len(pids), dtype=bool)
         keyed[[i * len(pids) + place[pid] for i, eid in enumerate(eids)
@@ -189,22 +180,16 @@ def validate_network(net: RoadNetwork) -> list[str]:
                 problems.append(f"edge {edge.id} references unknown delay profile {pid}")
             if edge.delay_profile_ids[:k].count(pid) == 1:
                 problems.append(f"edge {edge.id} lists delay profile {pid} twice")
-    # the entries column masks find bad, by profile key and position; only
-    # those are walked
-    pids, owner, edge, _step, delta = net.entry_columns
-    firsts = np.searchsorted(owner, np.arange(len(pids))).tolist()
-    bad: dict[int, list[int]] = {}
-    for k in np.flatnonzero((delta < 0) | ~np.isin(edge, sorted(net.edges))).tolist():
-        j = int(owner[k])
-        bad.setdefault(pids[j], []).append(k - firsts[j])
     for pid, prof in net.delay_profiles.items():
         if pid != prof.id:
             problems.append(f"profile key {pid} disagrees with profile id {prof.id}")
-        for k in bad.get(pid, ()):
-            eid, step, value = prof.edges[k], prof.steps[k], prof.deltas[k]
-            if value < 0:
+        # a profile with no negative delta and no unknown edge is not walked
+        if min(prof.deltas, default=0) >= 0 and net.edges.keys() >= set(prof.edges):
+            continue
+        for eid, step, delta in zip(prof.edges, prof.steps, prof.deltas):
+            if delta < 0:
                 problems.append(
-                    f"profile {prof.id} has negative delay {value} on edge {eid} at step {step}")
+                    f"profile {prof.id} has negative delay {delta} on edge {eid} at step {step}")
             if eid not in net.edges:
                 problems.append(f"profile {prof.id} has an entry for unknown edge {eid}")
     return problems
