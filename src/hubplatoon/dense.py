@@ -83,13 +83,12 @@ class Window(NamedTuple):
     columns ``edge_ids``, ascending, with base times ``base``, and from
     ``t0``, the earliest availability, ``steps`` entry steps, which hold
     every entry a track can make within its budget or its waits' sum,
-    whichever is larger; ``most`` is the largest of those."""
+    whichever is larger."""
 
     edge_ids: list[int]
     base: np.ndarray
     t0: int
     steps: int
-    most: int
 
 
 def entry_tables(game, views, worlds, avail: np.ndarray,
@@ -107,10 +106,10 @@ def entry_tables(game, views, worlds, avail: np.ndarray,
                     dtype=np.int64)
     longest = dict(zip(edge_ids, (base + matrix.top[rows].max(axis=0)).tolist()))
     t0 = int(avail.min())
-    spans = [max(v.budget_left, sum(waits[v.vid])) for v in views]
-    ends = [av + span + sum(longest[eid] for eid in v.window_edges)
-            for v, av, span in zip(views, avail.max(axis=1).tolist(), spans)]
-    window = Window(edge_ids, base, t0, max(1, max(ends) - t0 + 1), max(spans))
+    ends = [av + max(v.budget_left, sum(waits[v.vid]))
+            + sum(map(longest.__getitem__, v.window_edges))
+            for v, av in zip(views, avail.max(axis=1).tolist())]
+    window = Window(edge_ids, base, t0, max(1, max(ends) - t0 + 1))
     # one world's cells, checked before any gather: a window within the
     # limit keeps every base + delay far inside int32
     cells = len(edge_ids) * window.steps
@@ -139,7 +138,7 @@ class EntryTable:
 
     def __init__(self, game, views, worlds, avail: np.ndarray,
                  waits: Mapping[int, Sequence[int]], window: Window):
-        edge_ids, base, t0, horizon, most = window
+        edge_ids, base, t0, horizon = window
         rows = worlds.rows[:, np.searchsorted(worlds.edges, edge_ids)]
         matrix = worlds.matrix
         delays = matrix.delays[rows[:, :, None], matrix.columns(range(t0, t0 + horizon))]
@@ -162,10 +161,11 @@ class EntryTable:
                              for eid in edge_ids])
         # flat rewards: column c's reward for n vehicles at c * width + n
         self._flat_rt = self._rt.reshape(-1)
-        # weights and values are int64 when no value can overflow it
+        # weights and values are int64 when no value can overflow it; the
+        # waits of a track fit its window
         bound = worlds.scale * (max(len(v.window_edges) for v in views)
                                 * int(abs(self._rt).max(initial=1))
-                                + most * self.step_cost + 1)
+                                + horizon * self.step_cost + 1)
         self.weights = np.asarray(worlds.weights,
                                   dtype=np.int64 if bound < 2 ** 63 else object)
         # waiting cost of one step, summed over the weighted worlds

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import json
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -206,7 +205,9 @@ class WorldsOracle:
                 {views[i].vid: self._waits(views[i].vid, profile) for i in kept})
         if profile != self._synced:
             # the tables hold the same tracks, so each moves the same ones
-            moved = [table.sync(profile, self.players) for table in self._tables][0]
+            moved = self._tables[0].sync(profile, self.players)
+            for table in self._tables[1:]:
+                table.sync(profile, self.players)
             for vid in moved:
                 self._stale.update(self.views[vid].window_edges)
             self._synced = {vid: tuple(w) for vid, w in profile.items()}
@@ -239,8 +240,10 @@ class WorldsOracle:
             values = self._batch.pop(vid)
             if self._stale.isdisjoint(view.window_edges):
                 return values
-        return functools.reduce(operator.add, (table.scaled_values(vid, actions)
-                                               for table in tables))
+        values = tables[0].scaled_values(vid, actions)
+        for table in tables[1:]:
+            values = values + table.scaled_values(vid, actions)
+        return values
 
     def _round_values(self, tables: Sequence[EntryTable]) -> dict:
         """Every player's values over its ``action_space`` against the
@@ -253,8 +256,11 @@ class WorldsOracle:
         for length, vids in groups.items():
             budgets = [self.views[vid].budget_left for vid in vids]
             actions = action_space(length, max(budgets))
-            parts = zip(*(table.batch_values(vids, actions, budgets) for table in tables))
-            out.update(zip(vids, (functools.reduce(operator.add, part) for part in parts)))
+            values = tables[0].batch_values(vids, actions, budgets)
+            for table in tables[1:]:
+                values = [v + more for v, more in zip(
+                    values, table.batch_values(vids, actions, budgets))]
+            out.update(zip(vids, values))
         return out
 
     def utility(self, vid: int, profile: Mapping[int, Sequence[int]]):
