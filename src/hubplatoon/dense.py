@@ -3,22 +3,26 @@
 The best-response oracles all answer the same question: for one vehicle,
 for every candidate wait vector, what is the (expected) utility against a
 fixed profile of everyone else. Answering it one action and one scenario
-at a time is exact but slow; this module tabulates travel times, entry
+at a time is exact but slow; this module tabulates exit steps, entry
 counts and platoon rewards as integer arrays so a whole action space is
 valued with a handful of numpy gathers.
 
 A table is built in whole-array passes, not per world. The worlds are
-index arrays over one travel matrix, so travel is filled with one gather
-of every (world, edge, step) cell. Tracks of the same length are traced
-together, and their entry counts go in with one scatter. Rewards come
-from the reward model's per-edge rows ``[0, R(1, e), ..., R(n, e)]``,
-which it keeps between tables. One walk, ``_walk``, turns waits into
-entry cells for the build, for ``commit`` and for valuation, which walks
-the prefix tree of an action list: level k holds the distinct prefixes
-of k+1 waits, each leaving from its parent's exit one level up, so a
-level costs its prefixes, not every action. ``scaled_values`` values one
-track; ``batch_values`` every track of one window length at once, as a
-horizon game's best-response round asks.
+index arrays over one travel matrix, so the exit steps are filled with
+one gather of every (world, edge, step) cell. Tracks of the same length
+are traced together, and their entry counts go in with one scatter.
+Rewards come from the reward model's per-edge rows
+``[0, R(1, e), ..., R(n, e)]``, which it keeps between tables, laid end
+to end. A cell stores what an entry there reads: the step it leaves the
+edge, and the index in those rows of the reward of one more entrant, so
+each entry costs one gather for its departure and one for its reward.
+One walk, ``_walk``, turns waits into entry cells for the build, for
+``commit`` and for valuation, which walks the prefix tree of an action
+list: level k holds the distinct prefixes of k+1 waits, each leaving
+from its parent's exit one level up, so a level costs its prefixes, not
+every action. ``scaled_values`` values one track, taken out of the
+table for its walk; ``batch_values`` every track of one window length at
+once, as a horizon game's best-response round asks.
 
 Everything stays exact: probabilities enter as lcm-scaled integer
 weights, so a value here equals the reference Fraction times the scale,
@@ -27,7 +31,8 @@ Values are sums over worlds, so ``entry_tables`` splits worlds too many
 for ``MAX_TABLE_CELLS`` into slices whose values add up. A table
 refuses, with InputError, what no real day holds: a negative delay in
 its window, a delay beyond 32 bits, one world whose window alone is over
-the cell limit, and an entry outside its window.
+the cell limit, an entry outside its window, and a wait vector whose
+length is not its track's window's.
 """
 
 from __future__ import annotations
@@ -62,6 +67,8 @@ def prefix_tree(actions: Sequence[Sequence[int]]
     ``actions`` in its order, so ``sums[-1]`` holds the row sums."""
     got = _trees.get(id(actions))
     if got is None:
+        if len({len(a) for a in actions}) > 1:
+            raise InputError("wait vectors of different lengths")
         acts = np.asarray(actions, dtype=np.int64)
         # new[i, k]: row i's prefix waits[:k+1] differs from row i-1's
         new = np.ones(acts.shape, dtype=bool)
@@ -124,16 +131,27 @@ def entry_tables(game, views, worlds, avail: np.ndarray,
 
 
 class EntryTable:
-    """Entry times and platoon counts over W weighted worlds.
+    """Exit steps and platoon counts over W weighted worlds.
 
     ``worlds`` is a ``solver.Worlds``, and ``avail[i, k]`` is when the
     track of ``views[i]`` can first leave in world k. Each view is a
     *track*: a vehicle's window edges, starting from the wait vector
     ``waits`` gives it. Player tracks can be re-valued and re-committed,
-    environment tracks only contribute counts. A track's entries are
-    kept as flat cell indices into ``counts`` and ``travel``, so adding
-    or taking out a track is one scatter. ``entry_tables`` builds the
-    tables, and gives them their game's ``window``.
+    environment tracks only contribute counts. ``entry_tables`` builds
+    the tables, and gives them their game's ``window``.
+
+    Each (world, column, step) cell stores two int32s: the step an entry
+    there leaves the edge, ``step + base + delay``, and the flat index of
+    the reward of one more entrant, ``column * width + count + 1``, into
+    the reward rows of ``width`` entries each. ``travel`` and ``counts``
+    are read-only, derived from them as new arrays. A track's entries
+    are kept as flat cell indices, so adding or taking out a track is one
+    scatter. ``scaled_values`` takes the valued track out for its walk,
+    so a reward reads the other tracks' count plus one, and puts it back
+    after, also when the walk is refused. This is safe with a plain
+    scatter: a track enters each of its cells once, since travel is at
+    least the base, at least 1 step, and a negative delay is refused, so
+    its entry steps strictly increase.
     """
 
     def __init__(self, game, views, worlds, avail: np.ndarray,
@@ -149,18 +167,23 @@ class EntryTable:
         self.steps = horizon
         self.step_cost = game.cost_model.step_cost_centi
         self.col = {eid: i for i, eid in enumerate(edge_ids)}
-        self.travel = np.ascontiguousarray(delays, dtype=np.int32)
-        self.travel += base.astype(np.int32)[:, None]
-        self.counts = np.zeros_like(self.travel)
-        # views, not copies, indexed by one flat cell
-        self._flat_travel = self.travel.reshape(-1)
-        self._flat_counts = self.counts.reshape(-1)
-        self._w_cell = np.arange(self.w) * (len(edge_ids) * horizon)
+        # a window within the cell limit keeps every exit step in int32
+        self._exit = np.ascontiguousarray(delays, dtype=np.int32)
+        self._exit += (base[:, None] + np.arange(horizon)).astype(np.int32)
         edges = game.net.edges
         self._rt = np.stack([game.reward_model.reward_row(edges[eid], len(views))
                              for eid in edge_ids])
         # flat rewards: column c's reward for n vehicles at c * width + n
         self._flat_rt = self._rt.reshape(-1)
+        # the reward index of a cell no track enters: one entrant
+        self._first = (np.arange(len(edge_ids), dtype=np.int32)[:, None]
+                       * self._rt.shape[1] + 1)
+        self._index = np.empty_like(self._exit)
+        self._index[...] = self._first
+        # views, not copies, indexed by one flat cell
+        self._flat_exit = self._exit.reshape(-1)
+        self._flat_index = self._index.reshape(-1)
+        self._w_cell = np.arange(self.w) * (len(edge_ids) * horizon)
         # weights and values are int64 when no value can overflow it; the
         # waits of a track fit its window
         bound = worlds.scale * (max(len(v.window_edges) for v in views)
@@ -187,6 +210,8 @@ class EntryTable:
             starts = np.ascontiguousarray(avail[[i for _v, i in group]],
                                           dtype=np.int64) - t0
             first = [tuple(waits[v.vid]) for v, _i in group]
+            for waited in first:
+                self._check_length(len(waited), cols.shape[1])
             got = self._trace(cols, starts, np.asarray(first, dtype=np.int64))
             traced.append(got.reshape(-1))
             for i, (v, _i) in enumerate(group):
@@ -197,7 +222,23 @@ class EntryTable:
         # counted by np.unique, whose memory follows the traced cells;
         # a bincount would allocate an int64 array the table's size
         cells, counts = np.unique(np.concatenate(traced), return_counts=True)
-        self._flat_counts[cells] = counts
+        self._flat_index[cells] += counts.astype(np.int32)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The entries of each (world, column, step) cell, a new array."""
+        return self._index - self._first
+
+    @property
+    def travel(self) -> np.ndarray:
+        """The travel steps of an entry at each cell, a new array."""
+        return self._exit - np.arange(self.steps, dtype=np.int32)
+
+    @staticmethod
+    def _check_length(length: int, window: int) -> None:
+        """Refuse a wait vector whose length is not the window's."""
+        if length != window:
+            raise InputError(f"{length} waits for a window of {window} edges")
 
     def _walk(self, cols, avail: np.ndarray, waits, fits=None, parents=None):
         """Yield the flat cell of each entry, window edge by window edge.
@@ -210,18 +251,17 @@ class EntryTable:
         prefix tree; ``parents[0]`` is not read). Where ``fits[k]`` is
         False the k-th entry is moved to step 0 and never read, so a wait
         vector beyond a track's budget cannot leave the window. An entry
-        outside the tabulated window is refused before its travel is read.
+        outside the tabulated window is refused before its exit is read.
+        The waits are int64 arrays, so each ``t`` is a new int64 array.
         """
         t = avail
         cell = None
         for k, (c, wait) in enumerate(zip(cols, waits)):
-            if cell is None:
-                t = t + wait
-            else:
-                t = t + self._flat_travel[cell]
+            if cell is not None:
+                t = self._flat_exit.take(cell)
                 if parents is not None:
                     t = t.take(parents[k], axis=-2)
-                t += wait
+            t = t + wait
             if fits is not None:
                 t = np.where(fits[k], t, 0)
             # entry steps are int64: a negative one viewed as unsigned is
@@ -241,14 +281,16 @@ class EntryTable:
     # -- queries ----------------------------------------------------------
 
     def commit(self, vid: int, waits: Sequence[int]) -> None:
-        """Adopt a new wait vector for an existing track."""
+        """Adopt a new wait vector for an existing track; one that is
+        refused leaves the table as it was."""
         waits = tuple(waits)
-        np.subtract.at(self._flat_counts, self._cells[vid], 1)
+        self._check_length(len(waits), len(self._cols[vid]))
         cells = self._trace(self._cols[vid][None], self._avail[vid][None],
                             np.asarray([waits], dtype=np.int64))[0]
+        self._flat_index[self._cells[vid]] -= 1
+        self._flat_index[cells] += 1
         self._cells[vid] = cells
         self._waits[vid] = waits
-        np.add.at(self._flat_counts, cells, 1)
 
     def sync(self, profile: Mapping[int, Sequence[int]],
              vids: Sequence[int]) -> list[int]:
@@ -263,28 +305,33 @@ class EntryTable:
         """scale * expected utility of each action of ``tree``, walked over
         ``cols``, ``avail`` and ``fits``; a prefix's weighted reward adds to
         its parent's. A reward is read at the count of the other tracks plus
-        one: the table's count, less one where the cell is the track's own
-        ``own[j]`` for a position j of ``shared[k]``, those whose column may
-        be the k-th's. The counts are left untouched."""
+        one: the table's reward index, less one where the cell is the
+        track's own ``own[j]`` for a position j of ``shared[k]``, those
+        whose column may be the k-th's. The table is left untouched."""
         parents, waits, sums = tree
         acc = 0
         cells = self._walk(cols, avail, waits, fits, parents)
         for k, (parent, cell) in enumerate(zip(parents, cells)):
-            index = self._flat_counts[cell]
-            index += cols[k] * self._rt.shape[1] + 1
+            index = self._flat_index.take(cell)
             for j in shared[k]:
                 index -= cell == own[j]
-            value = self._flat_rt[index] @ self.weights
+            value = self._flat_rt.take(index) @ self.weights
             acc = value if parent is None else acc.take(parent, axis=-1) + value
         return acc - self._step_cost_scaled * sums[-1].astype(self.weights.dtype, copy=False)
 
     def scaled_values(self, vid: int, actions: Sequence[Sequence[int]]) -> np.ndarray:
-        """scale * expected utility for each action, walked over
-        the ``prefix_tree`` of ``actions``."""
+        """scale * expected utility for each action, walked over the
+        ``prefix_tree`` of ``actions`` with the track taken out of the
+        table; it is put back however the walk ends."""
         cols = self._cols[vid].tolist()
-        shared = [[j for j, other in enumerate(cols) if other == c] for c in cols]
-        return self._values(cols, shared, self._avail[vid], self._cells[vid],
-                            prefix_tree(actions))
+        tree = prefix_tree(actions)
+        self._check_length(len(tree[1]), len(cols))
+        own = self._cells[vid]
+        self._flat_index[own] -= 1
+        try:
+            return self._values(cols, [()] * len(cols), self._avail[vid], None, tree)
+        finally:
+            self._flat_index[own] += 1
 
     def batch_values(self, vids: Sequence[int], actions: Sequence[Sequence[int]],
                      budgets: Sequence[int]) -> list[np.ndarray]:
@@ -315,19 +362,18 @@ class EntryTable:
         """``scaled_values`` of the track's committed waits, read at its own
         cells: its entry steps strictly increase, so it enters each cell
         once and a cell's count is the other tracks' plus one."""
-        index = self._flat_counts[self._cells[vid]] + self._cols[vid][:, None] * self._rt.shape[1]
-        return (int(self._flat_rt[index].sum(axis=0) @ self.weights)
+        index = self._flat_index.take(self._cells[vid]) - 1
+        return (int(self._flat_rt.take(index).sum(axis=0) @ self.weights)
                 - self._step_cost_scaled * sum(self._waits[vid]))
 
     def potential(self) -> int:
         """scale * expected potential of the committed waits: per world, the
         sum over cells of the cumulative reward at the cell's count, less
         every track's waiting."""
-        cells = np.flatnonzero(self._flat_counts)
+        cells = np.flatnonzero(self.counts)
         cumulative = np.cumsum(self._rt, axis=1).reshape(-1)
-        index = (self._flat_counts[cells]
-                 + cells // self.steps % len(self.col) * self._rt.shape[1])
         per_world = np.zeros(self.w, dtype=np.int64)
-        np.add.at(per_world, cells // (len(self.col) * self.steps), cumulative[index])
+        np.add.at(per_world, cells // (len(self.col) * self.steps),
+                  cumulative.take(self._flat_index[cells] - 1))
         return (sum(n * w for n, w in zip(per_world.tolist(), self.weights.tolist()))
                 - self._step_cost_scaled * sum(map(sum, self._waits.values())))

@@ -28,22 +28,26 @@ def pairs():
 
 
 def test_pair_line_prints_throughput_and_decide_latency_of_both_sides():
-    def timed(ops, p50, p90):
-        got = run(ops, 50.0)
+    def timed(ops, p50, p90, setup, rss):
+        got = run(ops, rss)
         got["metrics"].update({"decide_ms_p50": {"value": p50, "unit": "ms"},
-                               "decide_ms_p90": {"value": p90, "unit": "ms"}})
+                               "decide_ms_p90": {"value": p90, "unit": "ms"},
+                               "setup_s": {"value": setup, "unit": "s"}})
         return got
 
-    pair = {"seed": 7, "first": "change", "parent": timed(0.5, 9.47, 12.0),
-            "change": timed(0.61, 7.125, 9.5)}
+    pair = {"seed": 7, "first": "change", "parent": timed(0.5, 9.47, 12.0, 0.096, 44.5),
+            "change": timed(0.61, 7.125, 9.5, 0.141, 44.25)}
     assert bench_pairs.pair_line("corridor-mc", pair) == (
         "corridor-mc seed 7: ops_per_s parent 0.500, change 0.610; "
         "decide_ms_p50 parent 9.470, change 7.125; "
-        "decide_ms_p90 parent 12.000, change 9.500")
+        "decide_ms_p90 parent 12.000, change 9.500; "
+        "setup_s parent 0.096, change 0.141; "
+        "peak_rss_mb parent 44.500, change 44.250")
     # a metric that a run does not report is left out of the line
     assert bench_pairs.pair_line("x", {"seed": 1, "parent": run(1.0, 50.0),
                                        "change": run(2.0, 50.0)}) == \
-        "x seed 1: ops_per_s parent 1.000, change 2.000"
+        "x seed 1: ops_per_s parent 1.000, change 2.000; " \
+        "peak_rss_mb parent 50.000, change 50.000"
 
 
 def test_parse_pairs():

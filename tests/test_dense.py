@@ -775,6 +775,156 @@ class TestSplitTables:
         assert split_tables >= (0 if kind == "deterministic" else 10)
 
 
+def recount(table):
+    """The entries of each cell, counted from every track's own cells."""
+    want = np.zeros(table.counts.size, dtype=np.int64)
+    for cells in table._cells.values():
+        np.add.at(want, cells.reshape(-1), 1)
+    return want.reshape(table.counts.shape)
+
+
+def ref_held_potential(oracle, vids, profile):
+    """scale * expected ``ref_potential`` of the tracks ``vids``, world by
+    world, a player with its waits in ``profile`` and any other with its
+    committed ones."""
+    edges = oracle.game.net.edges
+    lengths = {eid: e.length_km for eid, e in edges.items()}
+    rows = {v.vid: (i, v) for i, v in enumerate(oracle.views.values())}
+    waits = {vid: profile[vid] if rows[vid][1].player else rows[vid][1].committed
+             for vid in vids}
+    total = 0
+    for k, weight in enumerate(oracle.worlds.weights):
+        vehicles = {vid: (int(oracle.avail[rows[vid][0], k]), rows[vid][1].window_edges)
+                    for vid in vids}
+        total += weight * ref_potential(vehicles, waits, oracle.worlds.travel(k, edges),
+                                        lengths)
+    return total
+
+
+class TestStoredTables:
+    """A table stores exit steps and reward indices. What they derive,
+    ``counts`` and ``travel``, must stay every track's recount and base
+    plus the matrix delay through commits, and a refused valuation or
+    commit must leave them as they were."""
+
+    @pytest.mark.parametrize("kind", ["deterministic", "exact", "sampled",
+                                      "horizon"])
+    def test_commits_keep_the_stored_tables_consistent(self, kind, monkeypatch):
+        def build(case):
+            rng = random.Random(f"stored:{kind}:{case}")
+            if kind == "horizon":
+                return random_horizon_game(rng, 16)[:2]
+            game, oracle, _weighted = full_route_oracle(kind, rng, case)
+            return oracle, spaces_for_fleet(game.fleet.values())
+
+        rng = random.Random(f"stored:{kind}")
+        limit = dense.MAX_TABLE_CELLS
+        split_tables = syncs = 0
+        for case in range(6):
+            oracle, spaces = build(case)
+            if case % 2:    # the same game, one or two worlds per table
+                [table] = oracle._dense(random_profile(rng, spaces))
+                monkeypatch.setattr(dense, "MAX_TABLE_CELLS",
+                                    (1 + case // 2 % 2) * len(table.col) * table.steps)
+                oracle = build(case)[0]
+            profile = random_profile(rng, spaces)
+            for _sync in range(6):
+                for vid in rng.sample(sorted(spaces), rng.randint(1, len(spaces))):
+                    profile[vid] = rng.choice(spaces[vid])
+                tables = oracle._dense(profile)
+                for table in tables:
+                    assert np.array_equal(table.counts, recount(table))
+                for vid in oracle.players:
+                    want = ref_scaled_values(oracle, vid, [profile[vid]], profile)[0]
+                    assert oracle.utility(vid, profile) == \
+                        Fraction(want, oracle.worlds.scale)
+                assert oracle.potential(profile) == Fraction(
+                    ref_held_potential(oracle, tables[0]._cells, profile),
+                    oracle.worlds.scale)
+                syncs += 1
+            first = 0
+            for table in tables:
+                steps = range(table.t0, table.t0 + table.steps)
+                for w in range(table.w):
+                    travel = oracle.worlds.travel(first + w, oracle.game.net.edges)
+                    for eid, c in table.col.items():
+                        assert table.travel[w, c].tolist() == [travel(eid, t) for t in steps]
+                first += table.w
+            assert first == len(oracle.worlds.weights)
+            split_tables += len(tables) - 1
+            monkeypatch.setattr(dense, "MAX_TABLE_CELLS", limit)
+        assert syncs == 36
+        assert split_tables >= (0 if kind == "deterministic" else 6)
+
+    def test_a_refused_valuation_or_commit_leaves_the_table_as_it_was(self):
+        """Waits of 100 more steps at one position leave every window; the
+        values that follow equal a freshly built oracle's."""
+        rng = random.Random("stored:refused")
+        refused = 0
+        for _case in range(4):
+            oracle, spaces, profile = static_tree_game(rng, 16)
+            [table] = oracle._dense(profile)
+            counts, travel = table.counts, table.travel
+            for vid, space in spaces.items():
+                k = rng.randrange(len(space[0]))
+                beyond = [a[:k] + (a[k] + 100,) + a[k + 1:] for a in space]
+                with pytest.raises(InputError, match="outside the tabulated"):
+                    table.scaled_values(vid, beyond)
+                with pytest.raises(InputError, match="outside the tabulated"):
+                    table.commit(vid, beyond[0])
+                assert np.array_equal(table.counts, counts)
+                assert table._waits[vid] == tuple(profile[vid])
+                refused += 2
+            assert np.array_equal(table.travel, travel)
+            fresh = WorldsOracle(oracle.game, list(oracle.views.values()),
+                                 oracle.worlds, oracle.avail)
+            for vid, space in spaces.items():
+                assert table.scaled_values(vid, space).tolist() == \
+                    fresh.scaled_values(vid, space, profile).tolist()
+                assert oracle.utility(vid, profile) == fresh.utility(vid, profile)
+            assert oracle.potential(profile) == fresh.potential(profile)
+        assert refused >= 40
+
+
+class TestWaitLengths:
+    """A wait vector whose length is not its track's window's is refused,
+    in a valuation, a first build and a commit; none changes a table."""
+
+    @staticmethod
+    def two_trucks(line_net):
+        game = make_game(line_net, [(0, (0, 1, 2), 0, 2), (1, (0, 1, 2), 0, 2)])
+        return DeterministicOracle(game, Scenario(profile_assignment={},
+                                                  start_steps={}))
+
+    def test_actions_of_the_wrong_length_are_refused(self, line_net):
+        oracle = self.two_trucks(line_net)
+        profile = {0: (0, 0, 0), 1: (0, 0, 0)}
+        for actions, match in (([(0, 0)], "2 waits for a window of 3 edges"),
+                               ([(0, 0, 0, 0)], "4 waits for a window of 3 edges"),
+                               ([(0, 0, 0), (0, 0)], "wait vectors of different lengths")):
+            with pytest.raises(InputError, match=match):
+                oracle.scaled_values(0, actions, profile)
+        space = enumerate_actions(3, 2)
+        assert list(oracle.scaled_values(0, space, profile)) == \
+            ref_scaled_values(oracle, 0, space, profile)
+
+    def test_a_profile_of_the_wrong_length_is_refused(self, line_net):
+        with pytest.raises(InputError, match="2 waits for a window of 3 edges"):
+            self.two_trucks(line_net).utility(0, {0: (0, 0), 1: (0, 0, 0)})
+        oracle = self.two_trucks(line_net)
+        profile = {0: (0, 0, 0), 1: (1, 0, 0)}
+        want = ref_scaled_values(oracle, 0, [profile[0]], profile)[0]
+        assert oracle.utility(0, profile) == want
+        [table] = oracle._tables
+        counts = table.counts
+        with pytest.raises(InputError, match="2 waits for a window of 3 edges"):
+            oracle.utility(0, {0: (0, 0, 0), 1: (0, 0)})
+        with pytest.raises(InputError, match="4 waits for a window of 3 edges"):
+            table.commit(1, (0, 0, 0, 0))
+        assert np.array_equal(table.counts, counts)
+        assert oracle.utility(0, profile) == want
+
+
 class TestOraclePotential:
     """The one oracle's potential, checked for each way it is built."""
 

@@ -36,7 +36,8 @@ alternating; ``setup_only`` gets each side's runs, median and quartiles
 per workload, as evidence beside ``setup_s``, and no verdict. The file is
 rewritten after every pair, so an interrupted comparison keeps the pairs
 it finished. As each pair finishes, stderr gets its ``ops_per_s``,
-``decide_ms_p50`` and ``decide_ms_p90`` on both sides; the verdicts
+``decide_ms_p50``, ``decide_ms_p90``, ``setup_s`` and ``peak_rss_mb``
+on both sides; the verdicts
 are printed on stderr at the end. The exit status is 1 when any run
 failed an operation or a check, else 0. A run that exits non-zero stops
 the comparison: stderr gets its side, workload, seed, exit code and the
@@ -57,7 +58,8 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 # the metrics of each pair's line on stderr, where both runs report them
-PAIR_LINE = ("ops_per_s", "decide_ms_p50", "decide_ms_p90")
+PAIR_LINE = ("ops_per_s", "decide_ms_p50", "decide_ms_p90", "setup_s",
+             "peak_rss_mb")
 # stderr lines shown of a run that exits non-zero
 CRASH_LINES = 20
 
