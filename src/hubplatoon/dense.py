@@ -9,20 +9,24 @@ valued with a handful of numpy gathers.
 
 A table is built in whole-array passes, not per world. The worlds are
 index arrays over one travel matrix, so the exit steps are filled with
-one gather of every (world, edge, step) cell. Tracks of the same length
-are traced together, and their entry counts go in with one scatter.
+one gather of the window's in-span delay columns. ``entry_tables`` lays
+a game's tracks out once as rows sorted by window length, longest first,
+padded past each window with a sentinel column and a wait of 0, so the
+first ``live[k]`` rows are the tracks with a k-th window edge; its world
+slices share these rows. A table traces every track in one walk over
+the window positions, and its entry counts go in with one scatter.
 Rewards come from the reward model's per-edge rows
 ``[0, R(1, e), ..., R(n, e)]``, which it keeps between tables, laid end
 to end. A cell stores what an entry there reads: the step it leaves the
 edge, and the index in those rows of the reward of one more entrant, so
 each entry costs one gather for its departure and one for its reward.
-One walk, ``_walk``, turns waits into entry cells for the build, for
-``commit`` and for valuation, which walks the prefix tree of an action
-list: level k holds the distinct prefixes of k+1 waits, each leaving
-from its parent's exit one level up, so a level costs its prefixes, not
-every action. ``scaled_values`` values one track, taken out of the
-table for its walk; ``batch_values`` every track of one window length at
-once, as a horizon game's best-response round asks.
+One walk, ``_walk``, turns waits into entry cells for ``commit`` and
+for valuation, which walks the prefix tree of an action list: level k
+holds the distinct prefixes of k+1 waits, each leaving from its
+parent's exit one level up, so a level costs its prefixes, not every
+action. ``scaled_values`` values one track, taken out of the table for
+its walk; ``batch_values`` every track of one window length at once,
+as a horizon game's best-response round asks.
 
 Everything stays exact: probabilities enter as lcm-scaled integer
 weights, so a value here equals the reference Fraction times the scale,
@@ -98,81 +102,126 @@ class Window(NamedTuple):
     steps: int
 
 
+class Tracks(NamedTuple):
+    """A game's tracks as rows, shared by the tables of its world slices:
+    longest window first, in view order within a length. ``cols[i, k]``
+    is the column of row i's k-th window edge and ``waits[i, k]`` its
+    first wait; past a track's window they hold ``len(edge_ids)``, one
+    column past the last, and 0. So the first ``live[k]`` rows are the
+    tracks with a k-th window edge. ``row`` maps a vehicle id to its row
+    and ``first`` to its first waits."""
+
+    row: dict[int, int]
+    cols: np.ndarray
+    waits: np.ndarray
+    live: list[int]
+    first: dict[int, tuple[int, ...]]
+
+
 def entry_tables(game, views, worlds, avail: np.ndarray,
                  waits: Mapping[int, Sequence[int]]) -> list[EntryTable]:
     """The tables of ``views`` over consecutive slices of ``worlds``, each
-    with as many worlds as fit ``MAX_TABLE_CELLS``, over one ``Window``;
-    values are sums over worlds, so the slices' add up to the game's."""
-    edge_ids = sorted({eid for v in views for eid in v.window_edges})
+    with as many worlds as fit ``MAX_TABLE_CELLS``, over one ``Window``
+    and one ``Tracks``; values are sums over worlds, so the slices' add
+    up to the game's. No table is built when any of them is refused."""
+    # the tracks as rows, longest window first, in view order within a length
+    lengths = [len(v.window_edges) for v in views]
+    order = sorted(range(len(views)), key=lengths.__getitem__, reverse=True)
+    views, lengths = [views[i] for i in order], [lengths[i] for i in order]
+    windows = [v.window_edges for v in views]
+    entered = [eid for window in windows for eid in window]
+    edge_ids = sorted(set(entered))
     matrix = worlds.matrix
     rows = worlds.rows[:, np.searchsorted(worlds.edges, edge_ids)]
     if matrix.wide[rows].any():
         raise InputError("a delay does not fit in 32 bits")
+    vids = [v.vid for v in views]
+    waited = [tuple(waits[vid]) for vid in vids]
+    if list(map(len, waited)) != lengths:    # refuse the first that differs
+        for got, length in zip(map(len, waited), lengths):
+            EntryTable._check_length(got, length)
+    inside = np.arange(lengths[0]) < np.array(lengths)[:, None]
+    cols = np.full(inside.shape, len(edge_ids), dtype=np.int64)
+    cols[inside] = np.searchsorted(edge_ids, entered)
+    padded = np.zeros(inside.shape, dtype=np.int64)
+    padded[inside] = [wait for row in waited for wait in row]
+    tracks = Tracks(dict(zip(vids, range(len(vids)))), cols, padded,
+                    inside.sum(axis=0).tolist(), dict(zip(vids, waited)))
     edges = game.net.edges
     base = np.array([edges[eid].base_travel_steps for eid in edge_ids],
                     dtype=np.int64)
-    longest = dict(zip(edge_ids, (base + matrix.top[rows].max(axis=0)).tolist()))
+    # the most a track can travel: each window edge at its longest; the
+    # sentinel column travels 0
+    longest = np.append(base + matrix.top[rows].max(axis=0), 0)
+    avail = avail[order]
+    ends = (avail.max(axis=1) + np.maximum([v.budget_left for v in views], padded.sum(axis=1))
+            + longest[cols].sum(axis=1))
     t0 = int(avail.min())
-    ends = [av + max(v.budget_left, sum(waits[v.vid]))
-            + sum(map(longest.__getitem__, v.window_edges))
-            for v, av in zip(views, avail.max(axis=1).tolist())]
-    window = Window(edge_ids, base, t0, max(1, max(ends) - t0 + 1))
+    window = Window(edge_ids, base, t0, max(1, int(ends.max()) - t0 + 1))
     # one world's cells, checked before any gather: a window within the
     # limit keeps every base + delay far inside int32
     cells = len(edge_ids) * window.steps
     if cells > MAX_TABLE_CELLS:
         raise InputError(f"{cells} cells exceed the dense limit")
     per = MAX_TABLE_CELLS // cells
-    return [EntryTable(game, views, dataclasses.replace(
-                worlds, weights=worlds.weights[lo:lo + per],
-                rows=worlds.rows[lo:lo + per], starts=worlds.starts[lo:lo + per]),
-                       avail[:, lo:lo + per], waits, window)
+    return [EntryTable(game, tracks, dataclasses.replace(
+                worlds, weights=worlds.weights[lo:lo + per], edges=tuple(edge_ids),
+                rows=rows[lo:lo + per], starts=worlds.starts[lo:lo + per]),
+                       avail[:, lo:lo + per], window)
             for lo in range(0, len(worlds.weights), per)]
 
 
 class EntryTable:
     """Exit steps and platoon counts over W weighted worlds.
 
-    ``worlds`` is a ``solver.Worlds``, and ``avail[i, k]`` is when the
-    track of ``views[i]`` can first leave in world k. Each view is a
-    *track*: a vehicle's window edges, starting from the wait vector
-    ``waits`` gives it. Player tracks can be re-valued and re-committed,
-    environment tracks only contribute counts. ``entry_tables`` builds
-    the tables, and gives them their game's ``window``.
+    ``worlds`` is a ``solver.Worlds`` over the window's edges, and
+    ``avail[i, k]`` is when the track of row i of ``tracks`` can first
+    leave in world k. Each track is a vehicle's window edges, starting
+    from its first waits. Player tracks can be re-valued and
+    re-committed, environment tracks only contribute counts.
+    ``entry_tables`` builds the tables, and gives them their game's
+    ``window`` and ``tracks``.
 
     Each (world, column, step) cell stores two int32s: the step an entry
     there leaves the edge, ``step + base + delay``, and the flat index of
     the reward of one more entrant, ``column * width + count + 1``, into
     the reward rows of ``width`` entries each. ``travel`` and ``counts``
-    are read-only, derived from them as new arrays. A track's entries
-    are kept as flat cell indices, so adding or taking out a track is one
-    scatter. ``scaled_values`` takes the valued track out for its walk,
-    so a reward reads the other tracks' count plus one, and puts it back
-    after, also when the walk is refused. This is safe with a plain
-    scatter: a track enters each of its cells once, since travel is at
-    least the base, at least 1 step, and a negative delay is refused, so
-    its entry steps strictly increase.
+    are read-only, derived from them as new arrays. A track is a row of
+    the (tracks, window) columns, (tracks, worlds) starts and (tracks,
+    window, worlds) entry cells, kept as flat cell indices; ``track``
+    reads one. Adding or taking out a track is one scatter, and
+    ``commit`` writes its row in place. ``scaled_values`` takes the
+    valued track out for its walk, so a reward reads the other tracks'
+    count plus one, and puts it back after, also when the walk is
+    refused. This is safe with a plain scatter: a track enters each of
+    its cells once, since travel is at least the base, at least 1 step,
+    and a negative delay is refused, so its entry steps strictly
+    increase.
     """
 
-    def __init__(self, game, views, worlds, avail: np.ndarray,
-                 waits: Mapping[int, Sequence[int]], window: Window):
+    def __init__(self, game, tracks: Tracks, worlds, avail: np.ndarray,
+                 window: Window):
         edge_ids, base, t0, horizon = window
-        rows = worlds.rows[:, np.searchsorted(worlds.edges, edge_ids)]
-        matrix = worlds.matrix
-        delays = matrix.delays[rows[:, :, None], matrix.columns(range(t0, t0 + horizon))]
-        if matrix.negative[rows].any() and delays.min() < 0:
+        rows, matrix = worlds.rows, worlds.matrix
+        # the in-span columns are sliced before the rows are gathered; the
+        # steps outside the span keep delay 0, as its trailing column holds
+        lo = min(max(matrix.lo - t0, 0), horizon)
+        hi = max(min(matrix.lo + matrix.span - t0, horizon), lo)
+        # a window within the cell limit keeps every exit step in int32
+        self._exit = np.zeros((len(rows), len(edge_ids), horizon), dtype=np.int32)
+        self._exit[:, :, lo:hi] = matrix.delays[:, t0 - matrix.lo + lo:t0 - matrix.lo + hi][rows]
+        if matrix.negative[rows].any() and self._exit.min() < 0:
             raise InputError("negative delay in the window")
         self.t0 = t0
         self.w = len(worlds.weights)
         self.steps = horizon
         self.step_cost = game.cost_model.step_cost_centi
         self.col = {eid: i for i, eid in enumerate(edge_ids)}
-        # a window within the cell limit keeps every exit step in int32
-        self._exit = np.ascontiguousarray(delays, dtype=np.int32)
         self._exit += (base[:, None] + np.arange(horizon)).astype(np.int32)
         edges = game.net.edges
-        self._rt = np.stack([game.reward_model.reward_row(edges[eid], len(views))
-                             for eid in edge_ids])
+        self._rt = np.empty((len(edge_ids), len(tracks.row) + 1), dtype=np.int64)
+        for c, eid in enumerate(edge_ids):
+            self._rt[c] = game.reward_model.reward_row(edges[eid], len(tracks.row))
         # flat rewards: column c's reward for n vehicles at c * width + n
         self._flat_rt = self._rt.reshape(-1)
         # the reward index of a cell no track enters: one entrant
@@ -186,43 +235,41 @@ class EntryTable:
         self._w_cell = np.arange(self.w) * (len(edge_ids) * horizon)
         # weights and values are int64 when no value can overflow it; the
         # waits of a track fit its window
-        bound = worlds.scale * (max(len(v.window_edges) for v in views)
+        bound = worlds.scale * (tracks.cols.shape[1]
                                 * int(abs(self._rt).max(initial=1))
                                 + horizon * self.step_cost + 1)
         self.weights = np.asarray(worlds.weights,
                                   dtype=np.int64 if bound < 2 ** 63 else object)
         # waiting cost of one step, summed over the weighted worlds
         self._step_cost_scaled = self.step_cost * int(self.weights.sum())
-        self._cols: dict[int, np.ndarray] = {}
-        self._avail: dict[int, np.ndarray] = {}
-        self._waits: dict[int, tuple[int, ...]] = {}
-        self._cells: dict[int, np.ndarray] = {}
-        # tracks of one length are traced together; every count goes in
-        # with one scatter
-        by_len: dict[int, list] = {}
-        for i, v in enumerate(views):
-            by_len.setdefault(len(v.window_edges), []).append((v, i))
-        traced = []
-        for group in by_len.values():
-            cols = np.asarray([[self.col[e] for e in v.window_edges]
-                               for v, _i in group], dtype=np.int64)
-            # C order: a track's availability row is walked at every valuation
-            starts = np.ascontiguousarray(avail[[i for _v, i in group]],
-                                          dtype=np.int64) - t0
-            first = [tuple(waits[v.vid]) for v, _i in group]
-            for waited in first:
-                self._check_length(len(waited), cols.shape[1])
-            got = self._trace(cols, starts, np.asarray(first, dtype=np.int64))
-            traced.append(got.reshape(-1))
-            for i, (v, _i) in enumerate(group):
-                self._cols[v.vid] = cols[i]
-                self._avail[v.vid] = starts[i]
-                self._waits[v.vid] = first[i]
-                self._cells[v.vid] = got[i]
-        # counted by np.unique, whose memory follows the traced cells;
-        # a bincount would allocate an int64 array the table's size
-        cells, counts = np.unique(np.concatenate(traced), return_counts=True)
-        self._flat_index[cells] += counts.astype(np.int32)
+        self._row = tracks.row
+        self._cols = tracks.cols
+        # C order: a track's availability row is walked at every valuation
+        self._starts = np.asarray(avail, dtype=np.int64) - t0
+        self._waits = dict(tracks.first)
+        # every track traced in one walk over the window positions: each
+        # cell starts at its column's first step, and the entry step is
+        # added; past a track's window its cells are never read
+        self._cells = self._w_cell + tracks.cols[:, :, None] * horizon
+        t, traced = self._starts, []
+        for k, n in enumerate(tracks.live):
+            if k:
+                t = self._flat_exit.take(cell[:n])
+            t = t[:n] + tracks.waits[:n, k, None]
+            if t.view(np.uint64).max() >= horizon:
+                raise InputError("entry outside the tabulated window")
+            cell = self._cells[:n, k]
+            cell += t
+            traced.append(cell)
+        traced = np.concatenate(traced, axis=None)
+        # a count per cell is quicker than sorting the entries up to about
+        # 32 cells per entry; beyond, np.unique's memory follows the
+        # entries, not the table
+        if self._flat_index.size <= 32 * traced.size:
+            self._flat_index += np.bincount(traced, minlength=self._flat_index.size)
+        else:
+            cells, counts = np.unique(traced, return_counts=True)
+            self._flat_index[cells] += counts.astype(np.int32)
 
     @property
     def counts(self) -> np.ndarray:
@@ -245,7 +292,8 @@ class EntryTable:
 
         ``avail`` is when a track can first leave (relative to t0), with
         the worlds on its last axis; ``cols[k]`` and ``waits[k]``, the
-        column and wait of the k-th window edge, broadcast against it.
+        column and wait of the k-th window edge, broadcast against it,
+        and ``cols`` is an array whose last axis has length 1.
         With ``parents``, the k-th level's rows leave from the rows
         ``parents[k]`` of the level before, on the second-to-last axis (a
         prefix tree; ``parents[0]`` is not read). Where ``fits[k]`` is
@@ -256,7 +304,9 @@ class EntryTable:
         """
         t = avail
         cell = None
-        for k, (c, wait) in enumerate(zip(cols, waits)):
+        # the flat cell of each column's step 0, per world
+        firsts = self._w_cell + cols * self.steps
+        for k, (first, wait) in enumerate(zip(firsts, waits)):
             if cell is not None:
                 t = self._flat_exit.take(cell)
                 if parents is not None:
@@ -268,28 +318,30 @@ class EntryTable:
             # huge, so one max checks both ends of the window
             if t.view(np.uint64).max() >= self.steps:
                 raise InputError("entry outside the tabulated window")
-            cell = self._w_cell + c * self.steps + t
+            cell = first + t
             yield cell
-
-    def _trace(self, cols: np.ndarray, avail: np.ndarray,
-               waits: np.ndarray) -> np.ndarray:
-        """Flat cells of the entries of tracks of one length, shape
-        (tracks, edges, worlds); one row per track in each argument."""
-        return np.stack(list(self._walk(cols.T[:, :, None], avail,
-                                        waits.T[:, :, None])), axis=1)
 
     # -- queries ----------------------------------------------------------
 
+    def track(self, vid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A track's window columns, its start steps per world (relative to
+        ``t0``) and the flat cells of its committed entries, (window,
+        worlds); new arrays, read off its row."""
+        row, n = self._row[vid], len(self._waits[vid])
+        return self._cols[row, :n].copy(), self._starts[row].copy(), self._cells[row, :n].copy()
+
     def commit(self, vid: int, waits: Sequence[int]) -> None:
-        """Adopt a new wait vector for an existing track; one that is
-        refused leaves the table as it was."""
+        """Adopt a new wait vector for an existing track, written in its row;
+        one that is refused leaves the table as it was."""
         waits = tuple(waits)
-        self._check_length(len(waits), len(self._cols[vid]))
-        cells = self._trace(self._cols[vid][None], self._avail[vid][None],
-                            np.asarray([waits], dtype=np.int64))[0]
-        self._flat_index[self._cells[vid]] -= 1
+        row, n = self._row[vid], len(self._waits[vid])
+        self._check_length(len(waits), n)
+        cells = np.stack(list(self._walk(self._cols[row, :n, None], self._starts[row],
+                                         np.asarray(waits, dtype=np.int64)[:, None])))
+        own = self._cells[row, :n]
+        self._flat_index[own] -= 1
         self._flat_index[cells] += 1
-        self._cells[vid] = cells
+        own[...] = cells
         self._waits[vid] = waits
 
     def sync(self, profile: Mapping[int, Sequence[int]],
@@ -323,13 +375,14 @@ class EntryTable:
         """scale * expected utility for each action, walked over the
         ``prefix_tree`` of ``actions`` with the track taken out of the
         table; it is put back however the walk ends."""
-        cols = self._cols[vid].tolist()
+        row, n = self._row[vid], len(self._waits[vid])
         tree = prefix_tree(actions)
-        self._check_length(len(tree[1]), len(cols))
-        own = self._cells[vid]
+        self._check_length(len(tree[1]), n)
+        own = self._cells[row, :n]
         self._flat_index[own] -= 1
         try:
-            return self._values(cols, [()] * len(cols), self._avail[vid], None, tree)
+            return self._values(self._cols[row, :n, None], [()] * n,
+                                self._starts[row], None, tree)
         finally:
             self._flat_index[own] += 1
 
@@ -342,17 +395,19 @@ class EntryTable:
         level, so neither it nor its children can leave the window."""
         tree = prefix_tree(actions)
         sums = tree[2]
+        every = sums[-1].max() <= min(budgets)
         budgets = np.asarray(budgets, dtype=np.int64)[:, None, None]
-        every = sums[-1].max() <= budgets.min()
         per = max(1, BATCH_CELLS // (len(sums[-1]) * self.w))
+        n = len(self._waits[vids[0]])
         out = []
         for lo in range(0, len(vids), per):
-            part = vids[lo:lo + per]
-            cols = np.stack([self._cols[vid] for vid in part], axis=1)
+            rows = [self._row[vid] for vid in vids[lo:lo + per]]
+            cols = self._cols[rows, :n].T
             # per position k, the positions whose column is k's on some track
-            shared = [np.flatnonzero(row) for row in (cols[:, None] == cols[None]).any(axis=2)]
-            own = np.stack([self._cells[vid] for vid in part], axis=1)[:, :, None]
-            avail = np.stack([self._avail[vid] for vid in part])[:, None, :]
+            same = (cols[:, None] == cols[None]).any(axis=2).tolist()
+            shared = [[j for j, on in enumerate(row) if on] for row in same]
+            own = self._cells[rows, :n].transpose(1, 0, 2)[:, :, None]
+            avail = self._starts[rows][:, None, :]
             fits = None if every else [s[:, None] <= budgets[lo:lo + per] for s in sums]
             values = self._values(cols[:, :, None, None], shared, avail, own, tree, fits)
             out += list(values) if every else [r[ok] for r, ok in zip(values, fits[-1][..., 0])]
@@ -362,7 +417,7 @@ class EntryTable:
         """``scaled_values`` of the track's committed waits, read at its own
         cells: its entry steps strictly increase, so it enters each cell
         once and a cell's count is the other tracks' plus one."""
-        index = self._flat_index.take(self._cells[vid]) - 1
+        index = self._flat_index.take(self._cells[self._row[vid], :len(self._waits[vid])]) - 1
         return (int(self._flat_rt.take(index).sum(axis=0) @ self.weights)
                 - self._step_cost_scaled * sum(self._waits[vid]))
 

@@ -245,9 +245,14 @@ class Belief:
         matrix = self.game.net.travel_matrix
         return matrix.delays[self._kept_rows(eid)[:, None], matrix.columns(steps)]
 
+    def _delays_at(self, eid: int, step: int) -> np.ndarray:
+        """The kept pairs' delays on edge ``eid`` at one entry ``step``."""
+        matrix = self.game.net.travel_matrix
+        return matrix.delays[self._kept_rows(eid), matrix.column(step)]
+
     def _prune(self, eid: int, possible: np.ndarray) -> None:
-        """Keep the pairs of edge ``eid`` whose row of ``possible`` is all true."""
-        possible = possible.all(axis=1).tolist()
+        """Keep the pairs of edge ``eid`` whose entry of ``possible`` is true."""
+        possible = possible.tolist()
         if not all(possible):
             self._kept[eid] = tuple(pair for pair, ok in zip(self._kept[eid], possible) if ok)
             for cache in (self._rows, self._marginals, self._means, self._least):
@@ -262,17 +267,21 @@ class Belief:
             if read < len(done) and self._kept.get(eid):
                 steps, travel = zip(*done[read:])
                 base = edges[eid].base_travel_steps
-                self._prune(eid, self._delays(eid, steps) == [t - base for t in travel])
+                self._prune(eid, (self._delays(eid, steps)
+                                  == [t - base for t in travel]).all(axis=1))
         for v in world.in_progress():
             eid = self.game.fleet[v.vid].edge_sequence[v.edge_index]
             if self._kept.get(eid):    # an emptied edge raises below
                 base = edges[eid].base_travel_steps
                 elapsed = world.now - v.entered_at
                 least = self._least.setdefault(eid, {})
-                if v.entered_at not in least:
-                    least[v.entered_at] = base + int(self._delays(eid, [v.entered_at]).min())
-                if least[v.entered_at] <= elapsed:
-                    self._prune(eid, self._delays(eid, [v.entered_at]) > elapsed - base)
+                shortest = least.get(v.entered_at)
+                if shortest is None or shortest <= elapsed:
+                    delays = self._delays_at(eid, v.entered_at)
+                    if shortest is None:
+                        shortest = least[v.entered_at] = base + int(delays.min())
+                    if shortest <= elapsed:
+                        self._prune(eid, delays > elapsed - base)
         for eid, kept in self._kept.items():
             if not kept:
                 raise ModelInconsistencyError(

@@ -146,6 +146,11 @@ class TravelMatrix:
         cols[(cols < 0) | (cols >= self.span)] = self.span
         return cols
 
+    def column(self, step: int) -> int:
+        """The column of entry step ``step``, as ``columns`` gives it."""
+        c = step - self.lo
+        return c if 0 <= c < self.span else self.span
+
     def delay(self, row: int, t: int) -> int:
         """Row ``row``'s delay at entry step ``t``, as an exact int."""
         c = t - self.lo

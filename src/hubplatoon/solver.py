@@ -177,8 +177,15 @@ class WorldsOracle:
         self.worlds = worlds
         self.avail = avail
         self._tables: list[EntryTable] = []
-        self._batch: dict[int, np.ndarray] = {}   # unread values of the last pass
+        self._batch: dict[int, np.ndarray | None] = {}   # unread values of the last pass
         self._stale: set[int] = set()   # window edges of players moved since
+        # players whose next ``nash_seek`` turn is taken: a player on one of
+        # their window edges moved since they last asked, or they never did
+        self._due = set(self.players)
+        self._on: dict[int, list[int]] = {}   # window edge -> players on it
+        for vid in self.players:
+            for eid in self.views[vid].window_edges:
+                self._on.setdefault(eid, []).append(vid)
         self._synced: dict = {}   # the profile the tables were last synced to
 
     def _typed(self, totals) -> list:
@@ -209,7 +216,9 @@ class WorldsOracle:
             for table in self._tables[1:]:
                 table.sync(profile, self.players)
             for vid in moved:
-                self._stale.update(self.views[vid].window_edges)
+                edges = self.views[vid].window_edges
+                self._stale.update(edges)
+                self._due.update(q for eid in edges for q in self._on[eid] if q != vid)
             self._synced = {vid: tuple(w) for vid, w in profile.items()}
         return self._tables
 
@@ -225,20 +234,23 @@ class WorldsOracle:
         A horizon game (one with environment tracks) batches a round. A
         player asking for its ``action_space`` reads the value the last
         pass gave it, once, unless a player sharing one of its window
-        edges has moved since; then it is valued alone. Once its value is
-        read, its next question starts a new pass over every player. A
-        static game is not batched: its early rounds move so many players
-        that most values of a pass would go unread.
+        edges has moved since, or the pass left it out; then it is valued
+        alone. Once its value is read, its next question starts a new pass
+        over itself and the players whose next turn is due. A static game
+        is not batched: its early rounds move so many players that most
+        values of a pass would go unread.
         """
         tables = self._dense(profile)
         view = self.views[vid]
         if view.player and self.has_environment and actions is action_space(
                 len(view.span_nodes), view.budget_left):
             if vid not in self._batch:
+                self._due.add(vid)
                 self._batch = self._round_values(tables)
                 self._stale.clear()
+            self._due.discard(vid)
             values = self._batch.pop(vid)
-            if self._stale.isdisjoint(view.window_edges):
+            if values is not None and self._stale.isdisjoint(view.window_edges):
                 return values
         values = tables[0].scaled_values(vid, actions)
         for table in tables[1:]:
@@ -246,13 +258,17 @@ class WorldsOracle:
         return values
 
     def _round_values(self, tables: Sequence[EntryTable]) -> dict:
-        """Every player's values over its ``action_space`` against the
+        """Each player's values over its ``action_space`` against the
         tables' committed waits, keyed by id, from one
-        ``EntryTable.batch_values`` pass per window length and table."""
+        ``EntryTable.batch_values`` pass per window length and table. Only
+        the players whose next turn is due are valued; the others get
+        None, since ``nash_seek`` skips their turn until a player on one
+        of their window edges moves, and then their value would be stale."""
         groups: dict[int, list[int]] = {}
         for vid in self.players:
-            groups.setdefault(len(self.views[vid].span_nodes), []).append(vid)
-        out = {}
+            if vid in self._due:
+                groups.setdefault(len(self.views[vid].span_nodes), []).append(vid)
+        out = dict.fromkeys(self.players)
         for length, vids in groups.items():
             budgets = [self.views[vid].budget_left for vid in vids]
             actions = action_space(length, max(budgets))

@@ -595,9 +595,9 @@ def static_tree_game(rng, w):
 
 def flat_walk(table, vid, actions):
     """Every action entered edge by edge, as (actions x worlds) cells."""
-    cols = table._cols[vid]
+    cols, starts, _cells = table.track(vid)
     acts = np.asarray(actions, dtype=np.int64)
-    return table._walk(cols, table._avail[vid], acts.T[:, :, None])
+    return table._walk(cols[:, None], starts, acts.T[:, :, None])
 
 
 def flat_values(table, vid, actions):
@@ -605,9 +605,10 @@ def flat_values(table, vid, actions):
     with the track's own entries taken out."""
     acts = np.asarray(actions, dtype=np.int64)
     counts = table.counts.reshape(-1).copy()
-    np.subtract.at(counts, table._cells[vid], 1)
+    cols, _starts, cells = table.track(vid)
+    np.subtract.at(counts, cells, 1)
     rewards = np.zeros((len(acts), table.w), dtype=np.int64)
-    for c, cell in zip(table._cols[vid], flat_walk(table, vid, actions)):
+    for c, cell in zip(cols, flat_walk(table, vid, actions)):
         rewards += table._rt[c][counts[cell] + 1]
     return (rewards - table.step_cost * acts.sum(axis=1)[:, None]) @ table.weights
 
@@ -635,7 +636,7 @@ class TestPrefixTree:
             oracle, spaces, profile = static_tree_game(rng, w)
             [table] = oracle._dense(profile)
             counts = table.counts.copy()
-            assert len(set(table._cols[0].tolist())) < len(TREE_LOOP)
+            assert len(set(table.track(0)[0].tolist())) < len(TREE_LOOP)
             for vid, space in spaces.items():
                 assert 5 <= len(space[0]) <= 8
                 tree = table.scaled_values(vid, space)
@@ -705,8 +706,9 @@ class TestPrefixTree:
                 actions = [a[:k] + (a[k] + extra,) + a[k + 1:] for a in space]
                 parents, waits, _sums = prefix_tree(actions)
                 at = refused_at(flat_walk(table, vid, actions))
-                assert refused_at(table._walk(table._cols[vid], table._avail[vid],
-                                              waits, parents=parents)) == at
+                cols, starts, _cells = table.track(vid)
+                assert refused_at(table._walk(cols[:, None], starts, waits,
+                                              parents=parents)) == at
                 if at is None:
                     assert table.scaled_values(vid, actions).tolist() == \
                         flat_values(table, vid, actions).tolist()
@@ -752,7 +754,7 @@ class TestSplitTables:
             whole, spaces = build(case)
             [table] = whole._dense(random_profile(rng, spaces))
             wholes.append((whole, spaces, len(table.col) * table.steps))
-        split_tables = 0
+        split_tables = valued = 0
         for case, (whole, spaces, cells) in enumerate(wholes):
             per = 1 + case % 3
             monkeypatch.setattr(dense, "MAX_TABLE_CELLS", per * cells)
@@ -762,24 +764,31 @@ class TestSplitTables:
                 tables = split._dense(profile)
                 assert len(tables) == -(-len(split.worlds.weights) // per)
                 split_tables += len(tables) - 1
+                # a pass values the players whose next turn is due, the
+                # same ones in both oracles: every player on the first trial
                 batch = split._round_values(tables)
                 want = whole._round_values(whole._dense(profile))
+                assert [vid for vid, v in batch.items() if v is not None] == \
+                    [vid for vid, v in want.items() if v is not None]
+                valued += sum(v is not None for v in batch.values())
                 for vid, space in spaces.items():
-                    assert batch[vid].tolist() == want[vid].tolist()
-                    assert split.scaled_values(vid, space, profile).tolist() == \
-                        whole.scaled_values(vid, space, profile).tolist()
+                    values = whole.scaled_values(vid, space, profile).tolist()
+                    if want[vid] is not None:
+                        assert batch[vid].tolist() == want[vid].tolist() == values
+                    assert split.scaled_values(vid, space, profile).tolist() == values
                     assert sum(t.scaled_values(vid, space) for t in tables).tolist() \
-                        == want[vid].tolist()
+                        == values
                     assert split.utility(vid, profile) == whole.utility(vid, profile)
                 assert split.potential(profile) == whole.potential(profile)
         assert split_tables >= (0 if kind == "deterministic" else 10)
+        assert valued >= 25
 
 
 def recount(table):
     """The entries of each cell, counted from every track's own cells."""
     want = np.zeros(table.counts.size, dtype=np.int64)
-    for cells in table._cells.values():
-        np.add.at(want, cells.reshape(-1), 1)
+    for vid in table._waits:
+        np.add.at(want, table.track(vid)[2].reshape(-1), 1)
     return want.reshape(table.counts.shape)
 
 
@@ -839,7 +848,7 @@ class TestStoredTables:
                     assert oracle.utility(vid, profile) == \
                         Fraction(want, oracle.worlds.scale)
                 assert oracle.potential(profile) == Fraction(
-                    ref_held_potential(oracle, tables[0]._cells, profile),
+                    ref_held_potential(oracle, tables[0]._waits, profile),
                     oracle.worlds.scale)
                 syncs += 1
             first = 0
@@ -923,6 +932,89 @@ class TestWaitLengths:
             table.commit(1, (0, 0, 0, 0))
         assert np.array_equal(table.counts, counts)
         assert oracle.utility(0, profile) == want
+
+
+class TestTrackRows:
+    """A game's tracks are one array of rows sorted by window length and
+    shared by its world slices. One table holds a player and an
+    environment track of each window length, 1, 2 and 3, over slices of
+    one or two of the 8 worlds."""
+
+    @staticmethod
+    def sliced(rng, per, monkeypatch):
+        """``mixed_length_game``'s oracle and start profile, with its
+        tables cut to ``per`` worlds each."""
+        game, views, worlds, avail, ref_travel, waits = mixed_length_game(rng)
+        monkeypatch.undo()    # the whole table, under the real limit
+        [whole] = entry_tables(game, views, worlds, avail, waits)
+        monkeypatch.setattr(dense, "MAX_TABLE_CELLS", per * len(whole.col) * whole.steps)
+        oracle = WorldsOracle(game, views, worlds, avail)
+        return oracle, {vid: waits[vid] for vid in oracle.players}, ref_travel, waits
+
+    @pytest.mark.parametrize("per", [1, 2])
+    def test_slices_hold_every_length_as_the_references(self, per, monkeypatch):
+        rng = random.Random(f"rows:{per}")
+        checked = 0
+        for _case in range(3):
+            oracle, profile, ref_travel, waits = self.sliced(rng, per, monkeypatch)
+            views = list(oracle.views.values())
+            for _commit in range(2):
+                tables = oracle._dense(profile)
+                assert [table.w for table in tables] == [per] * (8 // per)
+                first = 0
+                for table in tables:
+                    assert np.array_equal(table.counts, recount(table))
+                    steps = range(table.t0, table.t0 + table.steps)
+                    for w in range(table.w):
+                        for eid, c in table.col.items():
+                            assert table.travel[w, c].tolist() == \
+                                [ref_travel[first + w](eid, t) for t in steps]
+                    for i, view in enumerate(views):
+                        cols, starts, cells = table.track(view.vid)
+                        assert cols.tolist() == [table.col[e] for e in view.window_edges]
+                        assert starts.tolist() == \
+                            (oracle.avail[i, first:first + per] - table.t0).tolist()
+                        assert cells.shape == (len(view.window_edges), per)
+                    first += table.w
+                for length in (1, 2, 3):
+                    pair = [v for v in views if len(v.window_edges) == length]
+                    assert sorted(v.player for v in pair) == [False, True]
+                    budgets = [v.budget_left for v in pair]
+                    space = action_space(length, max(budgets))
+                    batch = [sum(got) for got in zip(*(
+                        table.batch_values([v.vid for v in pair], space, budgets)
+                        for table in tables))]
+                    for view, values in zip(pair, batch):
+                        own = action_space(length, view.budget_left)
+                        want = ref_scaled_values(oracle, view.vid, own, profile)
+                        assert values.tolist() == want == \
+                            sum(t.scaled_values(view.vid, own) for t in tables).tolist()
+                        checked += len(want)
+                player = rng.choice(oracle.players)
+                profile[player] = rng.choice(action_space(
+                    len(oracle.views[player].window_edges), oracle.views[player].budget_left))
+        assert checked > 100
+
+    @pytest.mark.parametrize("per", [1, 2])
+    def test_a_refused_build_leaves_no_table(self, per, monkeypatch):
+        """Waits of the wrong length, and a wait of -50 that enters before
+        the window, refuse the whole build; a good profile then builds
+        tables that value as the reference does."""
+        oracle, profile, _ref, _waits = self.sliced(random.Random(f"refused:{per}"),
+                                                    per, monkeypatch)
+        player = oracle.players[0]
+        length = len(oracle.views[player].window_edges)
+        for waits, match in (((0,) * (length + 1), f"{length + 1} waits for a window"),
+                             ((-50,) + (0,) * (length - 1), "outside the tabulated window")):
+            with pytest.raises(InputError, match=match):
+                oracle._dense({**profile, player: waits})
+            assert oracle._tables == []
+        for vid in oracle.players:
+            space = action_space(len(oracle.views[vid].window_edges),
+                                 oracle.views[vid].budget_left)
+            assert oracle.scaled_values(vid, space, profile).tolist() == \
+                ref_scaled_values(oracle, vid, space, profile)
+        assert len(oracle._tables) == 8 // per
 
 
 class TestOraclePotential:

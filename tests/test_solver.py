@@ -257,7 +257,7 @@ class TestHorizonRound:
         budget, so a table that kept it would size its window by that wait."""
         shared, _spaces = horizon_oracle(extra=[(4, (0,), 1, 0)])
         profile = {0: (1,), 1: (0,), 2: (0,)}
-        assert sorted(shared._dense(profile)[0]._cols) == [0, 1, 2, 3, 4]
+        assert sorted(shared._dense(profile)[0]._waits) == [0, 1, 2, 3, 4]
         # an environment track is valued alone, never from a pass
         assert shared.scaled_values(3, action_space(1, 0), profile).tolist() == \
             ref_scaled_values(shared, 3, action_space(1, 0), profile)
@@ -268,7 +268,7 @@ class TestHorizonRound:
         # the first question starts a pass, and both players read from it
         batch = [crowded.scaled_values(vid, spaces[vid], profile) for vid in (0, 1)]
         [table] = crowded._tables
-        assert sorted(table._cols) == [0, 1, 3] and crowded._batch == {}
+        assert sorted(table._waits) == [0, 1, 3] and crowded._batch == {}
         want = [plain.scaled_values(vid, spaces[vid], profile) for vid in (0, 1)]
         for vid in (0, 1):
             assert batch[vid].tolist() == want[vid].tolist() == \
