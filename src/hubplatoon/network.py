@@ -153,8 +153,7 @@ class TravelMatrix:
 
     def delay(self, row: int, t: int) -> int:
         """Row ``row``'s delay at entry step ``t``, as an exact int."""
-        c = t - self.lo
-        return int(self.delays[row, c]) if 0 <= c < self.span else 0
+        return int(self.delays[row, self.column(t)])
 
 
 def validate_network(net: RoadNetwork) -> list[str]:
