@@ -232,10 +232,22 @@ class TestBatchedBuild:
         return want
 
     def test_mixed_window_lengths_match_per_world_references(self):
+        self.check_mixed_lengths(wide=False)
+
+    def test_a_wide_window_matches_per_world_references(self):
+        """An environment track's budget of 400 steps widens the window to
+        over 32 cells per entry, where the entry counts are put in by
+        sorting the entries, not by a count per cell."""
+        self.check_mixed_lengths(wide=True)
+
+    def check_mixed_lengths(self, wide):
         rng = random.Random(8080)
         for _case in range(10):
             game, views, worlds, avail, ref_travel, waits = mixed_length_game(rng)
+            if wide:
+                next(v for v in views if not v.player).budget_left = 400
             [table] = entry_tables(game, views, worlds, avail, waits)
+            assert (table.counts.size > 32 * table.w * 12) == wide
             assert sorted({len(v.window_edges) for v in views}) == [1, 2, 3]
             steps = range(table.t0, table.t0 + table.steps)
             for w, travel in enumerate(ref_travel):
@@ -949,14 +961,14 @@ class TestTrackRows:
         [whole] = entry_tables(game, views, worlds, avail, waits)
         monkeypatch.setattr(dense, "MAX_TABLE_CELLS", per * len(whole.col) * whole.steps)
         oracle = WorldsOracle(game, views, worlds, avail)
-        return oracle, {vid: waits[vid] for vid in oracle.players}, ref_travel, waits
+        return oracle, {vid: waits[vid] for vid in oracle.players}, ref_travel
 
     @pytest.mark.parametrize("per", [1, 2])
     def test_slices_hold_every_length_as_the_references(self, per, monkeypatch):
         rng = random.Random(f"rows:{per}")
         checked = 0
         for _case in range(3):
-            oracle, profile, ref_travel, waits = self.sliced(rng, per, monkeypatch)
+            oracle, profile, ref_travel = self.sliced(rng, per, monkeypatch)
             views = list(oracle.views.values())
             for _commit in range(2):
                 tables = oracle._dense(profile)
@@ -1000,8 +1012,7 @@ class TestTrackRows:
         """Waits of the wrong length, and a wait of -50 that enters before
         the window, refuse the whole build; a good profile then builds
         tables that value as the reference does."""
-        oracle, profile, _ref, _waits = self.sliced(random.Random(f"refused:{per}"),
-                                                    per, monkeypatch)
+        oracle, profile, _ref = self.sliced(random.Random(f"refused:{per}"), per, monkeypatch)
         player = oracle.players[0]
         length = len(oracle.views[player].window_edges)
         for waits, match in (((0,) * (length + 1), f"{length + 1} waits for a window"),
