@@ -219,9 +219,8 @@ class EntryTable:
         self.col = {eid: i for i, eid in enumerate(edge_ids)}
         self._exit += (base[:, None] + np.arange(horizon)).astype(np.int32)
         edges = game.net.edges
-        self._rt = np.empty((len(edge_ids), len(tracks.row) + 1), dtype=np.int64)
-        for c, eid in enumerate(edge_ids):
-            self._rt[c] = game.reward_model.reward_row(edges[eid], len(tracks.row))
+        self._rt = np.stack([game.reward_model.reward_row(edges[eid], len(tracks.row))
+                             for eid in edge_ids])
         # flat rewards: column c's reward for n vehicles at c * width + n
         self._flat_rt = self._rt.reshape(-1)
         # the reward index of a cell no track enters: one entrant
@@ -261,15 +260,10 @@ class EntryTable:
             cell = self._cells[:n, k]
             cell += t
             traced.append(cell)
-        traced = np.concatenate(traced, axis=None)
-        # a count per cell is quicker than sorting the entries up to about
-        # 32 cells per entry; beyond, np.unique's memory follows the
-        # entries, not the table
-        if self._flat_index.size <= 32 * traced.size:
-            self._flat_index += np.bincount(traced, minlength=self._flat_index.size)
-        else:
-            cells, counts = np.unique(traced, return_counts=True)
-            self._flat_index[cells] += counts.astype(np.int32)
+        # counted by np.unique, whose memory follows the traced cells;
+        # a bincount would allocate an int64 array the table's size
+        cells, counts = np.unique(np.concatenate(traced, axis=None), return_counts=True)
+        self._flat_index[cells] += counts.astype(np.int32)
 
     @property
     def counts(self) -> np.ndarray:
@@ -395,10 +389,12 @@ class EntryTable:
         level, so neither it nor its children can leave the window."""
         tree = prefix_tree(actions)
         sums = tree[2]
+        n = len(self._waits[vids[0]])
+        if any(len(self._waits[vid]) != n for vid in vids):
+            raise InputError("tracks of different window lengths")
         every = sums[-1].max() <= min(budgets)
         budgets = np.asarray(budgets, dtype=np.int64)[:, None, None]
         per = max(1, BATCH_CELLS // (len(sums[-1]) * self.w))
-        n = len(self._waits[vids[0]])
         out = []
         for lo in range(0, len(vids), per):
             rows = [self._row[vid] for vid in vids[lo:lo + per]]

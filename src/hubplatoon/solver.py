@@ -167,6 +167,10 @@ class WorldsOracle:
 
     approximate = False
     integral = False    # True: values in whole centi-SEK, else Fractions
+    # while ``nash_seek`` runs, the players whose turn it takes next, the
+    # one asking among them; a batched pass values them only. None: every
+    # player
+    due: set[int] | None = None
 
     def __init__(self, game: CoordinationGame, views: Sequence[HorizonView],
                  worlds: Worlds, avail: np.ndarray):
@@ -179,13 +183,6 @@ class WorldsOracle:
         self._tables: list[EntryTable] = []
         self._batch: dict[int, np.ndarray | None] = {}   # unread values of the last pass
         self._stale: set[int] = set()   # window edges of players moved since
-        # players whose next ``nash_seek`` turn is taken: a player on one of
-        # their window edges moved since they last asked, or they never did
-        self._due = set(self.players)
-        self._on: dict[int, list[int]] = {}   # window edge -> players on it
-        for vid in self.players:
-            for eid in self.views[vid].window_edges:
-                self._on.setdefault(eid, []).append(vid)
         self._synced: dict = {}   # the profile the tables were last synced to
 
     def _typed(self, totals) -> list:
@@ -216,9 +213,7 @@ class WorldsOracle:
             for table in self._tables[1:]:
                 table.sync(profile, self.players)
             for vid in moved:
-                edges = self.views[vid].window_edges
-                self._stale.update(edges)
-                self._due.update(q for eid in edges for q in self._on[eid] if q != vid)
+                self._stale.update(self.views[vid].window_edges)
             self._synced = {vid: tuple(w) for vid, w in profile.items()}
         return self._tables
 
@@ -236,7 +231,7 @@ class WorldsOracle:
         pass gave it, once, unless a player sharing one of its window
         edges has moved since, or the pass left it out; then it is valued
         alone. Once its value is read, its next question starts a new pass
-        over itself and the players whose next turn is due. A static game
+        over the players of ``due``, itself among them. A static game
         is not batched: its early rounds move so many players that most
         values of a pass would go unread.
         """
@@ -245,10 +240,8 @@ class WorldsOracle:
         if view.player and self.has_environment and actions is action_space(
                 len(view.span_nodes), view.budget_left):
             if vid not in self._batch:
-                self._due.add(vid)
                 self._batch = self._round_values(tables)
                 self._stale.clear()
-            self._due.discard(vid)
             values = self._batch.pop(vid)
             if values is not None and self._stale.isdisjoint(view.window_edges):
                 return values
@@ -260,13 +253,13 @@ class WorldsOracle:
     def _round_values(self, tables: Sequence[EntryTable]) -> dict:
         """Each player's values over its ``action_space`` against the
         tables' committed waits, keyed by id, from one
-        ``EntryTable.batch_values`` pass per window length and table. Only
-        the players whose next turn is due are valued; the others get
-        None, since ``nash_seek`` skips their turn until a player on one
-        of their window edges moves, and then their value would be stale."""
+        ``EntryTable.batch_values`` pass per window length and table. With
+        ``due`` set, only its players are valued and the others get None:
+        ``nash_seek`` skips their turn until a player on one of their
+        window edges moves, and then their value is stale."""
         groups: dict[int, list[int]] = {}
         for vid in self.players:
-            if vid in self._due:
+            if self.due is None or vid in self.due:
                 groups.setdefault(len(self.views[vid].span_nodes), []).append(vid)
         out = dict.fromkeys(self.players)
         for length, vids in groups.items():
@@ -372,6 +365,9 @@ def nash_seek(oracle, spaces: Mapping[int, Sequence[tuple[int, ...]]],
     edges (``oracle.views``), so while none of those has moved since its
     last turn, the tie rule keeps its action and the turn is skipped.
     ``evaluations`` counts the candidates of every turn, skipped or not.
+    While the search runs, ``oracle.due`` is the set of players whose next
+    turn is taken, so a ``WorldsOracle`` batches no value a skip leaves
+    unread.
     """
     ids = tuple(order) if order is not None else tuple(sorted(spaces))
     if set(ids) != set(spaces) or len(ids) != len(spaces):
@@ -386,31 +382,38 @@ def nash_seek(oracle, spaces: Mapping[int, Sequence[tuple[int, ...]]],
     trajectory = None
     if track_potential:
         trajectory = [oracle.potential(profile)]
-    edges = {vid: oracle.views[vid].window_edges for vid in ids}
-    moved = {eid: 0 for vid in ids for eid in edges[vid]}   # the last turn a player on it moved
-    last = dict.fromkeys(ids, -1)                          # each player's last turn
-    turn = rounds = evaluations = 0
+    on: dict[int, list[int]] = {}   # window edge -> the players on it
+    for vid in ids:
+        for eid in oracle.views[vid].window_edges:
+            on.setdefault(eid, []).append(vid)
+    # the players whose next turn is taken: another player on one of their
+    # window edges moved since their last turn, or they had none; a player
+    # leaves it when its turn is over
+    due = oracle.due = set(ids)
+    rounds = evaluations = 0
     changed = True
-    while changed:
-        rounds += 1
-        if rounds > round_cap:
-            raise NonConvergenceError(f"no equilibrium after {round_cap} rounds")
-        changed = False
-        for vid in ids:
-            turn += 1
-            skip = max(map(moved.__getitem__, edges[vid]), default=0) <= last[vid]
-            last[vid] = turn
-            if skip:
-                evaluations += len(spaces[vid])
-                continue
-            waits, n_eval = best_response(oracle, vid, spaces[vid], profile)
-            evaluations += n_eval
-            if waits != profile[vid]:
-                profile[vid] = waits
-                changed = True
-                moved.update(dict.fromkeys(edges[vid], turn))
-                if trajectory is not None:
-                    trajectory.append(oracle.potential(profile))
+    try:
+        while changed:
+            rounds += 1
+            if rounds > round_cap:
+                raise NonConvergenceError(f"no equilibrium after {round_cap} rounds")
+            changed = False
+            for vid in ids:
+                if vid not in due:
+                    evaluations += len(spaces[vid])
+                    continue
+                waits, n_eval = best_response(oracle, vid, spaces[vid], profile)
+                due.discard(vid)
+                evaluations += n_eval
+                if waits != profile[vid]:
+                    profile[vid] = waits
+                    changed = True
+                    due.update(q for eid in oracle.views[vid].window_edges
+                               for q in on[eid] if q != vid)
+                    if trajectory is not None:
+                        trajectory.append(oracle.potential(profile))
+    finally:
+        oracle.due = None
     verified = False
     if verify:
         verified = verify_ne(oracle, spaces, profile)

@@ -232,22 +232,10 @@ class TestBatchedBuild:
         return want
 
     def test_mixed_window_lengths_match_per_world_references(self):
-        self.check_mixed_lengths(wide=False)
-
-    def test_a_wide_window_matches_per_world_references(self):
-        """An environment track's budget of 400 steps widens the window to
-        over 32 cells per entry, where the entry counts are put in by
-        sorting the entries, not by a count per cell."""
-        self.check_mixed_lengths(wide=True)
-
-    def check_mixed_lengths(self, wide):
         rng = random.Random(8080)
         for _case in range(10):
             game, views, worlds, avail, ref_travel, waits = mixed_length_game(rng)
-            if wide:
-                next(v for v in views if not v.player).budget_left = 400
             [table] = entry_tables(game, views, worlds, avail, waits)
-            assert (table.counts.size > 32 * table.w * 12) == wide
             assert sorted({len(v.window_edges) for v in views}) == [1, 2, 3]
             steps = range(table.t0, table.t0 + table.steps)
             for w, travel in enumerate(ref_travel):
@@ -766,7 +754,7 @@ class TestSplitTables:
             whole, spaces = build(case)
             [table] = whole._dense(random_profile(rng, spaces))
             wholes.append((whole, spaces, len(table.col) * table.steps))
-        split_tables = valued = 0
+        split_tables = 0
         for case, (whole, spaces, cells) in enumerate(wholes):
             per = 1 + case % 3
             monkeypatch.setattr(dense, "MAX_TABLE_CELLS", per * cells)
@@ -776,24 +764,17 @@ class TestSplitTables:
                 tables = split._dense(profile)
                 assert len(tables) == -(-len(split.worlds.weights) // per)
                 split_tables += len(tables) - 1
-                # a pass values the players whose next turn is due, the
-                # same ones in both oracles: every player on the first trial
                 batch = split._round_values(tables)
                 want = whole._round_values(whole._dense(profile))
-                assert [vid for vid, v in batch.items() if v is not None] == \
-                    [vid for vid, v in want.items() if v is not None]
-                valued += sum(v is not None for v in batch.values())
                 for vid, space in spaces.items():
-                    values = whole.scaled_values(vid, space, profile).tolist()
-                    if want[vid] is not None:
-                        assert batch[vid].tolist() == want[vid].tolist() == values
-                    assert split.scaled_values(vid, space, profile).tolist() == values
+                    assert batch[vid].tolist() == want[vid].tolist()
+                    assert split.scaled_values(vid, space, profile).tolist() == \
+                        whole.scaled_values(vid, space, profile).tolist()
                     assert sum(t.scaled_values(vid, space) for t in tables).tolist() \
-                        == values
+                        == want[vid].tolist()
                     assert split.utility(vid, profile) == whole.utility(vid, profile)
                 assert split.potential(profile) == whole.potential(profile)
         assert split_tables >= (0 if kind == "deterministic" else 10)
-        assert valued >= 25
 
 
 def recount(table):
@@ -1027,6 +1008,19 @@ class TestTrackRows:
                 ref_scaled_values(oracle, vid, space, profile)
         assert len(oracle._tables) == 8 // per
 
+    def test_a_batch_of_mixed_lengths_is_refused(self, monkeypatch):
+        """Tracks of window lengths 1 and 3 in one ``batch_values`` call are
+        refused, whichever comes first: the rows are read to the first
+        one's length, so the other's values would be wrong."""
+        oracle, profile, _ref = self.sliced(random.Random("mixed-batch"), 8, monkeypatch)
+        [table] = oracle._dense(profile)
+        counts = table.counts
+        by_length = {len(oracle.views[vid].window_edges): vid for vid in oracle.players}
+        for vids in ((by_length[1], by_length[3]), (by_length[3], by_length[1])):
+            with pytest.raises(InputError, match="tracks of different window lengths"):
+                table.batch_values(list(vids), action_space(3, 4), [4, 4])
+        assert np.array_equal(table.counts, counts)
+
 
 class TestOraclePotential:
     """The one oracle's potential, checked for each way it is built."""
@@ -1157,3 +1151,43 @@ class TestSkippedTurns:
             assert (got.profile, got.rounds, got.evaluations) == want, case
             turns += got.rounds * len(spaces) - (len(taken) - before)
         assert turns >= 15   # turns skipped: 19 to 71 of each kind's cases
+
+    @pytest.mark.parametrize("w", [1, 16])
+    def test_a_pass_values_only_turns_that_are_taken(self, w, monkeypatch):
+        """While ``nash_seek`` runs, a horizon round's batched pass values
+        the asker and the players whose next turn is taken, not the ones
+        it skips; after it, a pass values every player again."""
+        taken, passes = [], []
+        monkeypatch.setattr(solver, "best_response",
+                            lambda *args: taken.append(args[1]) or best_response(*args))
+        left_out = 0
+        for case in range(12):
+            oracle, spaces, profile = random_horizon_game(random.Random(f"due:{w}:{case}"), w)
+            ids = sorted(spaces)
+            single = oracle._round_values
+
+            def recorded(tables, single=single):
+                got = single(tables)
+                passes.append((len(taken) - 1, {q for q, v in got.items() if v is not None}))
+                return got
+
+            oracle._round_values = recorded
+            before, first = len(taken), len(passes)
+            report = nash_seek(oracle, spaces, initial=profile)
+            # each taken turn's place in the cycle of turns over ``ids``
+            at, turn = [], -1
+            for vid in taken[before:]:
+                turn += 1 + (ids.index(vid) - turn - 1) % len(ids)
+                at.append(turn)
+            for i, valued in passes[first:]:
+                asker, after = taken[i], at[i - before]
+                left_out += len(ids) - len(valued)
+                for q in valued - {asker}:
+                    # q's next turn after the pass is among those taken
+                    nxt = after + 1 + (ids.index(q) - after - 1) % len(ids)
+                    assert nxt in at, (case, q)
+            assert report.rounds * len(ids) > len(taken) - before
+            assert oracle.due is None
+            assert sorted(oracle._round_values(oracle._tables)) == ids
+            assert passes[-1][1] == set(ids)
+        assert left_out > 0
